@@ -115,13 +115,13 @@ def run_flow(s: Surface, T: float, max_events: int = 10000, verify: str = "debug
     events: list[SplitEvent] = []
     surfaces: list[Surface] = []
     cur = s
-    while len(events) < max_events:
-        ev = next_split(cur)
-        if ev is None or float(ev.threshold) > lam_end_f:
-            break
+    ev = next_split(cur) if max_events > 0 else None
+    while ev is not None and float(ev.threshold) <= lam_end_f:
         at_event = cur.replace(lam=ev.threshold)
         flipped, _ = flip(at_event, ev.edge)
+        nxt = None
         if verify == "debug":
+            # the probe's split is the next iteration's split: it is reused
             nxt = next_split(flipped)
             upper = float(nxt.threshold) if nxt is not None else lam_end_f
             mid = (float(ev.threshold) + upper) / 2
@@ -132,6 +132,9 @@ def run_flow(s: Surface, T: float, max_events: int = 10000, verify: str = "debug
         events.append(ev)
         surfaces.append(flipped)
         cur = flipped
+        if len(events) >= max_events:
+            break
+        ev = nxt if verify == "debug" else next_split(cur)
     return Trajectory(s, events, surfaces, T)
 
 
@@ -210,10 +213,7 @@ def _triangle_isomorphisms(s1: Surface, s2: Surface):
     tris1, tris2 = s1.triangles, s2.triangles
     if len(tris1) != len(tris2):
         return
-    occ2: dict[str, list[tuple[int, int]]] = {}
-    for t, tri in enumerate(tris2):
-        for i, (e, _) in enumerate(tri):
-            occ2.setdefault(e, []).append((t, i))
+    occ1, occ2 = s1.occurrences(), s2.occurrences()
     for t0 in range(len(tris2)):
         for rot in range(3):
             sigma: dict[str, tuple[str, int]] = {}
@@ -238,10 +238,10 @@ def _triangle_isomorphisms(s1: Surface, s2: Surface):
                             break
                         sigma[e] = (e2, f)
                     # propagate to the neighbor triangle across e
-                    for (tn, jn) in _occ(tris1, e):
+                    for tn, jn, _ in occ1[e]:
                         if tn == t and jn == i:
                             continue
-                        for (tn2, jn2) in occ2[e2]:
+                        for tn2, jn2, _ in occ2[e2]:
                             if tn2 == tt and jn2 == (i + rr) % 3:
                                 continue
                             if tn in tri_map:
@@ -256,8 +256,8 @@ def _triangle_isomorphisms(s1: Surface, s2: Surface):
                 yield sigma
 
 
-def _occ(tris, e):
-    return [(t, i) for t, tri in enumerate(tris) for i, (ee, _) in enumerate(tri) if ee == e]
+def _sorted_close(a: list, b: list, bound: float) -> bool:
+    return len(a) == len(b) and all(abs(x - y) <= bound for x, y in zip(a, b))
 
 
 def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch | None:
@@ -267,14 +267,33 @@ def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch
     geometric (flow-applied) period vectors of the two states agree up to a
     relabeling and a global sign.  The width expansion across the period is
     then read off the flow parameters: lam_w = sqrt(lam_{m'} / lam_m).
+
+    Pairs are tried by increasing span, then increasing m, and the first
+    match is returned.  Two periods match when they differ by at most
+    rel_tol times the larger of |w| and |h| of the edge of state m.  The
+    backtracking isomorphism search runs only on pairs whose sorted |w| and
+    sorted |h| lists agree entrywise within rel_tol times the largest
+    coordinate of state m; that test never rejects a pair that matches.
     """
     states = traj.states()
     eff = [{e: s.effective_period(e) for e in s.edges} for s in states]
+    # A match pairs each edge e of m with an edge of m2 whose |w| and |h|
+    # differ from those of e by at most rel_tol * scale_e <= bound[m].
+    # Pairing two sorted lists in order never increases the largest
+    # difference of any one-to-one pairing, and float rounding is monotone,
+    # so a pair whose sorted lists differ by more than bound[m] has no match.
+    ws = [sorted(abs(w) for w, _ in p.values()) for p in eff]
+    hs = [sorted(abs(h) for _, h in p.values()) for p in eff]
+    bound = [rel_tol * max([1e-15] + w[-1:] + h[-1:]) for w, h in zip(ws, hs)]
     for span in range(1, len(states)):
         for m in range(0, len(states) - span):
             m2 = m + span
             lam_w = math.sqrt(float(states[m2].lam) / float(states[m].lam))
             if not lam_w > 1 + 1e-9:
+                continue
+            if not (
+                _sorted_close(ws[m], ws[m2], bound[m]) and _sorted_close(hs[m], hs[m2], bound[m])
+            ):
                 continue
             for sigma in _triangle_isomorphisms(states[m], states[m2]):
                 glob = None

@@ -8,9 +8,7 @@ flow.py; randomness is seeded explicitly so runs are reproducible.
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +36,6 @@ class ContractionFit:
 
     def samples(self) -> list[tuple[float, float]]:
         return [(t, math.exp(v)) for row in self.log_ratios for t, v in zip(self.times, row)]
-
-
-def _max_workers() -> int:
-    return max(1, int(os.environ.get("VEERTRACK_THREADS", "1")))
 
 
 def _height_perturbations(s: Surface, rng: random.Random) -> dict:
@@ -142,8 +136,7 @@ def contraction_experiment(
             row.append(math.log(_stable_distance(a, b) / d0))
         return tuple(row)
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(one_trial, range(trials)))
+    results = [one_trial(i) for i in range(trials)]
     kept = [row for row in results if row is not None]
     dropped = sum(1 for row in results if row is None)
     if not kept:
@@ -183,7 +176,10 @@ class DiameterTrace:
 
 def hilbert_contraction_experiment(traj: Trajectory) -> DiameterTrace:
     """Hilbert diameter of the image of the positive tangential cone under
-    the growing word, evaluated after each event."""
+    the growing word, evaluated after each event.
+
+    The product is divided by its largest entry after each step: the Hilbert
+    diameter ignores scaling, and unscaled entries overflow on long words."""
     branches = tuple(sorted(traj.start.edges))
     n = len(branches)
     composed = np.eye(n)
@@ -192,6 +188,7 @@ def hilbert_contraction_experiment(traj: Trajectory) -> DiameterTrace:
     for ev in traj.events:
         m = np.array(split_transition(ev, branches).tangential, dtype=float)
         composed = m @ composed
+        composed = composed / np.abs(composed).max()
         times.append(ev.t)
         diams.append(image_diameter(composed, cone))
     return DiameterTrace(tuple(times), tuple(diams))

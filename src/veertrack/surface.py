@@ -117,8 +117,10 @@ class Surface:
         """For each vertex, the integer k with cone angle k*pi (unrounded check
         is the caller's business; see validate)."""
         out = []
-        for cls in self.vertex_classes():
+        for idx, cls in enumerate(self.vertex_classes()):
             total = sum(self.corner_angle(t, i) for t, i in cls)
+            if not math.isfinite(total):
+                raise DocumentError(f"vertex {idx}: cone angle overflows the float range")
             out.append(round(total / math.pi))
         return out
 
@@ -176,12 +178,18 @@ def corner_classes(triangles) -> list[frozenset[Corner]]:
 
 def _parse_number(x, mode: str):
     if mode == "exact":
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, bool) or not isinstance(x, int):
+        if isinstance(x, bool) or not isinstance(x, (int, str)):
             raise DocumentError(f"exact mode needs integers or 'p/q' strings, got {x!r}")
-        return Fraction(x)
-    return float(Fraction(x) if isinstance(x, str) else x)
+    elif isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise DocumentError(f"float mode needs numbers or numeric strings, got {x!r}")
+    try:
+        f = Fraction(x) if mode == "exact" or isinstance(x, str) else x
+        as_float = float(f)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DocumentError(f"not a number within the float range: {x!r}") from exc
+    if not math.isfinite(as_float):
+        raise DocumentError(f"not a number within the float range: {x!r}")
+    return f if mode == "exact" else as_float
 
 
 def _emit_number(x, mode: str):
@@ -205,6 +213,10 @@ def parse_surface(document: str) -> Surface:
     mode = doc["mode"]
     if mode not in ("exact", "float"):
         raise DocumentError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if not isinstance(doc["edges"], dict):
+        raise DocumentError("edges must be an object mapping labels to [w, h]")
+    if not isinstance(doc["triangles"], list):
+        raise DocumentError("triangles must be a list")
     periods = {}
     for label, pair in doc["edges"].items():
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
@@ -212,20 +224,24 @@ def parse_surface(document: str) -> Surface:
         periods[label] = (_parse_number(pair[0], mode), _parse_number(pair[1], mode))
     triangles = []
     for t, tri in enumerate(doc["triangles"]):
-        if len(tri) != 3:
-            raise DocumentError(f"triangle {t} must have 3 sides")
+        if not (isinstance(tri, list) and len(tri) == 3):
+            raise DocumentError(f"triangle {t} must be a list of 3 sides")
         sides = []
         for slot in tri:
+            if not (isinstance(slot, dict) and "edge" in slot and "sign" in slot):
+                raise DocumentError(f"triangle {t}: a side must be an object with edge and sign")
             e, s = slot["edge"], slot["sign"]
             if s not in (1, -1):
                 raise DocumentError(f"triangle {t}: sign must be +-1")
-            if e not in periods:
+            if not isinstance(e, str) or e not in periods:
                 raise DocumentError(f"triangle {t}: unknown edge {e!r}")
             sides.append((e, s))
         triangles.append(tuple(sides))
     lam = None
     if "flow" in doc:
         lam = _parse_number(doc["flow"], mode)
+        if not lam > 0:
+            raise DocumentError(f"flow parameter must be positive, got {doc['flow']!r}")
     counts: dict[str, int] = {}
     for tri in triangles:
         for e, _ in tri:
@@ -235,6 +251,8 @@ def parse_surface(document: str) -> Surface:
             raise DocumentError(f"edge {e} appears {counts.get(e, 0)} times, expected 2")
     surf = Surface(triangles, periods, mode, lam)
     if "marked_vertices" in doc:
+        if not isinstance(doc["marked_vertices"], list):
+            raise DocumentError("marked_vertices must be a list")
         declared = len(doc["marked_vertices"])
         derived = sum(surf.marked_vertex_flags())
         if declared != derived:
@@ -267,6 +285,8 @@ def validate(s: Surface) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions."""
     violations: list[tuple[str, str, str]] = []
     tol = 0.0 if s.mode == "exact" else 1e-9
+    if not s.triangles:
+        return ValidationReport(False, (("empty", "surface", "no triangles"),))
 
     occ = s.occurrences()
     for e, occs in occ.items():
@@ -293,7 +313,11 @@ def validate(s: Surface) -> ValidationReport:
         for idx, cls in enumerate(s.vertex_classes()):
             total = sum(s.corner_angle(t, i) for t, i in cls)
             k = total / math.pi
-            if abs(k - round(k)) > EPS_ANGLE * max(1.0, abs(k)) or round(k) < 1:
+            if (
+                not math.isfinite(k)
+                or abs(k - round(k)) > EPS_ANGLE * max(1.0, abs(k))
+                or round(k) < 1
+            ):
                 violations.append(("cone-angle", f"vertex {idx}", f"total angle {total} is not a multiple of pi"))
 
     return ValidationReport(not violations, tuple(violations))

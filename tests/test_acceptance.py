@@ -337,7 +337,7 @@ class TestCriterion14ThickImpliesFilling:
             states = traj.states()
             matched = None
             for j in range(len(states) - 1, 0, -1):
-                if _triangle_isomorphisms(states[0], states[j]):
+                if next(_triangle_isomorphisms(states[0], states[j]), None) is not None:
                     matched = j
                     break
             assert matched is not None

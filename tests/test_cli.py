@@ -4,6 +4,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from veertrack.cli import main
 from veertrack.delaunay import greedy_delaunay
@@ -43,6 +45,12 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--input", str(path)]) == 1
+
+    def test_empty_surface_fails_validation(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"mode": "exact", "edges": {}, "triangles": []}))
+        assert main(["validate", "--input", str(path)]) == 1
+        assert "violation [empty]" in capsys.readouterr().out
 
     def test_structural_degeneracy_is_exit_2(self, tmp_path):
         reduced, _ = greedy_delaunay(pillow())
@@ -98,3 +106,39 @@ class TestArtifacts:
         assert main(["report", "--input", torus_doc, "--time", "0.5"]) == 0
         text = capsys.readouterr().out
         assert "e1" in text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture document with a few entries, at any depth, replaced by
+    arbitrary JSON values."""
+    doc = json.loads(serialize_surface(draw(st.sampled_from([t2, gold, pillow]))()))
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(["flow", "marked_vertices"]))] = draw(JSON_VALUES)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            node[key] = draw(JSON_VALUES)
+            break
+    return doc
+
+
+class TestDocumentFuzz:
+    @given(doc=st.one_of(JSON_VALUES, mutated_documents()))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_validate_never_raises(self, tmp_path, doc):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) in (0, 1, 2)

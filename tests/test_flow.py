@@ -1,22 +1,32 @@
 """Event-driven flow: split scheduling, trajectories, periodicity."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from util import exact_trajectory_prefix
 
+import veertrack.flow as flow
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import (
     GOLD_DILATATION,
     GOLD_PERIOD_T,
     gold,
     pillow,
+    slope_torus,
     t2,
 )
 from veertrack.delaunay import greedy_delaunay, other_diagonal
-from veertrack.flow import detect_periodicity, next_split, run_flow, thick_fraction
+from veertrack.flow import (
+    PeriodicMatch,
+    _triangle_isomorphisms,
+    detect_periodicity,
+    next_split,
+    run_flow,
+    thick_fraction,
+)
 from veertrack.surface import validate
 
 
@@ -76,6 +86,31 @@ class TestRunFlow:
         traj = run_flow(gold(), 50.0, max_events=7)
         assert len(traj.events) == 7
 
+    @pytest.mark.parametrize(
+        "verify, max_events, extra",
+        [
+            # the debug probe's split is reused as the next event
+            ("debug", 10000, 1),
+            ("debug", 7, 1),
+            # without the probe: one call per event, plus the one that ends
+            # the window, but none past a max_events cutoff
+            ("off", 10000, 1),
+            ("off", 7, 0),
+        ],
+    )
+    def test_next_split_calls_per_event(self, monkeypatch, verify, max_events, extra):
+        count = 0
+
+        def counting(s):
+            nonlocal count
+            count += 1
+            return next_split(s)
+
+        monkeypatch.setattr(flow, "next_split", counting)
+        traj = run_flow(gold(), 4 * GOLD_PERIOD_T, max_events=max_events, verify=verify)
+        assert len(traj.events) == min(8, max_events)
+        assert count == len(traj.events) + extra
+
 
 class TestThickness:
     def test_fraction_in_unit_interval(self):
@@ -110,3 +145,88 @@ class TestPeriodicity:
     def test_aperiodic_prefix_reports_nothing(self):
         traj = run_flow(gold(), 0.8 * GOLD_PERIOD_T)
         assert detect_periodicity(traj) is None
+
+
+def _reference_detect_periodicity(traj, rel_tol):
+    """detect_periodicity without the sorted-period rejection test: the
+    isomorphism search runs on every pair of states."""
+    states = traj.states()
+    eff = [{e: s.effective_period(e) for e in s.edges} for s in states]
+    for span in range(1, len(states)):
+        for m in range(0, len(states) - span):
+            m2 = m + span
+            lam_w = math.sqrt(float(states[m2].lam) / float(states[m].lam))
+            if not lam_w > 1 + 1e-9:
+                continue
+            for sigma in _triangle_isomorphisms(states[m], states[m2]):
+                glob = None
+                good = True
+                for e, (e2, f) in sigma.items():
+                    w1, h1 = eff[m][e]
+                    w2, h2 = f * eff[m2][e2][0], f * eff[m2][e2][1]
+                    scale = max(abs(w1), abs(h1), 1e-15)
+                    if glob is None:
+                        if abs(abs(w1) - abs(w2)) > rel_tol * scale:
+                            good = False
+                            break
+                        glob = 1 if w1 * w2 > 0 else -1
+                    w2, h2 = glob * w2, glob * h2
+                    if abs(w2 - w1) > rel_tol * scale or abs(h2 - h1) > rel_tol * scale:
+                        good = False
+                        break
+                if good and glob is not None:
+                    relabel = {e: (e2, glob * f) for e, (e2, f) in sigma.items()}
+                    return PeriodicMatch(m, m2, relabel, lam_w, tuple(traj.events[m:m2]))
+    return None
+
+
+def _perturbed_gold():
+    rng = random.Random(11)
+    s = gold()
+    return s.replace(
+        periods={e: (p.w, p.h * (1 + rng.uniform(-1e-3, 1e-3))) for e, p in s.periods.items()}
+    )
+
+
+def _slope(n):
+    return (n + math.sqrt(n * n + 4)) / 2
+
+
+REFERENCE_TRAJECTORIES = {
+    **{f"x{n}": (lambda n=n: run_flow(slope_torus(_slope(n)), 3 * math.log(_slope(n) ** 2)))
+       for n in range(1, 5)},
+    "gold": lambda: run_flow(gold(), 4 * GOLD_PERIOD_T),
+    "gold-perturbed": lambda: run_flow(_perturbed_gold(), 5.0, verify="off"),
+    "gold-no-return": lambda: run_flow(gold(), 0.8 * GOLD_PERIOD_T),
+}
+
+
+class TestPeriodicityAgainstReference:
+    # 1e-5 and 1e-4 sit just past the tolerances at which the perturbed
+    # orbit first recurs, where a rejection test that is too strict shows
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-5, 1e-4, 0.1])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_TRAJECTORIES))
+    def test_same_match_as_unfiltered_search(self, name, rel_tol):
+        traj = REFERENCE_TRAJECTORIES[name]()
+        got = detect_periodicity(traj, rel_tol=rel_tol)
+        assert got == _reference_detect_periodicity(traj, rel_tol)
+        if rel_tol in (1e-9, 0.1):
+            # the perturbed orbit recurs only approximately
+            no_return = name == "gold-no-return" or (name == "gold-perturbed" and rel_tol < 0.1)
+            assert (got is None) == no_return
+
+    def test_same_match_at_the_tightest_tolerance(self):
+        # at the smallest rel_tol that still admits the match, the rejection
+        # test must let the matching pair through
+        traj = REFERENCE_TRAJECTORIES["gold-perturbed"]()
+        match = _reference_detect_periodicity(traj, 1e-4)
+        states = traj.states()
+        tightest = 0.0
+        for e, (e2, sg) in match.relabel.items():
+            w1, h1 = states[match.m].effective_period(e)
+            w2, h2 = states[match.m2].effective_period(e2)
+            dev = max(abs(sg * w2 - w1), abs(sg * h2 - h1)) / max(abs(w1), abs(h1), 1e-15)
+            tightest = max(tightest, dev)
+        rel_tol = tightest * (1 + 1e-9)
+        assert _reference_detect_periodicity(traj, rel_tol) == match
+        assert detect_periodicity(traj, rel_tol=rel_tol) == match

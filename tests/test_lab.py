@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import veertrack.lab as lab
+from veertrack.cones import image_diameter, orthant, split_transition
 from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold
 from veertrack.flow import run_flow
 from veertrack.lab import (
@@ -52,6 +55,26 @@ class TestHilbertDecay:
         # of the golden ratio
         ratio = finite[-1] / finite[-3]
         assert ratio == pytest.approx(1 / 1.618033988749895 ** 2, abs=5e-3)
+
+    def test_normalised_product_keeps_the_diameters(self, monkeypatch):
+        traj = run_flow(gold(), 5 * GOLD_PERIOD_T)
+        seen = []
+
+        def recording(matrix, cone):
+            seen.append(np.array(matrix))
+            return image_diameter(matrix, cone)
+
+        monkeypatch.setattr(lab, "image_diameter", recording)
+        trace = hilbert_contraction_experiment(traj)
+        branches = tuple(sorted(traj.start.edges))
+        composed = np.eye(len(branches))
+        for ev, d in zip(traj.events, trace.diameters):
+            composed = np.array(split_transition(ev, branches).tangential, dtype=float) @ composed
+            want = image_diameter(composed, orthant(len(branches)))
+            assert d == want or abs(d - want) <= 1e-9
+        assert len(seen) == len(traj.events) == 10
+        assert all(m.max() <= 1.0 for m in seen)
+        assert composed.max() > 10
 
 
 class TestClosing:

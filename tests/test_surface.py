@@ -63,6 +63,57 @@ class TestParsing:
             parse_surface(json.dumps(doc))
 
 
+def _mutated(change):
+    doc = json.loads(serialize_surface(t2()))
+    change(doc)
+    return json.dumps(doc)
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: d.update(edges=[["1", "3/10"]]),
+            lambda d: d["edges"]["e1"].__setitem__(0, "one"),
+            lambda d: d.update(mode="float") or d["edges"]["e1"].__setitem__(0, "one"),
+            lambda d: d["edges"]["e1"].__setitem__(0, "1/0"),
+            lambda d: d["edges"]["e1"].__setitem__(0, 10**400),
+            lambda d: d.update(mode="float") or d["edges"]["e1"].__setitem__(0, [1]),
+            lambda d: d.update(mode="float") or d["edges"]["e1"].__setitem__(0, float("inf")),
+            lambda d: d["triangles"].__setitem__(0, 7),
+            lambda d: d["triangles"][0].__setitem__(0, "e1"),
+            lambda d: d["triangles"][0][0].pop("sign"),
+            lambda d: d["triangles"][0][0].__setitem__("edge", ["e1"]),
+            lambda d: d.update(triangles={"abc": []}),
+            lambda d: d.update(flow="-1"),
+            lambda d: d.update(marked_vertices=3),
+        ],
+        ids=[
+            "edges-list", "exact-word-period", "float-word-period", "zero-denominator",
+            "exact-overflow", "float-list-period", "float-infinity", "triangle-int", "slot-string",
+            "slot-without-sign", "edge-list", "triangles-object", "negative-flow",
+            "marked-int",
+        ],
+    )
+    def test_rejected_as_document_error(self, change):
+        with pytest.raises(DocumentError):
+            parse_surface(_mutated(change))
+
+    def test_overflowing_cone_angle_is_a_violation(self):
+        # exact sums keep every triangle closed, but the corner angles overflow
+        big = 2.0**1000
+        periods = {
+            "e1": (10 * big, 3 * big),
+            "e2": (-4 * big, 10 * big),
+            "e3": (-6 * big, -13 * big),
+        }
+        s = parse_surface(_mutated(lambda d: d.update(mode="float")))
+        report = validate(s.replace(periods=periods))
+        assert ("cone-angle", "vertex 0") in [v[:2] for v in report.violations]
+        with pytest.raises(DocumentError):
+            s.replace(periods=periods).vertex_angle_multiples()
+
+
 class TestValidation:
     @pytest.mark.parametrize("build", [t2, gold, pillow, octagon])
     def test_fixtures_pass(self, build):
