@@ -30,10 +30,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return out
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
-
-
 def transpose(a: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*a)]
 

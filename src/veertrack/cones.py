@@ -150,27 +150,14 @@ def reconstruct_from_words(
 # the equivalence space of tangential measures
 
 
-def equivalence_space(track: TrainTrack) -> list[list[Fraction]]:
-    """Spanning vectors of the subspace V(tau) that tangential measures are
-    taken modulo: one vector 1_large - 1_small - 1_small per switch."""
-    branches = track.branches
-    idx = {b: i for i, b in enumerate(branches)}
-    rows = []
-    for tri, slot in zip(track.triangles, track.large_slots):
-        row = [Fraction(0)] * len(branches)
-        for i, (e, _) in enumerate(tri):
-            row[idx[e]] += Fraction(1) if i == slot else Fraction(-1)
-        rows.append(row)
-    return rows
-
-
 def tangential_equivalent(track: TrainTrack, r1, r2) -> bool:
     """Whether two tangential vectors (branch order = track.branches) differ
-    by an element of V(tau)."""
+    by an element of V(tau), the span of the switch rows
+    1_large - 1_small - 1_small."""
     diff = [Fraction(a) - Fraction(b) for a, b in zip(r1, r2)]
     if all(x == 0 for x in diff):
         return True
-    return in_span(equivalence_space(track), diff)
+    return in_span(track.switch_matrix(), diff)
 
 
 # ---------------------------------------------------------------------------

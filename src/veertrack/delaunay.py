@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegeneracyError, NotFlippableError, VeertrackError
-from .surface import EPS_AXIS, Surface
+from .surface import EPS_AXIS, Surface, cross, exchange_diagonal, quad_sides
 
 FLOAT_TIE = 1e-9
 
@@ -85,23 +85,9 @@ class FlipRecord:
 
 
 def build_quad(s: Surface, e: str) -> Quad:
-    occs = s.occurrences()[e]
-    if len(occs) != 2:
-        raise VeertrackError(f"edge {e} is not interior to two triangles")
-    (t1, i1, s1), (t2, i2, s2) = occs
-    eps = -(s1 * s2)
-    a = s.triangles[t1][(i1 + 1) % 3]
-    b = s.triangles[t1][(i1 + 2) % 3]
-    c0 = s.triangles[t2][(i2 + 1) % 3]
-    d0 = s.triangles[t2][(i2 + 2) % 3]
-    c = (c0[0], eps * c0[1])
-    d = (d0[0], eps * d0[1])
-    vecs = tuple((sg * s.periods[eid].w, sg * s.periods[eid].h) for eid, sg in (a, b, c, d))
-    return Quad(e, t1, t2, (a, b, c, d), vecs)
-
-
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+    t1, t2, sides = quad_sides(s.triangles, s.occurrences(), e)
+    vecs = tuple((sg * s.periods[eid].w, sg * s.periods[eid].h) for eid, sg in sides)
+    return Quad(e, t1, t2, sides, vecs)
 
 
 def other_diagonal(s: Surface, e: str):
@@ -109,7 +95,7 @@ def other_diagonal(s: Surface, e: str):
     q = build_quad(s, e)
     va, vb, vc, vd = q.vectors
     diag = (vb[0] + vc[0], vb[1] + vc[1])
-    c1, c2 = _cross(vb, vc), _cross(vd, va)
+    c1, c2 = cross(vb, vc), cross(vd, va)
     # zero cross product: one of the would-be triangles is flat, which
     # happens structurally when the two triangles share a second edge
     # (a flat cylinder); the diagonal exchange is illegal there
@@ -145,17 +131,12 @@ def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
     """Replace e by the other diagonal of its quadrilateral; e keeps its label."""
     q = build_quad(s, e)
     va, vb, vc, vd = q.vectors
-    if not (_cross(vb, vc) > 0 and _cross(vd, va) > 0):
+    if not (cross(vb, vc) > 0 and cross(vd, va) > 0):
         raise NotFlippableError(f"edge {e}: quadrilateral is not convex")
-    a, b, c, d = q.sides
     new_p = (vb[0] + vc[0], vb[1] + vc[1])
     if abs(float(new_p[0])) <= EPS_AXIS or abs(float(new_p[1])) <= EPS_AXIS:
         raise DegeneracyError(f"edge {e}: new diagonal is axis-parallel")
-    triangles = list(s.triangles)
-    tri1 = (b, c, (e, -1))
-    tri2 = (d, a, (e, 1))
-    triangles[q.t1] = tri1
-    triangles[q.t2] = tri2
+    triangles = exchange_diagonal(s.triangles, e, q.t1, q.t2, q.sides)
     periods = dict(s.periods)
     old = periods[e]
     periods[e] = new_p

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .delaunay import build_quad, delaunay_violations, flip, other_diagonal, slope_sign
 from .errors import DegeneracyError, VeertrackError
 from .surface import Surface
-from .traintrack import dual_track, vertex_curves
+from .traintrack import dual_track, split_roles, vertex_curves
 
 FLOAT_EVENT_TIE = 1e-12
 
@@ -93,9 +93,7 @@ def next_split(s: Surface) -> SplitEvent | None:
         break
     direction = "L" if slope_sign(diag) > 0 else "R"
     q = build_quad(s, e)
-    a, b, c, d = (side[0] for side in q.sides)
-    losers = (a, c) if direction == "L" else (b, d)
-    winners = (b, d) if direction == "L" else (a, c)
+    losers, winners = split_roles(q.sides, direction)
     # cross-check with the width comparison that defines the track split
     wb = abs(q.vectors[1][0]) + abs(q.vectors[3][0])
     wa = abs(q.vectors[0][0]) + abs(q.vectors[2][0])

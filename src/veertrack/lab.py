@@ -41,18 +41,8 @@ class ContractionFit:
 def _height_perturbations(s: Surface, rng: random.Random) -> dict:
     """A random perturbation of the imaginary parts that keeps every triangle
     closed and preserves the total area to first order."""
-    edges = sorted(s.edges)
+    edges, closure_null, tol = _closure_basis(s)
     idx = {e: i for i, e in enumerate(edges)}
-    rows = []
-    for tri in s.triangles:
-        row = [0.0] * len(edges)
-        for e, sg in tri:
-            row[idx[e]] += float(sg)
-        rows.append(row)
-    a = np.array(rows)
-    _, sv, vt = np.linalg.svd(a)
-    tol = 1e-9 * max(1.0, sv.max() if len(sv) else 1.0)
-    closure_null = vt[sum(sv > tol):]
     if closure_null.shape[0] == 0:
         raise DegeneracyError("no admissible height perturbation: closure fills the space")
 
@@ -258,9 +248,10 @@ def _aligned_periods(s: Surface, ref: Surface) -> dict:
     return out
 
 
-def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray]:
+def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float]:
     """Orthonormal basis of the per-edge perturbations that keep every
-    triangle closed (one copy acts on widths, one on heights)."""
+    triangle closed (one copy acts on widths, one on heights), with the
+    singular-value tolerance that cut it."""
     edges = tuple(sorted(s.edges))
     idx = {e: i for i, e in enumerate(edges)}
     rows = []
@@ -272,7 +263,7 @@ def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray]:
     a = np.array(rows)
     _, sv, vt = np.linalg.svd(a)
     tol = 1e-9 * max(1.0, sv.max() if len(sv) else 1.0)
-    return edges, vt[sum(sv > tol):]
+    return edges, vt[sum(sv > tol):], tol
 
 
 def closing_search(
@@ -322,7 +313,7 @@ def closing_search(
 
     # Gauss-Newton polish on the Poincare section: solve phi(x) = x over the
     # closure-preserving perturbations of the periods
-    edges, null = _closure_basis(x)
+    edges, null, _ = _closure_basis(x)
     k = null.shape[0]
     base_w = np.array([float(x.periods[e].w) for e in edges])
     base_h = np.array([float(x.periods[e].h) for e in edges])

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DocumentError
+from .errors import DocumentError, VeertrackError
 
 EPS_AXIS = 1e-9
 EPS_ANGLE = 1e-9
@@ -43,7 +44,7 @@ class ValidationReport:
 class Surface:
     """Immutable triangulated surface.  Use module functions to transform it."""
 
-    __slots__ = ("triangles", "periods", "mode", "lam", "_vertex_cache")
+    __slots__ = ("triangles", "periods", "mode", "lam", "_vertex_cache", "_occ_cache")
 
     def __init__(self, triangles, periods, mode, lam=None):
         self.triangles = tuple(tuple((str(e), int(s)) for e, s in tri) for tri in triangles)
@@ -56,6 +57,7 @@ class Surface:
             lam = Fraction(1) if mode == "exact" else 1.0
         self.lam = lam
         self._vertex_cache = None
+        self._occ_cache = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -87,12 +89,10 @@ class Surface:
         )
 
     def occurrences(self) -> dict[str, list[tuple[int, int, int]]]:
-        """edge -> list of (triangle index, slot, sign)."""
-        occ: dict[str, list[tuple[int, int, int]]] = {}
-        for t, tri in enumerate(self.triangles):
-            for i, (e, s) in enumerate(tri):
-                occ.setdefault(e, []).append((t, i, s))
-        return occ
+        """edge -> list of (triangle index, slot, sign); see edge_occurrences."""
+        if self._occ_cache is None:
+            self._occ_cache = edge_occurrences(self.triangles)
+        return self._occ_cache
 
     # -- vertices ----------------------------------------------------------
 
@@ -135,6 +135,55 @@ class Surface:
         return [k <= 2 for k in self.vertex_angle_multiples()]
 
 
+def edge_occurrences(triangles) -> dict[str, list[tuple[int, int, int]]]:
+    """edge -> list of (triangle index, slot, sign), in triangle order."""
+    occ: dict[str, list[tuple[int, int, int]]] = {}
+    for t, tri in enumerate(triangles):
+        for i, (e, s) in enumerate(tri):
+            occ.setdefault(e, []).append((t, i, s))
+    return occ
+
+
+def quad_sides(triangles, occ, e: str):
+    """(t1, t2, (a, b, c, d)): the two triangles on either side of e and the
+    sides of their union, counterclockwise from the end of e in t1.
+
+    occ is the edge_occurrences index of triangles.  The sides of t2 are
+    developed into the chart of t1: a half-translation gluing negates them.
+    """
+    occs = occ[e]
+    if len(occs) != 2:
+        raise VeertrackError(f"edge {e} is not interior to two triangles")
+    (t1, i1, s1), (t2, i2, s2) = occs
+    eps = -(s1 * s2)
+    a = triangles[t1][(i1 + 1) % 3]
+    b = triangles[t1][(i1 + 2) % 3]
+    c0 = triangles[t2][(i2 + 1) % 3]
+    d0 = triangles[t2][(i2 + 2) % 3]
+    c = (c0[0], eps * c0[1])
+    d = (d0[0], eps * d0[1])
+    return t1, t2, (a, b, c, d)
+
+
+def exchange_diagonal(triangles, e: str, t1: int, t2: int, sides) -> tuple:
+    """The triangles after e is replaced by the other diagonal b + c of the
+    quadrilateral quad_sides gave; e keeps its label."""
+    a, b, c, d = sides
+    out = list(triangles)
+    out[t1] = (b, c, (e, -1))
+    out[t2] = (d, a, (e, 1))
+    return tuple(out)
+
+
+def find_root(parent, x):
+    """Root of x in a union-find forest stored as parent[x] (a dict or a
+    list), halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def corner_classes(triangles) -> list[frozenset[Corner]]:
     """Corners grouped by the vertex of the glued cell complex.
 
@@ -143,30 +192,20 @@ def corner_classes(triangles) -> list[frozenset[Corner]]:
     corner (t1,i1) with (t2,i2+1) and (t1,i1+1) with (t2,i2).
     """
     parent: dict[Corner, Corner] = {}
-
-    def find(x: Corner) -> Corner:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    occ: dict[str, list[tuple[int, int]]] = {}
-    for t, tri in enumerate(triangles):
+    for t in range(len(triangles)):
         for i in range(3):
             parent[(t, i)] = (t, i)
-        for i, (e, _) in enumerate(tri):
-            occ.setdefault(e, []).append((t, i))
-    for e, occs in occ.items():
+    for e, occs in edge_occurrences(triangles).items():
         if len(occs) != 2:
             raise DocumentError(f"edge {e} used {len(occs)} times")
-        (t1, i1), (t2, i2) = occs
+        (t1, i1, _), (t2, i2, _) = occs
         for a, b in (((t1, i1), (t2, (i2 + 1) % 3)), ((t1, (i1 + 1) % 3), (t2, i2))):
-            ra, rb = find(a), find(b)
+            ra, rb = find_root(parent, a), find_root(parent, b)
             if ra != rb:
                 parent[ra] = rb
     groups: dict[Corner, set[Corner]] = {}
     for c in parent:
-        groups.setdefault(find(c), set()).add(c)
+        groups.setdefault(find_root(parent, c), set()).add(c)
     out = [frozenset(g) for g in groups.values()]
     out.sort(key=lambda g: min(g))
     return out
@@ -176,12 +215,23 @@ def corner_classes(triangles) -> list[frozenset[Corner]]:
 # parsing / serialization
 
 
+# Fraction expands a decimal exponent into an integer with that many digits,
+# so a short string like "1e10000000" would stall the parser; an exponent
+# beyond 400 in magnitude is outside the float range in both directions.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def _parse_number(x, mode: str):
     if mode == "exact":
         if isinstance(x, bool) or not isinstance(x, (int, str)):
             raise DocumentError(f"exact mode needs integers or 'p/q' strings, got {x!r}")
     elif isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise DocumentError(f"float mode needs numbers or numeric strings, got {x!r}")
+    exponent = _EXPONENT.search(x) if isinstance(x, str) else None
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > 3 or int(digits or "0") > 400:
+            raise DocumentError(f"not a number within the float range: {x!r}")
     try:
         f = Fraction(x) if mode == "exact" or isinstance(x, str) else x
         as_float = float(f)
@@ -242,13 +292,10 @@ def parse_surface(document: str) -> Surface:
         lam = _parse_number(doc["flow"], mode)
         if not lam > 0:
             raise DocumentError(f"flow parameter must be positive, got {doc['flow']!r}")
-    counts: dict[str, int] = {}
-    for tri in triangles:
-        for e, _ in tri:
-            counts[e] = counts.get(e, 0) + 1
+    occ = edge_occurrences(triangles)
     for e in periods:
-        if counts.get(e, 0) != 2:
-            raise DocumentError(f"edge {e} appears {counts.get(e, 0)} times, expected 2")
+        if len(occ.get(e, ())) != 2:
+            raise DocumentError(f"edge {e} appears {len(occ.get(e, ()))} times, expected 2")
     surf = Surface(triangles, periods, mode, lam)
     if "marked_vertices" in doc:
         if not isinstance(doc["marked_vertices"], list):
@@ -277,7 +324,7 @@ def serialize_surface(s: Surface) -> str:
 # validation
 
 
-def _cross(a, b):
+def cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
@@ -295,15 +342,19 @@ def validate(s: Surface) -> ValidationReport:
     if any(v[0] == "gluing" for v in violations):
         return ValidationReport(False, tuple(violations))
 
+    disagreements = []
     for t in range(len(s.triangles)):
         sides = [s.signed(t, i) for i in range(3)]
         sw = sum(p[0] for p in sides)
         sh = sum(p[1] for p in sides)
         if abs(float(sw)) > tol or abs(float(sh)) > tol:
             violations.append(("zero-sum", f"triangle {t}", f"signed periods sum to ({sw}, {sh})"))
-        cr = _cross(sides[0], sides[1])
+        cr = cross(sides[0], sides[1])
         if not cr > tol:
             violations.append(("orientation", f"triangle {t}", f"cross product {cr} not positive"))
+        a2 = _disagreeing_trapezoid(sides, cr / 2, s.mode)
+        if a2 is not None:
+            disagreements.append(("area", f"triangle {t}", f"area formulas disagree ({cr / 2} vs {a2})"))
 
     for e, p in s.periods.items():
         if abs(float(p.w)) <= EPS_AXIS or abs(float(p.h)) <= EPS_AXIS:
@@ -320,6 +371,11 @@ def validate(s: Surface) -> ValidationReport:
             ):
                 violations.append(("cone-angle", f"vertex {idx}", f"total angle {total} is not a multiple of pi"))
 
+    # the trapezoid formula assumes closed triangles without axis-parallel
+    # sides, so its disagreements count only on an otherwise valid surface
+    if not violations:
+        violations = disagreements
+
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -329,7 +385,7 @@ def validate(s: Surface) -> ValidationReport:
 
 def triangle_area_shoelace(sides) -> object:
     """Half the cross product of the first two sides (positively oriented)."""
-    return _cross(sides[0], sides[1]) / 2
+    return cross(sides[0], sides[1]) / 2
 
 
 def triangle_area_trapezoid(sides) -> object:
@@ -340,20 +396,29 @@ def triangle_area_trapezoid(sides) -> object:
     return max(ws) * max(hs) - sum(w * h for w, h in zip(ws, hs)) / 2
 
 
+def _disagreeing_trapezoid(sides, a1, mode: str):
+    """The trapezoid area of a triangle when that formula applies and
+    disagrees with its shoelace area a1, else None."""
+    signs = {(p[0] > 0) == (p[1] > 0) for p in sides}
+    if len(signs) == 2:  # both slope signs present: trapezoid formula applies
+        a2 = triangle_area_trapezoid(sides)
+        if mode == "exact":
+            if a1 != a2:
+                return a2
+        elif abs(a1 - a2) > 1e-12 * max(1.0, abs(a1)):
+            return a2
+    return None
+
+
 def area(s: Surface) -> object:
     """Total flat area; cross-checks the two per-triangle formulas."""
     total = Fraction(0) if s.mode == "exact" else 0.0
     for t in range(len(s.triangles)):
         sides = [s.signed(t, i) for i in range(3)]
         a1 = triangle_area_shoelace(sides)
-        signs = {(p[0] > 0) == (p[1] > 0) for p in sides}
-        if len(signs) == 2:  # both slope signs present: trapezoid formula applies
-            a2 = triangle_area_trapezoid(sides)
-            if s.mode == "exact":
-                if a1 != a2:
-                    raise ArithmeticError(f"triangle {t}: area formulas disagree ({a1} vs {a2})")
-            elif abs(a1 - a2) > 1e-12 * max(1.0, abs(a1)):
-                raise ArithmeticError(f"triangle {t}: area formulas disagree ({a1} vs {a2})")
+        a2 = _disagreeing_trapezoid(sides, a1, s.mode)
+        if a2 is not None:
+            raise ArithmeticError(f"triangle {t}: area formulas disagree ({a1} vs {a2})")
         if not float(a1) > 0:
             raise ArithmeticError(f"triangle {t} has non-positive area {a1}")
         total += a1

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import _exact
 from .errors import DegeneracyError, VeertrackError
-from .surface import Surface, corner_classes
+from .surface import Surface, corner_classes, edge_occurrences, exchange_diagonal, find_root, quad_sides
 
 
 @dataclass(frozen=True)
@@ -164,13 +164,9 @@ def complementary_regions(track: TrainTrack) -> RegionCensus:
 
 def _branch_region_edges(track: TrainTrack, corner_region):
     """branch -> (region id, region id) of the two sides of the branch."""
-    occ: dict[str, list[tuple[int, int]]] = {}
-    for t, tri in enumerate(track.triangles):
-        for i, (e, _) in enumerate(tri):
-            occ.setdefault(e, []).append((t, i))
     out = {}
-    for e, occs in occ.items():
-        (t1, i1), _ = occs
+    for e, occs in edge_occurrences(track.triangles).items():
+        (t1, i1, _), _ = occs
         out[e] = (corner_region[(t1, i1)], corner_region[(t1, (i1 + 1) % 3)])
     return out
 
@@ -194,26 +190,19 @@ def is_filling_subtrack(track: TrainTrack, support: Subgraph) -> bool:
 
     nreg = len(marked)
     parent = list(range(nreg))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     deleted = [e for e in track.branches if e not in support.branches]
     for e in deleted:
         r1, r2 = sides[e]
-        parent[find(r1)] = find(r2)
+        parent[find_root(parent, r1)] = find_root(parent, r2)
     comp_regions: dict[int, int] = {}
     comp_marked: dict[int, int] = {}
     for r in range(nreg):
-        c = find(r)
+        c = find_root(parent, r)
         comp_regions[c] = comp_regions.get(c, 0) + 1
         comp_marked[c] = comp_marked.get(c, 0) + int(marked[r])
     comp_deleted: dict[int, int] = {c: 0 for c in comp_regions}
     for e in deleted:
-        comp_deleted[find(sides[e][0])] += 1
+        comp_deleted[find_root(parent, sides[e][0])] += 1
     for c in comp_regions:
         euler = comp_regions[c] - comp_deleted[c]
         if euler != 1 or comp_marked[c] > 1:
@@ -284,245 +273,34 @@ def vertex_curves(track: TrainTrack) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# inessential subgraphs and resolution
+# combinatorial splits (the flow module drives the geometric version through
+# delaunay.flip, which exchanges the same triangles)
 
 
-def _half_edge_condition(track: TrainTrack, H: Subgraph) -> bool:
-    for lg, s1, s2 in track.switches():
-        if lg in H.branches and not (s1 in H.branches and s2 in H.branches):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class ReducedTrack:
-    """Complement of an inessential subgraph after deletion and smoothing.
-
-    Branches are paths of original branches (merged across valence-2
-    switches); switches keep their (large, small, small) roles.
-    """
-
-    branch_paths: dict  # new id -> tuple of original branch ids
-    switches: tuple  # (large id, small id, small id)
-
-    @property
-    def branches(self):
-        return tuple(sorted(self.branch_paths))
-
-    def switch_matrix(self):
-        idx = {b: i for i, b in enumerate(self.branches)}
-        rows = []
-        for lg, s1, s2 in self.switches:
-            row = [0] * len(idx)
-            row[idx[lg]] += 1
-            row[idx[s1]] -= 1
-            row[idx[s2]] -= 1
-            rows.append(row)
-        return rows
-
-
-def _reduce_complement(track: TrainTrack, H: Subgraph):
-    """Delete H one small branch at a time, smoothing valence-2 switches."""
-    switches = {i: list(sw) for i, sw in enumerate(track.switches())}  # id -> [large, s1, s2]
-    paths = {b: (b,) for b in track.branches}
-    in_h = lambda b: all(x in H.branches for x in paths[b])
-
-    def attachments(b):
-        out = []
-        for sid, sw in switches.items():
-            for pos, bb in enumerate(sw):
-                if bb == b:
-                    out.append((sid, pos))
-        return out
-
-    changed = True
-    while changed:
-        changed = False
-        # delete a branch of H that is nowhere large
-        for b in sorted(paths):
-            if not in_h(b):
-                continue
-            att = attachments(b)
-            if any(pos == 0 for _, pos in att):
-                continue  # still large somewhere; smalls go first
-            for sid, pos in att:
-                switches[sid][pos] = None
-            del paths[b]
-            changed = True
-            break
-        # clean up switches
-        for sid in list(switches):
-            sw = switches[sid]
-            live = [x for x in sw if x is not None]
-            if len(live) == 3:
-                continue
-            if len(live) == 0:
-                del switches[sid]
-                changed = True
-            elif len(live) == 2:
-                if sw[0] is None:
-                    continue  # two smalls meet in a cusp; they must be deleted first
-                other = live[0] if live[0] != sw[0] else live[1]
-                big = sw[0]
-                if big == other:
-                    # a branch closing up on itself through this switch
-                    del switches[sid]
-                    changed = True
-                    continue
-                merged = paths[big] + paths[other]
-                paths[big] = merged
-                del paths[other]
-                for s2, sw2 in switches.items():
-                    for pos, bb in enumerate(sw2):
-                        if bb == other:
-                            sw2[pos] = big
-                del switches[sid]
-                changed = True
-            elif len(live) == 1:
-                return None  # dead end: complement is not a track
-
-    if any(in_h(b) for b in paths):
-        return None  # stuck: some H branch stayed large
-    sws = tuple((sw[0], sw[1], sw[2]) for sw in switches.values())
-    return ReducedTrack(dict(paths), sws)
-
-
-def _is_birecurrent(reduced: ReducedTrack) -> bool:
-    """Recurrent: vertex curves cover every branch.  Transversely recurrent:
-    a positive tangential solution of the switch inequalities exists."""
-    branches = reduced.branches
-    if not branches:
-        return False
-    rows = reduced.switch_matrix()
-    rays = extreme_rays_nonneg(rows, len(branches))
-    covered = set()
-    for r in rays:
-        covered |= {i for i, x in enumerate(r) if x}
-    if covered != set(range(len(branches))):
-        return False
-    try:
-        from scipy.optimize import linprog
-    except ImportError:  # pragma: no cover
-        return True
-    # find r with r >= 1 and r(large) - r(s1) - r(s2) <= 0
-    if rows:
-        res = linprog(
-            c=[0.0] * len(branches),
-            A_ub=[[float(x) for x in row] for row in rows],
-            b_ub=[0.0] * len(rows),
-            bounds=[(1.0, None)] * len(branches),
-            method="highs",
-        )
-        return bool(res.success)
-    return True
-
-
-def detect_inessential(track: TrainTrack, H: Subgraph):
-    """(is inessential, reduced complement track or None)."""
-    if not H.branches:
-        return True, ReducedTrack({b: (b,) for b in track.branches}, tuple(track.switches()))
-    if not _half_edge_condition(track, H):
-        return False, None
-    complement = set(track.branches) - H.branches
-    if not complement:
-        return False, None
-    if not is_filling_subtrack(track, Subgraph(complement)):
-        return False, None
-    reduced = _reduce_complement(track, H)
-    if reduced is None:
-        return False, None
-    if not _is_birecurrent(reduced):
-        return False, None
-    return True, reduced
-
-
-# ---------------------------------------------------------------------------
-# combinatorial splits (used by resolution; the flow module drives the
-# geometric version through delaunay.flip)
-
-
-def _occurrences(triangles, e):
-    out = []
-    for t, tri in enumerate(triangles):
-        for i, (ee, s) in enumerate(tri):
-            if ee == e:
-                out.append((t, i, s))
-    return out
+def split_roles(sides, direction: str) -> tuple[tuple[str, str], tuple[str, str]]:
+    """(losers, winners) of a split of the diagonal of the quadrilateral with
+    sides a, b, c, d (as quad_sides gives them): a left split keeps the sides
+    that follow the diagonal in each triangle, a and c, as the losers."""
+    a, b, c, d = (side[0] for side in sides)
+    return ((a, c), (b, d)) if direction == "L" else ((b, d), (a, c))
 
 
 def split_with_direction(track: TrainTrack, e: str, direction: str):
     """Split the large branch e leftward or rightward, combinatorially.
 
-    Returns (track', losers, winners).  A left split keeps the sides that
-    follow e in each triangle as the losers.
+    Returns (track', losers, winners).
     """
     roles = track.branch_roles()
     if roles.get(e) != "large":
         raise VeertrackError(f"branch {e} is not large at both switches")
     if direction not in ("L", "R"):
         raise ValueError(f"bad direction {direction!r}")
-    occs = _occurrences(track.triangles, e)
-    (t1, i1, s1), (t2, i2, s2) = occs
-    eps = -(s1 * s2)
-    a = track.triangles[t1][(i1 + 1) % 3]
-    b = track.triangles[t1][(i1 + 2) % 3]
-    c0 = track.triangles[t2][(i2 + 1) % 3]
-    d0 = track.triangles[t2][(i2 + 2) % 3]
-    c = (c0[0], eps * c0[1])
-    d = (d0[0], eps * d0[1])
-    losers = (a[0], c[0]) if direction == "L" else (b[0], d[0])
-    winners = (b[0], d[0]) if direction == "L" else (a[0], c[0])
-    triangles = list(track.triangles)
-    triangles[t1] = (b, c, (e, -1))
-    triangles[t2] = (d, a, (e, 1))
+    t1, t2, sides = quad_sides(track.triangles, edge_occurrences(track.triangles), e)
+    losers, winners = split_roles(sides, direction)
+    triangles = exchange_diagonal(track.triangles, e, t1, t2, sides)
     large = list(track.large_slots)
     if direction == "L":
         large[t1], large[t2] = 0, 0  # winners b and d head their triangles
     else:
         large[t1], large[t2] = 1, 1  # winners c and a sit second
-    return TrainTrack(track.direction, tuple(triangles), tuple(large)), losers, winners
-
-
-def track_split(track: TrainTrack, mu: dict, e: str):
-    """Split the branch e in the direction chosen by the transverse measure.
-
-    Returns (track', mu', direction, losers, winners).
-    """
-    occs = _occurrences(track.triangles, e)
-    (t1, i1, s1), (t2, i2, s2) = occs
-    a = track.triangles[t1][(i1 + 1) % 3][0]
-    b = track.triangles[t1][(i1 + 2) % 3][0]
-    c = track.triangles[t2][(i2 + 1) % 3][0]
-    d = track.triangles[t2][(i2 + 2) % 3][0]
-    left_score = mu[b] + mu[d]
-    right_score = mu[a] + mu[c]
-    if left_score == right_score:
-        raise DegeneracyError(f"branch {e}: measure does not decide the split")
-    direction = "L" if left_score > right_score else "R"
-    new_track, losers, winners = split_with_direction(track, e, direction)
-    new_mu = dict(mu)
-    new_mu[e] = abs(mu[b] - mu[c])
-    return new_track, new_mu, direction, losers, winners
-
-
-def resolve(track: TrainTrack, H: Subgraph, mu: dict, max_steps: int = 1000):
-    """Greedily apply improvements (measure-compatible splits with a loser in
-    H) until none remains."""
-    cur, cur_mu, cur_h = track, dict(mu), set(H.branches)
-    for _ in range(max_steps):
-        applied = False
-        for e in sorted(cur.branches):
-            if cur.branch_roles().get(e) != "large":
-                continue
-            try:
-                nxt, nxt_mu, _, losers, _ = track_split(cur, cur_mu, e)
-            except DegeneracyError:
-                continue
-            if not any(l in cur_h for l in losers):
-                continue
-            cur, cur_mu = nxt, nxt_mu
-            applied = True
-            break
-        if not applied:
-            return cur, Subgraph(cur_h), cur_mu
-    raise VeertrackError("resolution did not stabilize")
+    return TrainTrack(track.direction, triangles, tuple(large)), losers, winners

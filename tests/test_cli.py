@@ -52,6 +52,19 @@ class TestExitCodes:
         assert main(["validate", "--input", str(path)]) == 1
         assert "violation [empty]" in capsys.readouterr().out
 
+    def test_area_disagreement_is_a_violation(self, tmp_path, capsys):
+        # every triangle closes within validate's 1e-9, but the shoelace and
+        # trapezoid areas differ by 3e-10, past area's cross-check
+        doc = json.loads(serialize_surface(t2("float")))
+        doc["edges"]["e3"] = [-0.6 + 5e-10, -1.3]
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 1
+        assert "violation [area] triangle 0" in capsys.readouterr().out
+        assert main(["report", "--input", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [v[0] for v in report["violations"]] == ["area", "area"]
+
     def test_structural_degeneracy_is_exit_2(self, tmp_path):
         reduced, _ = greedy_delaunay(pillow())
         path = tmp_path / "pillow.json"

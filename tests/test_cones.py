@@ -14,7 +14,6 @@ from veertrack.cones import (
     analyze_periodic_word,
     birkhoff_coefficient,
     compose_word,
-    equivalence_space,
     facets_from_generators,
     hilbert_distance,
     image_diameter,
@@ -91,14 +90,14 @@ class TestTransitions:
 class TestEquivalence:
     def test_one_row_per_switch(self):
         track, _ = dual_track(t2())
-        rows = equivalence_space(track)
+        rows = track.switch_matrix()
         assert len(rows) == 2
         assert rows[0] == [Fraction(1), Fraction(-1), Fraction(-1)]
 
     def test_shifting_by_switch_row_is_equivalent(self):
         track, _ = dual_track(t2())
         r1 = [Fraction(1), Fraction(2), Fraction(3)]
-        row = equivalence_space(track)[0]
+        row = track.switch_matrix()[0]
         r2 = [a + 5 * b for a, b in zip(r1, row)]
         assert tangential_equivalent(track, r1, r2)
         assert not tangential_equivalent(track, r1, [x + 1 for x in r1])

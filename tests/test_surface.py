@@ -99,6 +99,25 @@ class TestMalformedDocuments:
         with pytest.raises(DocumentError):
             parse_surface(_mutated(change))
 
+    # Fraction would expand these exponents into ten-million-digit integers
+    @pytest.mark.parametrize("number", ["1e10000000", "1e-10000000"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("field", ["period", "flow"])
+    def test_huge_exponent_rejected(self, number, mode, field):
+        def change(d):
+            d["mode"] = mode
+            if field == "flow":
+                d["flow"] = number
+            else:
+                d["edges"]["e1"][0] = number
+
+        with pytest.raises(DocumentError, match="float range"):
+            parse_surface(_mutated(change))
+
+    def test_moderate_exponent_accepted(self):
+        s = parse_surface(_mutated(lambda d: d["edges"]["e1"].__setitem__(0, "10e-1")))
+        assert s.periods["e1"].w == 1
+
     def test_overflowing_cone_angle_is_a_violation(self):
         # exact sums keep every triangle closed, but the corner angles overflow
         big = 2.0**1000

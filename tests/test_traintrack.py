@@ -1,5 +1,6 @@
 """Dual train tracks: measures, regions, vertex curves, splitting moves."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 
 from util import brute_force_rays, scramble
 
-from veertrack.errors import DegeneracyError
-from veertrack.fixtures import gold, octagon, pillow, t2
+from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
+from veertrack.flow import run_flow
 from veertrack.surface import area
 from veertrack.traintrack import (
     Subgraph,
@@ -17,9 +18,14 @@ from veertrack.traintrack import (
     extreme_rays_nonneg,
     is_filling_subtrack,
     split_with_direction,
-    track_split,
     vertex_curves,
 )
+
+
+SLOPE_TORI = {
+    "gold": gold,
+    **{f"x{n}": (lambda n=n: slope_torus((n + math.sqrt(n * n + 4)) / 2)) for n in range(1, 9)},
+}
 
 
 class TestDualTrack:
@@ -127,16 +133,31 @@ class TestFilling:
 class TestSplit:
     def test_split_follows_measure(self):
         track, mu = dual_track(t2())
-        after, new_mu, direction, losers, winners = track_split(
-            track, mu.transverse, "e1"
-        )
-        assert direction == "L"
+        # e2 is the thinner of e1's two partners, so the left split makes it lose
+        assert mu.transverse["e2"] < mu.transverse["e3"]
+        after, losers, winners = split_with_direction(track, "e1", "L")
         assert set(losers) == {"e2"}
-        assert new_mu["e1"] == abs(mu.transverse["e2"] - mu.transverse["e3"])
         assert set(after.branches) == set(track.branches)
-        manual, ml, mw = split_with_direction(track, "e1", "L")
-        assert manual.triangles == after.triangles
-        assert manual.large_slots == after.large_slots
+        assert after.triangles == (
+            (("e3", 1), ("e2", -1), ("e1", -1)),
+            (("e3", -1), ("e2", 1), ("e1", 1)),
+        )
+        assert after.large_slots == (0, 0)
+
+    @pytest.mark.parametrize("name", sorted(SLOPE_TORI))
+    def test_split_matches_the_flip_along_the_flow(self, name):
+        # the combinatorial split of each event's branch must give the track
+        # of the flipped surface, with the losers and winners of the event
+        traj = run_flow(SLOPE_TORI[name](), 12.0)
+        assert traj.events
+        states = traj.states()
+        for ev, before, after in zip(traj.events, states, states[1:]):
+            split, losers, winners = split_with_direction(dual_track(before)[0], ev.edge, ev.direction)
+            flipped, _ = dual_track(after)
+            assert split.triangles == flipped.triangles
+            assert split.large_slots == flipped.large_slots
+            assert tuple(sorted(losers)) == ev.losers
+            assert tuple(sorted(winners)) == ev.winners
 
     def test_split_directions_differ(self):
         track, _ = dual_track(t2())
@@ -144,9 +165,3 @@ class TestSplit:
         right, rl, _ = split_with_direction(track, "e1", "R")
         assert set(ll) != set(rl)
         assert left.switches() != right.switches()
-
-    def test_tied_split_is_an_error(self):
-        track, _ = dual_track(t2())
-        mu = {b: Fraction(1) for b in track.branches}
-        with pytest.raises(DegeneracyError):
-            track_split(track, mu, "e1")
