@@ -75,16 +75,14 @@ def cmd_track(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    s = _load(args.input)
-    if delaunay_violations(s):
-        s, _ = greedy_delaunay(s)
+    s, _ = greedy_delaunay(_load(args.input))
     traj = run_flow(s, args.time, max_events=args.max_events)
     print(f"{len(traj.events)} events in time {args.time}")
     rows = []
     for k, ev in enumerate(traj.events):
-        thr = str(ev.threshold) if s.mode == "exact" else repr(float(ev.threshold))
         rows.append(
-            [k, thr, ev.t, ev.edge, ev.direction, " ".join(ev.losers), " ".join(ev.winners)]
+            [k, s.num.emit(ev.threshold), ev.t, ev.edge, ev.direction,
+             " ".join(ev.losers), " ".join(ev.winners)]
         )
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -98,9 +96,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    s = _load(args.input)
-    if delaunay_violations(s):
-        s, _ = greedy_delaunay(s)
+    s, _ = greedy_delaunay(_load(args.input))
     traj = run_flow(s, args.time, max_events=args.max_events)
     match = detect_periodicity(traj)
     if match is None:
@@ -199,7 +195,7 @@ def cmd_report(args) -> int:
             None if ev is None else {"edge": ev.edge, "t": ev.t, "direction": ev.direction}
         )
         if args.time:
-            traj = run_flow(s if not delaunay_violations(s) else greedy_delaunay(s)[0], args.time)
+            traj = run_flow(greedy_delaunay(s)[0], args.time)
             stats = thick_fraction(traj, args.eps)
             doc["events"] = len(traj.events)
             doc["thick_fraction"] = stats.theta

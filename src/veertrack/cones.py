@@ -24,6 +24,8 @@ from .flow import PeriodicMatch, SplitEvent, Trajectory
 from .traintrack import Subgraph, TrainTrack, dual_track, is_filling_subtrack, split_with_direction
 
 CONE_TOL = 1e-12
+PERRON_TOL = 1e-12
+PERRON_MAX_ITER = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -37,14 +39,11 @@ class TransitionPair:
 
     branches: tuple[str, ...]
     transverse: tuple[tuple[int, ...], ...]
-    tangential: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        tidy = lambda m: tuple(tuple(int(x) for x in row) for row in m)
-        object.__setattr__(self, "transverse", tidy(self.transverse))
-        object.__setattr__(self, "tangential", tidy(self.tangential))
-        if self.tangential != tidy(transpose(self.transverse)):
-            raise VeertrackError("tangential matrix is not the transpose of the transverse one")
+    @property
+    def tangential(self) -> tuple[tuple[int, ...], ...]:
+        """The transpose of the transverse matrix."""
+        return tuple(zip(*self.transverse))
 
     @property
     def n(self) -> int:
@@ -69,8 +68,7 @@ def split_transition(event: SplitEvent, branches: tuple[str, ...]) -> Transition
     row = idx[event.edge]
     for loser in event.losers:
         m[row][idx[loser]] += 1
-    mt = tuple(tuple(r) for r in m)
-    return TransitionPair(branches, mt, transpose(mt))
+    return TransitionPair(branches, tuple(tuple(r) for r in m))
 
 
 def compose_word(events, branches: tuple[str, ...]) -> TransitionPair:
@@ -78,8 +76,7 @@ def compose_word(events, branches: tuple[str, ...]) -> TransitionPair:
     m = identity(len(branches))
     for ev in events:
         m = mat_mul(m, [list(r) for r in split_transition(ev, branches).transverse])
-    mt = tuple(tuple(int(x) for x in row) for row in m)
-    return TransitionPair(branches, mt, transpose(mt))
+    return TransitionPair(branches, tuple(tuple(int(x) for x in row) for row in m))
 
 
 def reconstruct_from_words(
@@ -278,7 +275,7 @@ class PAReport:
     positive_power: int | None
 
 
-def perron_root(matrix, tol: float = 1e-12, max_iter: int = 100000) -> tuple[float, np.ndarray]:
+def perron_root(matrix) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and eigenvector of a nonnegative matrix by power
     iteration from the all-ones vector."""
     a = np.asarray(matrix, dtype=float)
@@ -286,14 +283,14 @@ def perron_root(matrix, tol: float = 1e-12, max_iter: int = 100000) -> tuple[flo
         raise VeertrackError("power iteration needs a nonnegative matrix")
     v = np.ones(a.shape[0])
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         w = a @ v
         nw = np.linalg.norm(w)
         if nw == 0:
             raise DegeneracyError("matrix kills the positive cone")
         w = w / nw
         lam_new = float(w @ (a @ w))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= PERRON_TOL * max(1.0, abs(lam_new)):
             return lam_new, w
         lam, v = lam_new, w
     raise VeertrackError("power iteration did not converge")

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegeneracyError, NotFlippableError, VeertrackError
-from .surface import EPS_AXIS, Surface, cross, exchange_diagonal, quad_sides
+from .surface import Surface, cross, exchange_diagonal, quad_sides
 
 FLOAT_TIE = 1e-9
+MAX_FLIPS = 10000
 
 
 def linf_length(p) -> object:
@@ -35,17 +36,14 @@ def _linf_key(s: Surface, vec):
 def cmp_linf(s: Surface, u, v) -> int:
     """-1/0/+1 comparison of flowed L-infinity lengths; 0 means a tie."""
     a, b = _linf_key(s, u), _linf_key(s, v)
-    if s.mode == "exact":
-        return (a > b) - (a < b)
-    if abs(a - b) <= FLOAT_TIE * max(1.0, abs(a), abs(b)):
+    if s.num.tie(a, b, FLOAT_TIE):
         return 0
     return 1 if a > b else -1
 
 
-def slope_sign(p) -> int:
-    """Sign of w*h; raises on axis-parallel periods."""
-    w, h = float(p[0]), float(p[1])
-    if abs(w) <= EPS_AXIS or abs(h) <= EPS_AXIS:
+def slope_sign(s: Surface, p) -> int:
+    """Sign of w*h for a period p of s; raises on axis-parallel periods."""
+    if s.num.axis_parallel(p):
         raise DegeneracyError(f"axis-parallel period ({p[0]}, {p[1]})")
     return 1 if (p[0] > 0) == (p[1] > 0) else -1
 
@@ -53,7 +51,7 @@ def slope_sign(p) -> int:
 def is_veering(s: Surface) -> bool:
     """No triangle carries three edges of one slope sign."""
     for t in range(len(s.triangles)):
-        signs = {slope_sign(s.periods[e]) for e, _ in s.triangles[t]}
+        signs = {slope_sign(s, s.periods[e]) for e, _ in s.triangles[t]}
         if len(signs) < 2:
             return False
     return True
@@ -99,9 +97,9 @@ def other_diagonal(s: Surface, e: str):
     # zero cross product: one of the would-be triangles is flat, which
     # happens structurally when the two triangles share a second edge
     # (a flat cylinder); the diagonal exchange is illegal there
-    tol = 0.0 if s.mode == "exact" else 1e-12
-    flippable = c1 > tol and c2 > tol
-    if flippable and (abs(float(diag[0])) <= EPS_AXIS or abs(float(diag[1])) <= EPS_AXIS):
+    slack = s.num.slack(1e-12)
+    flippable = c1 > slack and c2 > slack
+    if flippable and s.num.axis_parallel(diag):
         raise DegeneracyError(f"edge {e}: new diagonal is axis-parallel")
     return diag, flippable
 
@@ -134,7 +132,7 @@ def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
     if not (cross(vb, vc) > 0 and cross(vd, va) > 0):
         raise NotFlippableError(f"edge {e}: quadrilateral is not convex")
     new_p = (vb[0] + vc[0], vb[1] + vc[1])
-    if abs(float(new_p[0])) <= EPS_AXIS or abs(float(new_p[1])) <= EPS_AXIS:
+    if s.num.axis_parallel(new_p):
         raise DegeneracyError(f"edge {e}: new diagonal is axis-parallel")
     triangles = exchange_diagonal(s.triangles, e, q.t1, q.t2, q.sides)
     periods = dict(s.periods)
@@ -144,19 +142,19 @@ def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
     return s.replace(triangles=triangles, periods=periods), rec
 
 
-def greedy_delaunay(s: Surface, max_flips: int = 10000) -> tuple[Surface, list[FlipRecord]]:
+def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
     """Flip violating edges, longest first (label order breaks ties), until
-    the certificate passes."""
+    the certificate passes; s itself, with no flips, when it already does."""
     records: list[FlipRecord] = []
     cur = s
-    for _ in range(max_flips):
+    for _ in range(MAX_FLIPS):
         bad = delaunay_violations(cur)
         if not bad:
             return cur, records
         bad.sort(key=lambda e: (-linf_scaled(cur, cur.periods[e]), e))
         cur, rec = flip(cur, bad[0])
         records.append(rec)
-    raise VeertrackError(f"greedy did not terminate within {max_flips} flips")
+    raise VeertrackError(f"greedy did not terminate within {MAX_FLIPS} flips")
 
 
 def total_linf(s: Surface) -> float:

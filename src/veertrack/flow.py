@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .delaunay import build_quad, delaunay_violations, flip, other_diagonal, slope_sign
 from .errors import DegeneracyError, VeertrackError
@@ -79,19 +78,11 @@ def next_split(s: Surface) -> SplitEvent | None:
     cands = [c for c in _split_candidates(s) if c[0] > s.lam]
     if not cands:
         return None
-    cands.sort(key=lambda c: (float(c[0]), c[1]))
+    cands.sort(key=lambda c: (c[0], c[1]))
     thr, e, diag = cands[0]
-    for thr2, e2, _ in cands[1:]:
-        if e2 == e:
-            continue
-        if s.mode == "exact":
-            tie = thr2 == thr
-        else:
-            tie = abs(thr2 - thr) <= FLOAT_EVENT_TIE * max(1.0, abs(thr))
-        if tie:
-            raise DegeneracyError(f"simultaneous split events on {e} and {e2}")
-        break
-    direction = "L" if slope_sign(diag) > 0 else "R"
+    if len(cands) > 1 and s.num.tie(cands[1][0], thr, FLOAT_EVENT_TIE):
+        raise DegeneracyError(f"simultaneous split events on {e} and {cands[1][1]}")
+    direction = "L" if slope_sign(s, diag) > 0 else "R"
     q = build_quad(s, e)
     losers, winners = split_roles(q.sides, direction)
     # cross-check with the width comparison that defines the track split
@@ -123,9 +114,9 @@ def run_flow(s: Surface, T: float, max_events: int = 10000, verify: str = "debug
             nxt = next_split(flipped)
             upper = float(nxt.threshold) if nxt is not None else lam_end_f
             mid = (float(ev.threshold) + upper) / 2
-            lam_mid = Fraction(mid).limit_denominator(10**12) if flipped.mode == "exact" else mid
+            lam_mid = flipped.num.from_float(mid)
             probe = flipped.replace(lam=lam_mid)
-            if float(lam_mid) > float(ev.threshold) and delaunay_violations(probe):
+            if lam_mid > ev.threshold and delaunay_violations(probe):
                 raise VeertrackError(f"lost the Delaunay certificate after splitting {ev.edge}")
         events.append(ev)
         surfaces.append(flipped)

@@ -15,10 +15,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .cones import image_diameter, orthant, split_transition
-from .delaunay import flip, greedy_delaunay, is_delaunay
+from .delaunay import flip, greedy_delaunay
 from .errors import DegeneracyError, VeertrackError
 from .flow import Trajectory, detect_periodicity, next_split, run_flow
 from .surface import Surface, area, rebase
+
+CLOSING_MAX_ITER = 60
+CLOSING_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +103,7 @@ def contraction_experiment(
     height separation at evenly spaced checkpoint times.  Trials whose two
     trajectories disagree combinatorially are dropped.
     """
-    if not is_delaunay(s):
-        s, _ = greedy_delaunay(s)
+    s, _ = greedy_delaunay(s)
     times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
     base_traj = run_flow(s, total_t, verify="off")
     sig_a = [(ev.edge, ev.direction) for ev in base_traj.events]
@@ -207,7 +209,7 @@ def _rename(s: Surface, relabel: dict) -> Surface:
     tris = tuple(
         tuple((inv[e][0], sg * inv[e][1]) for e, sg in tri) for tri in s.triangles
     )
-    return Surface(tris, periods, "float", lam=s.lam)
+    return Surface(tris, periods, s.mode, lam=s.lam)
 
 
 def _flow_word(s: Surface, word_sig: list[tuple[str, str]]):
@@ -223,6 +225,13 @@ def _flow_word(s: Surface, word_sig: list[tuple[str, str]]):
             raise VeertrackError("trajectory left the combinatorial neighborhood of the word")
         cur, _ = flip(cur.replace(lam=ev.threshold), ev.edge)
     return cur, float(cur.lam) / lam0
+
+
+def _return_map(x: Surface, word_sig: list[tuple[str, str]], relabel: dict):
+    """(periods, lam ratio) of the first return of x along the word: the
+    periods are pulled back through relabel into the chart of x."""
+    raw, lam_ratio = _flow_word(x, word_sig)
+    return _aligned_periods(_rename(rebase(raw), relabel), x), lam_ratio
 
 
 def _unflip_word(s: Surface, word_sig: list[tuple[str, str]]) -> Surface:
@@ -266,12 +275,7 @@ def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float]:
     return edges, vt[sum(sv > tol):], tol
 
 
-def closing_search(
-    s: Surface,
-    search_t: float = 5.0,
-    max_iter: int = 60,
-    tol: float = 1e-13,
-) -> ClosingResult:
+def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:
     """Find the periodic orbit shadowed by the flow trajectory of s.
 
     The trajectory of s is scanned for an approximate combinatorial
@@ -283,8 +287,7 @@ def closing_search(
     exactly on the periodic axis, anchored at the event moment that starts
     the word.
     """
-    if not is_delaunay(s):
-        s, _ = greedy_delaunay(s)
+    s, _ = greedy_delaunay(s)
     traj = run_flow(s, search_t, verify="off")
     match = detect_periodicity(traj, rel_tol=0.1)
     if match is None:
@@ -293,11 +296,11 @@ def closing_search(
     x = rebase(traj.states()[match.m])
     lam_ratio = match.lam_w**2
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        forward_raw, lam_ratio = _flow_word(x, word_sig)
-        forward = _aligned_periods(_rename(rebase(forward_raw), match.relabel), x)
+    inverse = {e2: (e, sg) for e, (e2, sg) in match.relabel.items()}
+    for iterations in range(1, CLOSING_MAX_ITER + 1):
+        forward, lam_ratio = _return_map(x, word_sig, match.relabel)
         scale = math.sqrt(lam_ratio)
-        back_raw = _unflip_word(_rename_inverse(x, match.relabel), word_sig)
+        back_raw = _unflip_word(_rename(x, inverse), word_sig)
         backward = _aligned_periods(back_raw, x)
         periods = {
             e: (backward[e][0] / scale, forward[e][1]) for e in x.edges
@@ -308,7 +311,7 @@ def closing_search(
             for e in x.edges
         )
         x = nxt
-        if diff < tol:
+        if diff < CLOSING_TOL:
             break
 
     # Gauss-Newton polish on the Poincare section: solve phi(x) = x over the
@@ -326,8 +329,7 @@ def closing_search(
 
     def residual_vec(c):
         cur = surface_at(c)
-        forward_raw, _ = _flow_word(cur, word_sig)
-        ret = _aligned_periods(_rename(rebase(forward_raw), match.relabel), cur)
+        ret, _ = _return_map(cur, word_sig, match.relabel)
         out = []
         for i, e in enumerate(edges):
             out.append(float(ret[e][0]) - float(cur.periods[e].w))
@@ -343,8 +345,7 @@ def closing_search(
     # point is a neutral direction; pin it to unit area
     f = 1.0 / math.sqrt(float(area(x)))
     x = x.replace(periods={e: (f * p.w, f * p.h) for e, p in x.periods.items()})
-    closed, lam_ratio = _flow_word(x, word_sig)
-    returned = _aligned_periods(_rename(rebase(closed), match.relabel), x)
+    returned, lam_ratio = _return_map(x, word_sig, match.relabel)
     residual = max(
         max(
             abs(returned[e][0] - x.periods[e].w),
@@ -361,11 +362,6 @@ def closing_search(
         residual,
         residual < 1e-10,
     )
-
-
-def _rename_inverse(s: Surface, relabel: dict) -> Surface:
-    inverse = {e2: (e, sg) for e, (e2, sg) in relabel.items()}
-    return _rename(s, inverse)
 
 
 def axis_distance(x: Surface, y: Surface, window: float = 0.5) -> float:

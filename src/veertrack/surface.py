@@ -9,6 +9,10 @@ The diagonal flow g_t scales (w, h) to (e^t w, e^{-t} h).  In exact mode the
 flow is never applied destructively: the surface keeps rational base periods
 plus the parameter lam = e^{2t}, and every geometric comparison downstream is
 phrased as a comparison rational in lam.
+
+Every decision that depends on the number mode is made by NumberMode, whose
+instance a surface holds as s.num: exact mode decides exactly (slack 0, tie
+a == b), float mode with the tolerance that each caller names.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,23 +45,93 @@ class ValidationReport:
     violations: tuple[tuple[str, str, str], ...] = ()
 
 
-class Surface:
-    """Immutable triangulated surface.  Use module functions to transform it."""
+# Fraction expands a decimal exponent into an integer with that many digits,
+# so a short string like "1e10000000" would stall the parser; an exponent
+# beyond 400 in magnitude is outside the float range in both directions.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
-    __slots__ = ("triangles", "periods", "mode", "lam", "_vertex_cache", "_occ_cache")
+
+@dataclass(frozen=True)
+class NumberMode:
+    """How a surface stores, reads, writes and compares its numbers; the two
+    instances are NUMBER_MODES["exact"] (Fractions) and ["float"]."""
+
+    name: str
+    exact: bool
+    coerce: type  # Fraction or float
+
+    def slack(self, tol: float):
+        """An absolute slack: tol in float mode, 0 in exact mode."""
+        return 0 if self.exact else tol
+
+    def tie(self, a, b, rel: float) -> bool:
+        """a == b in exact mode; |a - b| <= rel * max(1, |a|, |b|) in float mode."""
+        return a == b if self.exact else abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+
+    def axis_parallel(self, p) -> bool:
+        """Whether w or h of p is 0 (exact mode) or within EPS_AXIS of 0."""
+        if self.exact:
+            return p[0] == 0 or p[1] == 0
+        return abs(p[0]) <= EPS_AXIS or abs(p[1]) <= EPS_AXIS
+
+    def from_float(self, x: float):
+        """x in this mode; exact mode limits the denominator to 10^12."""
+        return Fraction(x).limit_denominator(10**12) if self.exact else x
+
+    def parse(self, x):
+        """A number of a surface document; DocumentError on bad input."""
+        if self.exact:
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
+                raise DocumentError(f"exact mode needs integers or 'p/q' strings, got {x!r}")
+        elif isinstance(x, bool) or not isinstance(x, (int, float, str)):
+            raise DocumentError(f"float mode needs numbers or numeric strings, got {x!r}")
+        exponent = _EXPONENT.search(x) if isinstance(x, str) else None
+        if exponent:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > 3 or int(digits or "0") > 400:
+                raise DocumentError(f"not a number within the float range: {x!r}")
+        try:
+            f = Fraction(x) if self.exact or isinstance(x, str) else x
+            as_float = float(f)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DocumentError(f"not a number within the float range: {x!r}") from exc
+        if not math.isfinite(as_float):
+            raise DocumentError(f"not a number within the float range: {x!r}")
+        return f if self.exact else as_float
+
+    def emit(self, x):
+        """x as the surface document writes it: 'p/q' (or 'p') or a float."""
+        return str(Fraction(x)) if self.exact else float(x)
+
+
+NUMBER_MODES = {"exact": NumberMode("exact", True, Fraction), "float": NumberMode("float", False, float)}
+
+
+def number_mode(name) -> NumberMode:
+    """The number mode called name; DocumentError for any other value."""
+    if not (isinstance(name, str) and name in NUMBER_MODES):
+        raise DocumentError(f"mode must be 'exact' or 'float', got {name!r}")
+    return NUMBER_MODES[name]
+
+
+class Surface:
+    """Immutable triangulated surface; mode names its number mode, num is it.
+    Use module functions to transform it."""
+
+    __slots__ = ("triangles", "periods", "num", "lam", "_vertex_cache", "_occ_cache")
 
     def __init__(self, triangles, periods, mode, lam=None):
         self.triangles = tuple(tuple((str(e), int(s)) for e, s in tri) for tri in triangles)
-        if mode not in ("exact", "float"):
-            raise DocumentError(f"unknown mode {mode!r}")
-        self.mode = mode
-        conv = (lambda x: Fraction(x)) if mode == "exact" else float
+        self.num = num = number_mode(mode)
+        conv = num.coerce
         self.periods = {str(e): Period(conv(p[0]), conv(p[1])) for e, p in periods.items()}
-        if lam is None:
-            lam = Fraction(1) if mode == "exact" else 1.0
-        self.lam = lam
+        self.lam = conv(1) if lam is None else lam
         self._vertex_cache = None
         self._occ_cache = None
+
+    @property
+    def mode(self) -> str:
+        return self.num.name
 
     # -- basic accessors ---------------------------------------------------
 
@@ -215,54 +289,20 @@ def corner_classes(triangles) -> list[frozenset[Corner]]:
 # parsing / serialization
 
 
-# Fraction expands a decimal exponent into an integer with that many digits,
-# so a short string like "1e10000000" would stall the parser; an exponent
-# beyond 400 in magnitude is outside the float range in both directions.
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-
-
-def _parse_number(x, mode: str):
-    if mode == "exact":
-        if isinstance(x, bool) or not isinstance(x, (int, str)):
-            raise DocumentError(f"exact mode needs integers or 'p/q' strings, got {x!r}")
-    elif isinstance(x, bool) or not isinstance(x, (int, float, str)):
-        raise DocumentError(f"float mode needs numbers or numeric strings, got {x!r}")
-    exponent = _EXPONENT.search(x) if isinstance(x, str) else None
-    if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0")
-        if len(digits) > 3 or int(digits or "0") > 400:
-            raise DocumentError(f"not a number within the float range: {x!r}")
-    try:
-        f = Fraction(x) if mode == "exact" or isinstance(x, str) else x
-        as_float = float(f)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DocumentError(f"not a number within the float range: {x!r}") from exc
-    if not math.isfinite(as_float):
-        raise DocumentError(f"not a number within the float range: {x!r}")
-    return f if mode == "exact" else as_float
-
-
-def _emit_number(x, mode: str):
-    if mode == "exact":
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return float(x)
-
-
 def parse_surface(document: str) -> Surface:
     """Parse the JSON surface document; raises DocumentError on bad input."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"syntax error at offset {exc.pos}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep nesting
+        raise DocumentError(f"unreadable document: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     for key in ("mode", "edges", "triangles"):
         if key not in doc:
             raise DocumentError(f"missing field {key!r}")
-    mode = doc["mode"]
-    if mode not in ("exact", "float"):
-        raise DocumentError(f"mode must be 'exact' or 'float', got {mode!r}")
+    num = number_mode(doc["mode"])
     if not isinstance(doc["edges"], dict):
         raise DocumentError("edges must be an object mapping labels to [w, h]")
     if not isinstance(doc["triangles"], list):
@@ -271,7 +311,7 @@ def parse_surface(document: str) -> Surface:
     for label, pair in doc["edges"].items():
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise DocumentError(f"edge {label}: period must be [w, h]")
-        periods[label] = (_parse_number(pair[0], mode), _parse_number(pair[1], mode))
+        periods[label] = (num.parse(pair[0]), num.parse(pair[1]))
     triangles = []
     for t, tri in enumerate(doc["triangles"]):
         if not (isinstance(tri, list) and len(tri) == 3):
@@ -289,14 +329,14 @@ def parse_surface(document: str) -> Surface:
         triangles.append(tuple(sides))
     lam = None
     if "flow" in doc:
-        lam = _parse_number(doc["flow"], mode)
+        lam = num.parse(doc["flow"])
         if not lam > 0:
             raise DocumentError(f"flow parameter must be positive, got {doc['flow']!r}")
     occ = edge_occurrences(triangles)
     for e in periods:
         if len(occ.get(e, ())) != 2:
             raise DocumentError(f"edge {e} appears {len(occ.get(e, ()))} times, expected 2")
-    surf = Surface(triangles, periods, mode, lam)
+    surf = Surface(triangles, periods, num.name, lam)
     if "marked_vertices" in doc:
         if not isinstance(doc["marked_vertices"], list):
             raise DocumentError("marked_vertices must be a list")
@@ -312,11 +352,11 @@ def parse_surface(document: str) -> Surface:
 def serialize_surface(s: Surface) -> str:
     doc = {
         "mode": s.mode,
-        "edges": {e: [_emit_number(p.w, s.mode), _emit_number(p.h, s.mode)] for e, p in sorted(s.periods.items())},
+        "edges": {e: [s.num.emit(p.w), s.num.emit(p.h)] for e, p in sorted(s.periods.items())},
         "triangles": [[{"edge": e, "sign": sg} for e, sg in tri] for tri in s.triangles],
     }
     if s.lam != 1:
-        doc["flow"] = _emit_number(s.lam, s.mode)
+        doc["flow"] = s.num.emit(s.lam)
     return json.dumps(doc, indent=2)
 
 
@@ -331,7 +371,7 @@ def cross(a, b):
 def validate(s: Surface) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions."""
     violations: list[tuple[str, str, str]] = []
-    tol = 0.0 if s.mode == "exact" else 1e-9
+    slack = s.num.slack(1e-9)
     if not s.triangles:
         return ValidationReport(False, (("empty", "surface", "no triangles"),))
 
@@ -347,17 +387,17 @@ def validate(s: Surface) -> ValidationReport:
         sides = [s.signed(t, i) for i in range(3)]
         sw = sum(p[0] for p in sides)
         sh = sum(p[1] for p in sides)
-        if abs(float(sw)) > tol or abs(float(sh)) > tol:
+        if abs(sw) > slack or abs(sh) > slack:
             violations.append(("zero-sum", f"triangle {t}", f"signed periods sum to ({sw}, {sh})"))
         cr = cross(sides[0], sides[1])
-        if not cr > tol:
+        if not cr > slack:
             violations.append(("orientation", f"triangle {t}", f"cross product {cr} not positive"))
-        a2 = _disagreeing_trapezoid(sides, cr / 2, s.mode)
+        a2 = _disagreeing_trapezoid(sides, cr / 2, s.num)
         if a2 is not None:
             disagreements.append(("area", f"triangle {t}", f"area formulas disagree ({cr / 2} vs {a2})"))
 
     for e, p in s.periods.items():
-        if abs(float(p.w)) <= EPS_AXIS or abs(float(p.h)) <= EPS_AXIS:
+        if s.num.axis_parallel(p):
             violations.append(("axis", e, f"axis-parallel period ({p.w}, {p.h})"))
 
     if not any(v[0] in ("zero-sum", "orientation") for v in violations):
@@ -396,30 +436,27 @@ def triangle_area_trapezoid(sides) -> object:
     return max(ws) * max(hs) - sum(w * h for w, h in zip(ws, hs)) / 2
 
 
-def _disagreeing_trapezoid(sides, a1, mode: str):
+def _disagreeing_trapezoid(sides, a1, num: NumberMode):
     """The trapezoid area of a triangle when that formula applies and
     disagrees with its shoelace area a1, else None."""
     signs = {(p[0] > 0) == (p[1] > 0) for p in sides}
     if len(signs) == 2:  # both slope signs present: trapezoid formula applies
         a2 = triangle_area_trapezoid(sides)
-        if mode == "exact":
-            if a1 != a2:
-                return a2
-        elif abs(a1 - a2) > 1e-12 * max(1.0, abs(a1)):
+        if not num.tie(a1, a2, 1e-12):
             return a2
     return None
 
 
 def area(s: Surface) -> object:
     """Total flat area; cross-checks the two per-triangle formulas."""
-    total = Fraction(0) if s.mode == "exact" else 0.0
+    total = s.num.coerce(0)
     for t in range(len(s.triangles)):
         sides = [s.signed(t, i) for i in range(3)]
         a1 = triangle_area_shoelace(sides)
-        a2 = _disagreeing_trapezoid(sides, a1, s.mode)
+        a2 = _disagreeing_trapezoid(sides, a1, s.num)
         if a2 is not None:
             raise ArithmeticError(f"triangle {t}: area formulas disagree ({a1} vs {a2})")
-        if not float(a1) > 0:
+        if not a1 > 0:
             raise ArithmeticError(f"triangle {t} has non-positive area {a1}")
         total += a1
     return total
@@ -427,7 +464,7 @@ def area(s: Surface) -> object:
 
 def apply_flow(s: Surface, t: float) -> Surface:
     """g_t in float mode: scale the stored periods, keep lam untouched."""
-    if s.mode == "exact":
+    if s.num.exact:
         if t == 0:
             return s
         raise ValueError("exact mode flows via apply_flow_scale(s, lam) with rational lam = e^{2t}")
@@ -438,18 +475,15 @@ def apply_flow(s: Surface, t: float) -> Surface:
 
 def apply_flow_scale(s: Surface, lam) -> Surface:
     """Multiply the flow parameter: lam_new = lam * lam_old, lam = e^{2t}."""
-    if float(lam) <= 0:
+    lam = s.num.coerce(lam)
+    if not lam > 0:
         raise ValueError("flow parameter must be positive")
-    if s.mode == "exact":
-        lam = Fraction(lam)
-    else:
-        lam = float(lam)
     return s.replace(lam=s.lam * lam)
 
 
 def rebase(s: Surface) -> Surface:
     """Fold the flow parameter into the stored periods (float mode only)."""
-    if s.mode == "exact":
+    if s.num.exact:
         if s.lam == 1:
             return s
         raise ValueError("exact surfaces cannot be rebased without leaving the rationals")

@@ -109,21 +109,19 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
     size = _abs_w if direction == "vertical" else _abs_h
     partner_size = _abs_h if direction == "vertical" else _abs_w
 
+    tie = s.num.tie
     large_slots = []
     for t, tri in enumerate(s.triangles):
         vals = [size(s.periods[e]) for e, _ in tri]
         mx = max(vals)
-        if s.mode == "float":
-            near = [i for i, v in enumerate(vals) if abs(float(v) - float(mx)) <= 1e-9 * max(1.0, float(mx))]
-        else:
-            near = [i for i, v in enumerate(vals) if v == mx]
+        near = [i for i, v in enumerate(vals) if tie(v, mx, 1e-9)]
         if len(near) != 1:
             raise DegeneracyError(f"triangle {t}: no strictly largest side for the {direction} track")
         large_slots.append(near[0])
     track = TrainTrack(direction, s.triangles, tuple(large_slots))
 
     transverse = {e: size(p) for e, p in s.periods.items()}
-    zero = Fraction(0) if s.mode == "exact" else 0.0
+    zero = s.num.coerce(0)
     tangential = {e: zero for e in s.periods}
     roles = track.branch_roles()
     for lg, s1, s2 in track.switches():

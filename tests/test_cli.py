@@ -65,6 +65,18 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert [v[0] for v in report["violations"]] == ["area", "area"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [serialize_surface(t2()).replace('"3/10"', "1" * 5001), "[" * 200000 + "]" * 200000],
+        ids=["5001-digit-integer", "200000-nested-lists"],
+    )
+    def test_unreadable_document_is_exit_1(self, tmp_path, capsys, text):
+        # json.loads raises a plain ValueError and a RecursionError for these
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main(["validate", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: unreadable document")
+
     def test_structural_degeneracy_is_exit_2(self, tmp_path):
         reduced, _ = greedy_delaunay(pillow())
         path = tmp_path / "pillow.json"

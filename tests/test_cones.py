@@ -10,7 +10,6 @@ import pytest
 from util import exact_trajectory_prefix
 
 from veertrack.cones import (
-    TransitionPair,
     analyze_periodic_word,
     birkhoff_coefficient,
     compose_word,
@@ -52,10 +51,6 @@ class TestTransitions:
         assert pair.tangential == ((1, 0, 0), (2, 1, 0), (0, 0, 1))
         assert pair.det() == 1
         assert pair.nonneg_shift()
-
-    def test_adjointness_enforced(self):
-        with pytest.raises(VeertrackError):
-            TransitionPair(("a", "b"), ((1, 1), (0, 1)), ((1, 1), (0, 1)))
 
     def test_compose_equals_manual_product(self):
         events, _ = exact_trajectory_prefix(t2(), max_events=3)

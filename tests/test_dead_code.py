@@ -1,5 +1,6 @@
-"""Dead-code guard: every top-level function and class of the package is
-named somewhere besides its own definition."""
+"""Source guards: every top-level function and class of the package is
+named somewhere besides its own definition, and only surface.py (with the
+fixtures that build surfaces) decides by the number mode's name."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,45 @@ def test_guard_sees_an_unused_definition(tmp_path):
         "def used():\n    pass\n\n\ndef orphan():\n    return used()\n\n\nclass Orphan:\n    pass\n"
     )
     assert unused_definitions(tmp_path) == ["mod.orphan", "mod.Orphan"]
+
+
+MODE_MODULES = ("surface.py", "fixtures.py")
+
+
+def _is_mode(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "mode") or (
+        isinstance(node, ast.Attribute) and node.attr == "mode"
+    )
+
+
+def mode_branches(root: Path = ROOT) -> list[str]:
+    """module:line of every mode name literal, comparison of a mode and
+    read of NumberMode.exact outside MODE_MODULES; Surface.num makes those
+    decisions."""
+    found = []
+    for path in sorted((root / "src" / "veertrack").glob("*.py")):
+        if path.name in MODE_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            literal = isinstance(node, ast.Constant) and node.value in ("exact", "float")
+            compared = isinstance(node, ast.Compare) and any(
+                _is_mode(x) for x in (node.left, *node.comparators)
+            )
+            flag = isinstance(node, ast.Attribute) and node.attr == "exact"
+            if literal or compared or flag:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_surface_branches_on_the_mode():
+    assert mode_branches() == []
+
+
+def test_mode_guard_sees_a_branch(tmp_path):
+    (tmp_path / "src" / "veertrack").mkdir(parents=True)
+    (tmp_path / "src" / "veertrack" / "surface.py").write_text('MODE = "exact"\n')
+    (tmp_path / "src" / "veertrack" / "mod.py").write_text(
+        'def f(s, mode):\n    a = s.mode == "exact"\n    b = mode != 1\n    c = s.num.exact\n'
+        '    return "float"\n'
+    )
+    assert sorted(mode_branches(tmp_path)) == ["mod:2", "mod:2", "mod:3", "mod:4", "mod:5"]

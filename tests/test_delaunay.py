@@ -48,13 +48,18 @@ class TestQuad:
 class TestSlopes:
     def test_slope_signs_torus(self):
         s = t2()
-        assert slope_sign(s.periods["e1"]) == 1
-        assert slope_sign(s.periods["e2"]) == -1
-        assert slope_sign(s.periods["e3"]) == 1
+        assert slope_sign(s, s.periods["e1"]) == 1
+        assert slope_sign(s, s.periods["e2"]) == -1
+        assert slope_sign(s, s.periods["e3"]) == 1
 
     def test_axis_parallel_rejected(self):
         with pytest.raises(DegeneracyError):
-            slope_sign((Fraction(1), Fraction(0)))
+            slope_sign(t2(), (Fraction(1), Fraction(0)))
+
+    def test_axis_test_follows_the_mode(self):
+        assert slope_sign(t2(), (Fraction(1, 10**10), Fraction(1))) == 1
+        with pytest.raises(DegeneracyError):
+            slope_sign(t2("float"), (1e-10, 1.0))
 
     @pytest.mark.parametrize("build", [t2, gold, pillow, octagon])
     def test_fixtures_veering(self, build):

@@ -27,7 +27,7 @@ from veertrack.flow import (
     run_flow,
     thick_fraction,
 )
-from veertrack.surface import validate
+from veertrack.surface import Surface, validate
 
 
 class TestNextSplit:
@@ -81,6 +81,14 @@ class TestRunFlow:
             assert float(exact_ev.threshold) == pytest.approx(
                 float(float_ev.threshold), rel=1e-12
             )
+
+    def test_exact_gold_flows_past_the_float_axis_cut(self):
+        # near t = 19 a new diagonal's base-chart width drops below 1e-9;
+        # exact mode tests it against 0, so the flow goes on
+        g = gold()
+        traj = run_flow(Surface(g.triangles, g.periods, "exact"), 20.0)
+        assert len(traj.events) == 43
+        assert traj.events[-1].t > 19.5
 
     def test_max_events_cap(self):
         traj = run_flow(gold(), 50.0, max_events=7)

@@ -13,6 +13,7 @@ from util import random_veering_triangle
 from veertrack.errors import DocumentError
 from veertrack.fixtures import gold, octagon, pillow, t2
 from veertrack.surface import (
+    Surface,
     apply_flow,
     apply_flow_scale,
     area,
@@ -160,6 +161,34 @@ class TestValidation:
         tris = [tuple(reversed(tri)) for tri in s.triangles]
         report = validate(s.replace(triangles=tris))
         assert any(v[0] == "orientation" for v in report.violations)
+
+
+def _sheared_t2(mode):
+    """t2 under the shear (w, h) -> (w + k h, h) that takes e1 to (1/10^10, 3/10)."""
+    s = t2()
+    k = (Fraction(1, 10**10) - 1) / Fraction(3, 10)
+    periods = {e: (p.w + k * p.h, p.h) for e, p in s.periods.items()}
+    return Surface(s.triangles, periods, mode)
+
+
+class TestExactDecisions:
+    """Exact mode decides closure and the axis test without rounding."""
+
+    def test_closure_defect_below_float_range_is_zero_sum(self):
+        s = t2()
+        e3 = s.periods["e3"]
+        report = validate(s.replace(periods={**s.periods, "e3": (e3.w + Fraction(1, 10**400), e3.h)}))
+        assert [v[0] for v in report.violations] == ["zero-sum", "zero-sum"]
+
+    def test_small_exact_width_is_not_axis_parallel(self):
+        s = _sheared_t2("exact")
+        assert validate(s).passed
+        wide = s.replace(periods={e: (p.w * 10**10, p.h) for e, p in s.periods.items()})
+        assert validate(wide).passed
+
+    def test_small_float_width_is_axis_parallel(self):
+        report = validate(_sheared_t2("float"))
+        assert [v[:2] for v in report.violations] == [("axis", "e1")]
 
 
 class TestVertices:
