@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Fingerprint a fixed list of CLI invocations on the built-in surfaces.
+
+Each invocation runs in-process through ``veertrack.cli.main``, in a fresh
+temporary directory holding the fixture documents, and prints one line: the
+argv, the exit code, and the sha256 (first 16 hex digits) of stdout, stderr
+and the output file ("-" when the invocation writes none).  Two checkouts
+that print the same lines gave byte-identical results:
+
+    python3 scripts/identity.py > before.txt   # in one checkout
+    python3 scripts/identity.py > after.txt    # in the other
+    diff before.txt after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from veertrack.cli import main as cli_main
+from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
+from veertrack.surface import Surface, serialize_surface
+
+
+def _slope(n: int):
+    return slope_torus((n + math.sqrt(n * n + 4)) / 2)
+
+
+def _exact_gold():
+    g = gold()
+    return Surface(g.triangles, g.periods, "exact")
+
+
+DOCUMENTS = {
+    "t2": t2,
+    "t2f": lambda: t2("float"),
+    "gold": gold,
+    "goldx": _exact_gold,
+    "pillow": pillow,
+    "octagon": octagon,
+    "octagonf": lambda: octagon("float"),
+    "x2": lambda: _slope(2),
+    "x3": lambda: _slope(3),
+}
+FLOWING = ("t2", "t2f", "gold", "goldx", "pillow", "x2", "x3")
+LAB = ("gold", "x2")
+
+
+def invocations() -> list[tuple[list[str], str | None]]:
+    """(argv, output file or None), in a fixed order."""
+    out: list[tuple[list[str], str | None]] = []
+    for name in DOCUMENTS:
+        doc = f"{name}.json"
+        out.append((["validate", "--input", doc], None))
+        out.append((["report", "--input", doc, "--time", "3"], None))
+        out.append((["delaunay", "--input", doc, "--emit-flips", "flips.csv"], "flips.csv"))
+        out.append((["delaunay", "--input", doc, "--output", "reduced.json"], "reduced.json"))
+        for direction in ("vertical", "horizontal"):
+            out.append((["track", "--input", doc, "--direction", direction, "--vertex-curves"], None))
+    for name in FLOWING:
+        doc = f"{name}.json"
+        out.append((["flow", "--input", doc, "--time", "3"], None))
+        out.append((["flow", "--input", doc, "--time", "12"], None))
+        out.append((["flow", "--input", doc, "--time", "8", "--csv", "events.csv"], "events.csv"))
+        out.append((["analyze", "--input", doc, "--time", "12", "--report", "report.json"], "report.json"))
+    for name in LAB:
+        doc = f"{name}.json"
+        out.append((["contract", "--input", doc, "--time", "4", "--trials", "3", "--csv", "decay.csv"], "decay.csv"))
+        out.append((["close", "--input", doc, "--output", "close.json"], "close.json"))
+        out.append((["close", "--input", doc, "--delta", "1e-3", "--seed", "5", "--output", "close.json"], "close.json"))
+    return out
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_one(argv: list[str], output: str | None) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, build in DOCUMENTS.items():
+            pathlib.Path(tmp, f"{name}.json").write_text(serialize_surface(build()) + "\n", encoding="utf-8")
+        cwd = os.getcwd()
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            path = pathlib.Path(tmp, output) if output else None
+            written = _digest(path.read_bytes()) if path is not None and path.exists() else "-"
+        finally:
+            os.chdir(cwd)
+    return (
+        f"{' '.join(argv)} | exit {code} | stdout {_digest(out.getvalue().encode())} "
+        f"| stderr {_digest(err.getvalue().encode())} | file {written}"
+    )
+
+
+def main() -> int:
+    for argv, output in invocations():
+        print(run_one(argv, output), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

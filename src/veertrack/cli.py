@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,11 @@ from .traintrack import complementary_regions, dual_track, vertex_curves
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_surface(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"input is not UTF-8 text: {exc}") from exc
+    return parse_surface(text)
 
 
 def cmd_validate(args) -> int:
@@ -264,8 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built on the first call of main and kept: parse_args leaves the parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DegeneracyError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegeneracyError, NotFlippableError, VeertrackError
-from .surface import Surface, cross, exchange_diagonal, quad_sides
+from .surface import Surface, cross, quad_sides
 
 FLOAT_TIE = 1e-9
 MAX_FLIPS = 10000
@@ -88,9 +88,19 @@ def build_quad(s: Surface, e: str) -> Quad:
     return Quad(e, t1, t2, sides, vecs)
 
 
+def quad(s: Surface, e: str) -> Quad:
+    """build_quad(s, e), built once for s and its lam-only copies."""
+    return s.cached(("quad", e), build_quad, e)
+
+
 def other_diagonal(s: Surface, e: str):
-    """(diagonal period vector, flippable flag) for the quadrilateral of e."""
-    q = build_quad(s, e)
+    """(diagonal period vector, flippable flag) for the quadrilateral of e,
+    computed once for s and its lam-only copies."""
+    return s.cached(("diagonal", e), _other_diagonal, e)
+
+
+def _other_diagonal(s: Surface, e: str):
+    q = quad(s, e)
     va, vb, vc, vd = q.vectors
     diag = (vb[0] + vc[0], vb[1] + vc[1])
     c1, c2 = cross(vb, vc), cross(vd, va)
@@ -127,19 +137,16 @@ def is_delaunay(s: Surface) -> bool:
 
 def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
     """Replace e by the other diagonal of its quadrilateral; e keeps its label."""
-    q = build_quad(s, e)
+    q = quad(s, e)
     va, vb, vc, vd = q.vectors
     if not (cross(vb, vc) > 0 and cross(vd, va) > 0):
         raise NotFlippableError(f"edge {e}: quadrilateral is not convex")
     new_p = (vb[0] + vc[0], vb[1] + vc[1])
     if s.num.axis_parallel(new_p):
         raise DegeneracyError(f"edge {e}: new diagonal is axis-parallel")
-    triangles = exchange_diagonal(s.triangles, e, q.t1, q.t2, q.sides)
-    periods = dict(s.periods)
-    old = periods[e]
-    periods[e] = new_p
+    old = s.periods[e]
     rec = FlipRecord(e, (old.w, old.h), new_p, q.sides)
-    return s.replace(triangles=triangles, periods=periods), rec
+    return s.exchanged(e, q.t1, q.t2, q.sides, new_p), rec
 
 
 def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:

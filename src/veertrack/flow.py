@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .delaunay import build_quad, delaunay_violations, flip, other_diagonal, slope_sign
+from .delaunay import delaunay_violations, flip, other_diagonal, quad, slope_sign
 from .errors import DegeneracyError, VeertrackError
 from .surface import Surface
-from .traintrack import dual_track, split_roles, vertex_curves
+from .traintrack import TrainTrack, dual_track, large_slots, split_roles, vertex_curves
 
 FLOAT_EVENT_TIE = 1e-12
 
@@ -57,8 +57,7 @@ class ThickStats:
 
 
 def _split_candidates(s: Surface):
-    track, _ = dual_track(s, "vertical")
-    roles = track.branch_roles()
+    roles = TrainTrack("vertical", s.triangles, large_slots(s, "vertical")).branch_roles()
     out = []
     for e, role in roles.items():
         if role != "large":
@@ -83,7 +82,7 @@ def next_split(s: Surface) -> SplitEvent | None:
     if len(cands) > 1 and s.num.tie(cands[1][0], thr, FLOAT_EVENT_TIE):
         raise DegeneracyError(f"simultaneous split events on {e} and {cands[1][1]}")
     direction = "L" if slope_sign(s, diag) > 0 else "R"
-    q = build_quad(s, e)
+    q = quad(s, e)
     losers, winners = split_roles(q.sides, direction)
     # cross-check with the width comparison that defines the track split
     wb = abs(q.vectors[1][0]) + abs(q.vectors[3][0])

@@ -116,9 +116,13 @@ def number_mode(name) -> NumberMode:
 
 class Surface:
     """Immutable triangulated surface; mode names its number mode, num is it.
-    Use module functions to transform it."""
+    Use module functions to transform it.
 
-    __slots__ = ("triangles", "periods", "num", "lam", "_vertex_cache", "_occ_cache")
+    Copies that differ in lam alone share one cache of derived data (see
+    cached), which holds only pure functions of (triangles, periods, mode).
+    """
+
+    __slots__ = ("triangles", "periods", "num", "lam", "_derived")
 
     def __init__(self, triangles, periods, mode, lam=None):
         self.triangles = tuple(tuple((str(e), int(s)) for e, s in tri) for tri in triangles)
@@ -126,8 +130,14 @@ class Surface:
         conv = num.coerce
         self.periods = {str(e): Period(conv(p[0]), conv(p[1])) for e, p in periods.items()}
         self.lam = conv(1) if lam is None else lam
-        self._vertex_cache = None
-        self._occ_cache = None
+        self._derived = {}
+
+    @classmethod
+    def _normalised(cls, triangles, periods, num, lam, derived) -> "Surface":
+        """A surface from data already in the form __init__ gives it."""
+        s = object.__new__(cls)
+        s.triangles, s.periods, s.num, s.lam, s._derived = triangles, periods, num, lam, derived
+        return s
 
     @property
     def mode(self) -> str:
@@ -155,6 +165,11 @@ class Surface:
         return (float(p.w) * self.sigma, float(p.h) / self.sigma)
 
     def replace(self, triangles=None, periods=None, lam=None) -> "Surface":
+        """A copy with the given fields replaced; a copy with a new lam alone
+        shares this surface's triangles, periods and derived data."""
+        if triangles is None and periods is None:
+            lam = self.lam if lam is None else lam
+            return Surface._normalised(self.triangles, self.periods, self.num, lam, self._derived)
         return Surface(
             self.triangles if triangles is None else triangles,
             self.periods if periods is None else periods,
@@ -162,19 +177,42 @@ class Surface:
             self.lam if lam is None else lam,
         )
 
+    def exchanged(self, e: str, t1: int, t2: int, sides, diagonal) -> "Surface":
+        """The surface after e is replaced by the other diagonal of its
+        quadrilateral (t1, t2 and sides as quad_sides gives them), whose
+        period is diagonal; its occurrence index is this one's, updated for
+        the two exchanged triangles."""
+        triangles = exchange_diagonal(self.triangles, e, t1, t2, sides)
+        periods = dict(self.periods)
+        periods[e] = Period(*diagonal)
+        occ = dict(self.occurrences())
+        touched = {edge for t in (t1, t2) for edge, _ in triangles[t]}
+        for edge in touched:  # fresh lists: the parent's stay as they are
+            occ[edge] = [o for o in occ[edge] if o[0] != t1 and o[0] != t2]
+        for t in (t1, t2):
+            for i, (edge, sg) in enumerate(triangles[t]):
+                occ[edge].append((t, i, sg))
+        for edge in touched:
+            occ[edge].sort()
+        return Surface._normalised(triangles, periods, self.num, self.lam, {"occurrences": occ})
+
+    def cached(self, key, compute, *args):
+        """compute(self, *args), computed once for this surface and every copy
+        that differs from it in lam alone; compute must not read lam."""
+        derived = self._derived
+        if key not in derived:
+            derived[key] = compute(self, *args)
+        return derived[key]
+
     def occurrences(self) -> dict[str, list[tuple[int, int, int]]]:
         """edge -> list of (triangle index, slot, sign); see edge_occurrences."""
-        if self._occ_cache is None:
-            self._occ_cache = edge_occurrences(self.triangles)
-        return self._occ_cache
+        return self.cached("occurrences", lambda s: edge_occurrences(s.triangles))
 
     # -- vertices ----------------------------------------------------------
 
     def vertex_classes(self) -> list[frozenset[Corner]]:
         """Corners grouped by the vertex of the glued cell complex."""
-        if self._vertex_cache is None:
-            self._vertex_cache = corner_classes(self.triangles)
-        return self._vertex_cache
+        return self.cached("vertex_classes", lambda s: corner_classes(s.triangles))
 
     def corner_angle(self, t: int, i: int) -> float:
         """Interior angle at corner (t, i), in radians, from base periods.
@@ -332,6 +370,8 @@ def parse_surface(document: str) -> Surface:
         lam = num.parse(doc["flow"])
         if not lam > 0:
             raise DocumentError(f"flow parameter must be positive, got {doc['flow']!r}")
+        if float(lam) == 0:  # an exact lam below the float range: sigma would be 0
+            raise DocumentError(f"flow parameter is not a number within the float range: {doc['flow']!r}")
     occ = edge_occurrences(triangles)
     for e in periods:
         if len(occ.get(e, ())) != 2:

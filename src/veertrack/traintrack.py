@@ -26,11 +26,7 @@ class TrainTrack:
 
     @property
     def branches(self) -> tuple[str, ...]:
-        out = set()
-        for tri in self.triangles:
-            for e, _ in tri:
-                out.add(e)
-        return tuple(sorted(out))
+        return tuple(sorted({e for tri in self.triangles for e, _ in tri}))
 
     def switches(self) -> list[tuple[str, str, str]]:
         """(large, small1, small2) per triangle, smalls in cyclic order."""
@@ -41,9 +37,9 @@ class TrainTrack:
 
     def branch_roles(self) -> dict[str, str]:
         """'large' / 'mixed' / 'small' according to the two switch roles."""
-        large_count: dict[str, int] = {b: 0 for b in self.branches}
-        for lg, _, _ in self.switches():
-            large_count[lg] += 1
+        large_count = dict.fromkeys(self.branches, 0)
+        for tri, ls in zip(self.triangles, self.large_slots):
+            large_count[tri[ls][0]] += 1
         names = {2: "large", 1: "mixed", 0: "small"}
         return {b: names[c] for b, c in large_count.items()}
 
@@ -97,6 +93,27 @@ def _abs_h(p):
     return abs(p.h)
 
 
+def large_slots(s: Surface, direction: str) -> tuple[int, ...]:
+    """Per triangle, the slot of its strictly widest (vertical track) or
+    tallest (horizontal track) side; DegeneracyError when a triangle has no
+    strictly largest side."""
+    if direction not in ("vertical", "horizontal"):
+        raise ValueError(f"bad direction {direction!r}")
+    k = 0 if direction == "vertical" else 1
+    tie = s.num.tie
+    periods = s.periods
+    out = []
+    for t, tri in enumerate(s.triangles):
+        vals = [abs(periods[e][k]) for e, _ in tri]
+        _, second, largest = sorted(range(3), key=vals.__getitem__)
+        # the tie with the largest value loosens as a value grows, so a side
+        # ties the largest only if the runner-up does
+        if tie(vals[second], vals[largest], 1e-9):
+            raise DegeneracyError(f"triangle {t}: no strictly largest side for the {direction} track")
+        out.append(largest)
+    return tuple(out)
+
+
 def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, MeasurePair]:
     """Dual track plus its transverse/tangential measure pair.
 
@@ -104,21 +121,9 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
     the inner product with the tangential heights equals the area for every
     flow time.
     """
-    if direction not in ("vertical", "horizontal"):
-        raise ValueError(f"bad direction {direction!r}")
+    track = TrainTrack(direction, s.triangles, large_slots(s, direction))
     size = _abs_w if direction == "vertical" else _abs_h
     partner_size = _abs_h if direction == "vertical" else _abs_w
-
-    tie = s.num.tie
-    large_slots = []
-    for t, tri in enumerate(s.triangles):
-        vals = [size(s.periods[e]) for e, _ in tri]
-        mx = max(vals)
-        near = [i for i, v in enumerate(vals) if tie(v, mx, 1e-9)]
-        if len(near) != 1:
-            raise DegeneracyError(f"triangle {t}: no strictly largest side for the {direction} track")
-        large_slots.append(near[0])
-    track = TrainTrack(direction, s.triangles, tuple(large_slots))
 
     transverse = {e: size(p) for e, p in s.periods.items()}
     zero = s.num.coerce(0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from veertrack.cli import main
 from veertrack.delaunay import greedy_delaunay
 from veertrack.fixtures import GOLD_PERIOD_T, gold, pillow, t2
+from veertrack.flow import run_flow
 from veertrack.surface import serialize_surface
 
 
@@ -77,6 +78,21 @@ class TestExitCodes:
         assert main(["validate", "--input", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: unreadable document")
 
+    def test_non_utf8_input_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["validate", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: input is not UTF-8 text")
+
+    def test_flow_below_float_range_is_exit_1(self, tmp_path, capsys):
+        # report would divide by sigma = sqrt(float(1/10^400)) = 0
+        doc = json.loads(serialize_surface(t2()))
+        doc["flow"] = "1/1" + "0" * 400
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path)]) == 1
+        assert "not a number within the float range" in capsys.readouterr().err
+
     def test_structural_degeneracy_is_exit_2(self, tmp_path):
         reduced, _ = greedy_delaunay(pillow())
         path = tmp_path / "pillow.json"
@@ -131,6 +147,30 @@ class TestArtifacts:
         assert main(["report", "--input", torus_doc, "--time", "0.5"]) == 0
         text = capsys.readouterr().out
         assert "e1" in text
+
+
+class TestParserReuse:
+    """main keeps one parser per process; no call may see another's options."""
+
+    def test_options_do_not_leak_between_calls(self, capsys, gold_doc, torus_doc):
+        assert main(["flow", "--input", gold_doc, "--time", "3", "--max-events", "2"]) == 0
+        assert capsys.readouterr().out.startswith("2 events in time 3.0")
+        assert main(["flow", "--input", gold_doc, "--time", "3"]) == 0
+        events = len(run_flow(greedy_delaunay(gold())[0], 3.0).events)
+        assert events > 2
+        assert capsys.readouterr().out.startswith(f"{events} events in time 3.0")
+        assert main(["report", "--input", torus_doc, "--time", "0.5"]) == 0
+        assert "events" in json.loads(capsys.readouterr().out)
+        assert main(["report", "--input", torus_doc]) == 0
+        assert "events" not in json.loads(capsys.readouterr().out)
+
+    def test_bad_command_line_still_exits_2(self, capsys, gold_doc):
+        for argv in (["flow", "--input", gold_doc], ["flow", "--input", gold_doc, "--time", "x"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: veertrack" in capsys.readouterr().err
+        assert main(["flow", "--input", gold_doc, "--time", "1"]) == 0
 
 
 JSON_VALUES = st.recursive(

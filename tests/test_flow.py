@@ -9,7 +9,7 @@ import pytest
 from util import exact_trajectory_prefix
 
 import veertrack.flow as flow
-from veertrack.errors import DegeneracyError
+from veertrack.errors import DegeneracyError, VeertrackError
 from veertrack.fixtures import (
     GOLD_DILATATION,
     GOLD_PERIOD_T,
@@ -118,6 +118,28 @@ class TestRunFlow:
         traj = run_flow(gold(), 4 * GOLD_PERIOD_T, max_events=max_events, verify=verify)
         assert len(traj.events) == min(8, max_events)
         assert count == len(traj.events) + extra
+
+    @pytest.mark.parametrize("verify", ["debug", "off"])
+    def test_debug_check_catches_a_skipped_event(self, monkeypatch, verify):
+        # a scheduler that misses the fourth call's event and reports what
+        # follows it on the same surface (nothing, on gold) instead: only the
+        # whole-surface certificate after the third split can see it
+        calls = 0
+
+        def skipping(s):
+            nonlocal calls
+            calls += 1
+            ev = next_split(s)
+            if calls != 4 or ev is None:
+                return ev
+            return next_split(s.replace(lam=ev.threshold))
+
+        monkeypatch.setattr(flow, "next_split", skipping)
+        if verify == "off":
+            assert len(run_flow(gold(), 6.0, verify=verify).events) == 3
+            return
+        with pytest.raises(VeertrackError, match="lost the Delaunay certificate"):
+            run_flow(gold(), 6.0, verify=verify)
 
 
 class TestThickness:

@@ -115,6 +115,16 @@ class TestMalformedDocuments:
         with pytest.raises(DocumentError, match="float range"):
             parse_surface(_mutated(change))
 
+    # positive, but its float is 0.0, so sigma would be 0 downstream
+    @pytest.mark.parametrize("flow", ["1e-400", "1/1" + "0" * 400], ids=["exponent", "written-out"])
+    def test_flow_below_float_range_rejected(self, flow):
+        def change(d):
+            d["mode"] = "exact"
+            d["flow"] = flow
+
+        with pytest.raises(DocumentError, match="not a number within the float range"):
+            parse_surface(_mutated(change))
+
     def test_moderate_exponent_accepted(self):
         s = parse_surface(_mutated(lambda d: d["edges"]["e1"].__setitem__(0, "10e-1")))
         assert s.periods["e1"].w == 1
