@@ -208,6 +208,8 @@ def cmd_report(args) -> int:
     return 0 if rep.passed else 1
 
 
+# built on the first call of main and kept: parse_args leaves it as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="veertrack")
     sub = p.add_subparsers(dest="command", required=True)
@@ -269,12 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# built on the first call of main and kept: parse_args leaves the parser as it was
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DegeneracyError as exc:

@@ -180,21 +180,12 @@ class Surface:
     def exchanged(self, e: str, t1: int, t2: int, sides, diagonal) -> "Surface":
         """The surface after e is replaced by the other diagonal of its
         quadrilateral (t1, t2 and sides as quad_sides gives them), whose
-        period is diagonal; its occurrence index is this one's, updated for
-        the two exchanged triangles."""
+        period is diagonal; built from this surface's normalised data, with
+        an empty cache."""
         triangles = exchange_diagonal(self.triangles, e, t1, t2, sides)
         periods = dict(self.periods)
         periods[e] = Period(*diagonal)
-        occ = dict(self.occurrences())
-        touched = {edge for t in (t1, t2) for edge, _ in triangles[t]}
-        for edge in touched:  # fresh lists: the parent's stay as they are
-            occ[edge] = [o for o in occ[edge] if o[0] != t1 and o[0] != t2]
-        for t in (t1, t2):
-            for i, (edge, sg) in enumerate(triangles[t]):
-                occ[edge].append((t, i, sg))
-        for edge in touched:
-            occ[edge].sort()
-        return Surface._normalised(triangles, periods, self.num, self.lam, {"occurrences": occ})
+        return Surface._normalised(triangles, periods, self.num, self.lam, {})
 
     def cached(self, key, compute, *args):
         """compute(self, *args), computed once for this surface and every copy

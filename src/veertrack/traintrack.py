@@ -26,7 +26,11 @@ class TrainTrack:
 
     @property
     def branches(self) -> tuple[str, ...]:
-        return tuple(sorted({e for tri in self.triangles for e, _ in tri}))
+        out = set()
+        for tri in self.triangles:
+            for e, _ in tri:
+                out.add(e)
+        return tuple(sorted(out))
 
     def switches(self) -> list[tuple[str, str, str]]:
         """(large, small1, small2) per triangle, smalls in cyclic order."""
