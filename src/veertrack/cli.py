@@ -18,7 +18,7 @@ from .delaunay import delaunay_violations, greedy_delaunay, is_veering, linf_sca
 from .errors import DegeneracyError, DocumentError, VeertrackError
 from .flow import detect_periodicity, next_split, run_flow, thick_fraction
 from .lab import closing_search, contraction_experiment
-from .surface import area, parse_surface, serialize_surface, validate
+from .surface import area, parse_surface, rebase, serialize_surface, validate
 from .traintrack import complementary_regions, dual_track, vertex_curves
 
 
@@ -148,7 +148,7 @@ def cmd_contract(args) -> int:
 
 
 def cmd_close(args) -> int:
-    s = _load(args.input)
+    s = rebase(_load(args.input))
     if args.delta:
         import random
 
@@ -164,7 +164,6 @@ def cmd_close(args) -> int:
         "T_prime": res.period_t,
         "lam_w": res.lam_w,
         "word": list(res.word),
-        "iterations": res.iterations,
         "residual": res.residual,
         "converged": res.converged,
     }

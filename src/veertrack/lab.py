@@ -1,8 +1,11 @@
 """Desk-scale experiments: strong-stable contraction, Hilbert diameter decay
-along a splitting sequence, and a closing-lemma fixed-point search.
+along a splitting sequence, and the closing lemma.
 
-All experiments run in float mode and are driven by the event simulation in
-flow.py; randomness is seeded explicitly so runs are reproducible.
+The experiments run in float mode (surface.rebase converts an exact input)
+and are driven by the event simulation in flow.py; randomness is seeded
+explicitly so runs are reproducible.  The closing lemma takes a periodic
+orbit from the eigenvectors of its word's integer period matrix and
+certifies it by one replay of the word.
 """
 
 from __future__ import annotations
@@ -12,16 +15,12 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .cones import image_diameter, orthant, split_transition
-from .delaunay import flip, greedy_delaunay
+from .delaunay import delaunay_violations, flip, greedy_delaunay, other_diagonal
 from .errors import DegeneracyError, VeertrackError
 from .flow import Trajectory, detect_periodicity, next_split, run_flow
-from .surface import Surface, area, rebase
-
-CLOSING_MAX_ITER = 60
-CLOSING_TOL = 1e-13
+from .surface import Surface, area, edge_occurrences, exchange_diagonal, quad_sides, rebase
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +36,23 @@ class ContractionFit:
     r_squared: float
     dropped: int
 
-    def samples(self) -> list[tuple[float, float]]:
-        return [(t, math.exp(v)) for row in self.log_ratios for t, v in zip(self.times, row)]
+
+def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float]:
+    """Orthonormal basis of the per-edge perturbations that keep every
+    triangle closed (one copy acts on widths, one on heights), with the
+    singular-value tolerance that cut it."""
+    edges = tuple(sorted(s.edges))
+    idx = {e: i for i, e in enumerate(edges)}
+    rows = []
+    for tri in s.triangles:
+        row = [0.0] * len(edges)
+        for e, sg in tri:
+            row[idx[e]] += float(sg)
+        rows.append(row)
+    a = np.array(rows)
+    _, sv, vt = np.linalg.svd(a)
+    tol = 1e-9 * max(1.0, sv.max() if len(sv) else 1.0)
+    return edges, vt[sum(sv > tol):], tol
 
 
 def _height_perturbations(s: Surface, rng: random.Random) -> dict:
@@ -103,7 +117,7 @@ def contraction_experiment(
     height separation at evenly spaced checkpoint times.  Trials whose two
     trajectories disagree combinatorially are dropped.
     """
-    s, _ = greedy_delaunay(s)
+    s, _ = greedy_delaunay(rebase(s))
     times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
     base_traj = run_flow(s, total_t, verify="off")
     sig_a = [(ev.edge, ev.direction) for ev in base_traj.events]
@@ -196,169 +210,115 @@ class ClosingResult:
     period_t: float
     lam_w: float
     word: tuple  # (edge, direction) pairs
-    iterations: int
+    matrix: tuple  # the word's period matrix R, as period_matrix gives it
     residual: float  # recurrence defect of the fixed point
     converged: bool
 
 
-def _rename(s: Surface, relabel: dict) -> Surface:
-    """Pull a surface back through the relabeling e -> (e', sign): the result
-    carries label e with sign * period(e')."""
-    periods = {e: (sg * s.periods[e2].w, sg * s.periods[e2].h) for e, (e2, sg) in relabel.items()}
-    inv = {e2: (e, sg) for e, (e2, sg) in relabel.items()}
-    tris = tuple(
-        tuple((inv[e][0], sg * inv[e][1]) for e, sg in tri) for tri in s.triangles
-    )
-    return Surface(tris, periods, s.mode, lam=s.lam)
+def period_matrix(triangles, flips, relabel: dict) -> tuple[tuple[int, ...], ...]:
+    """The signed period matrix R of a periodic word, rows and columns over
+    the sorted edges.
+
+    Flipping e gives it the period b + c of the sides quad_sides names, so
+    along the flips every period is a fixed integer combination of the
+    periods on triangles; relabel (e -> (e', sign), as detect_periodicity
+    gives it) reads the last chart in the first.  R applied to the widths,
+    or to the heights, of a surface on triangles gives those of its return
+    along the word, before the flow scales them."""
+    edges = sorted(relabel)
+    rows = {e: tuple(int(e == f) for f in edges) for e in edges}
+    for e in flips:
+        t1, t2, sides = quad_sides(triangles, edge_occurrences(triangles), e)
+        (b, sg_b), (c, sg_c) = sides[1], sides[2]
+        rows[e] = tuple(sg_b * x + sg_c * y for x, y in zip(rows[b], rows[c]))
+        triangles = exchange_diagonal(triangles, e, t1, t2, sides)
+    return tuple(tuple(relabel[e][1] * x for x in rows[relabel[e][0]]) for e in edges)
 
 
-def _flow_word(s: Surface, word_sig: list[tuple[str, str]]):
-    """Flow s through exactly the given (edge, direction) event sequence.
-    Returns (final surface at its last event moment, lam ratio covered)."""
+def _eigenvector(r: np.ndarray, target: float, ref: np.ndarray) -> np.ndarray:
+    """The eigenvector of r for its eigenvalue nearest target, scaled onto
+    ref by least squares; VeertrackError unless that eigenvalue is real and
+    simple."""
+    vals, vecs = np.linalg.eig(r)
+    k = int(np.argmin(np.abs(vals - target)))
+    tol = 1e-6 * max(1.0, abs(vals[k]))
+    if abs(vals[k].imag) > tol or np.any(np.abs(np.delete(vals, k) - vals[k]) <= tol):
+        raise VeertrackError(f"eigenvalue {vals[k]:.6g} of the period matrix is not real and simple")
+    v = vecs[:, k].real
+    return v * (v @ ref) / (v @ v)
+
+
+def _pin_moment(x: Surface, edge: str) -> Surface:
+    """x with its heights scaled so that the rectangle of edge is a square,
+    |h(edge)| = |w| of its other diagonal, which is the moment edge split;
+    then scaled to unit area."""
+    hs = abs(other_diagonal(x, edge)[0][0] / x.periods[edge].h)
+    try:
+        f = 1.0 / math.sqrt(hs * float(area(x)))
+    except ArithmeticError as exc:
+        raise VeertrackError(f"the eigenvectors do not make a surface: {exc}") from exc
+    return x.replace(periods={e: (f * p.w, f * hs * p.h) for e, p in x.periods.items()})
+
+
+def _flow_word(s: Surface, word_sig: list[tuple[str, str]]) -> Surface:
+    """Flow s, which sits at a split moment, through exactly the given
+    (edge, direction) event sequence, checking the Delaunay certificate
+    before each event as run_flow's debug check does.  Returns the surface
+    at its last event moment."""
     cur = s
-    lam0 = float(cur.lam)
     for edge, direction in word_sig:
         # the current state sits exactly at a split moment; probe a hair past
         # it so the just-performed flip does not resurface through rounding
         ev = next_split(cur.replace(lam=float(cur.lam) * (1 + 1e-9)))
         if ev is None or ev.edge != edge or ev.direction != direction:
             raise VeertrackError("trajectory left the combinatorial neighborhood of the word")
-        cur, _ = flip(cur.replace(lam=ev.threshold), ev.edge)
-    return cur, float(cur.lam) / lam0
-
-
-def _return_map(x: Surface, word_sig: list[tuple[str, str]], relabel: dict):
-    """(periods, lam ratio) of the first return of x along the word: the
-    periods are pulled back through relabel into the chart of x."""
-    raw, lam_ratio = _flow_word(x, word_sig)
-    return _aligned_periods(_rename(rebase(raw), relabel), x), lam_ratio
-
-
-def _unflip_word(s: Surface, word_sig: list[tuple[str, str]]) -> Surface:
-    cur = s
-    for edge, _ in reversed(word_sig):
-        cur, _ = flip(cur, edge)
+        if delaunay_violations(cur.replace(lam=(float(cur.lam) + float(ev.threshold)) / 2)):
+            raise VeertrackError(f"lost the Delaunay certificate before splitting {edge}")
+        cur, _ = flip(cur.replace(lam=ev.threshold), edge)
     return cur
-
-
-def _aligned_periods(s: Surface, ref: Surface) -> dict:
-    """Periods of s with each edge's sign flipped, if need be, to match the
-    chart conventions of the nearby reference surface (a period and its
-    negative describe the same edge)."""
-    out = {}
-    for e in ref.edges:
-        w, h = float(s.periods[e].w), float(s.periods[e].h)
-        rw, rh = float(ref.periods[e].w), float(ref.periods[e].h)
-        if abs(rw) >= abs(rh):
-            sign = 1 if abs(w - rw) <= abs(w + rw) else -1
-        else:
-            sign = 1 if abs(h - rh) <= abs(h + rh) else -1
-        out[e] = (sign * s.periods[e].w, sign * s.periods[e].h)
-    return out
-
-
-def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float]:
-    """Orthonormal basis of the per-edge perturbations that keep every
-    triangle closed (one copy acts on widths, one on heights), with the
-    singular-value tolerance that cut it."""
-    edges = tuple(sorted(s.edges))
-    idx = {e: i for i, e in enumerate(edges)}
-    rows = []
-    for tri in s.triangles:
-        row = [0.0] * len(edges)
-        for e, sg in tri:
-            row[idx[e]] += float(sg)
-        rows.append(row)
-    a = np.array(rows)
-    _, sv, vt = np.linalg.svd(a)
-    tol = 1e-9 * max(1.0, sv.max() if len(sv) else 1.0)
-    return edges, vt[sum(sv > tol):], tol
 
 
 def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:
     """Find the periodic orbit shadowed by the flow trajectory of s.
 
     The trajectory of s is scanned for an approximate combinatorial
-    recurrence; the recurrence word is closed up in two stages.  First the
-    contracting iteration that takes heights from the forward return map and
-    widths from the backward one pulls the guess into the basin; then a
-    Gauss-Newton solve of the section fixed-point equation drives the
-    recurrence defect to rounding level.  The fixed point is a surface
-    exactly on the periodic axis, anchored at the event moment that starts
-    the word.
+    recurrence.  Along its word every flip is linear in the periods, so the
+    return acts on widths and on heights by one integer matrix R
+    (period_matrix) and then the flow scales them: the periodic orbit's
+    widths are the eigenvector of R for 1/lambda and its heights the one for
+    lambda.  The heights are scaled so that the word's last split happens at
+    the point, which anchors it at that event moment, and the point is
+    scaled to unit area.  One certified replay of the word from the point
+    checks that it follows the word and measures its recurrence defect.
     """
-    s, _ = greedy_delaunay(s)
+    s, _ = greedy_delaunay(rebase(s))
     traj = run_flow(s, search_t, verify="off")
     match = detect_periodicity(traj, rel_tol=0.1)
     if match is None:
         raise VeertrackError("no approximate recurrence within the search window")
     word_sig = [(ev.edge, ev.direction) for ev in match.word]
-    x = rebase(traj.states()[match.m])
-    lam_ratio = match.lam_w**2
-    iterations = 0
-    inverse = {e2: (e, sg) for e, (e2, sg) in match.relabel.items()}
-    for iterations in range(1, CLOSING_MAX_ITER + 1):
-        forward, lam_ratio = _return_map(x, word_sig, match.relabel)
-        scale = math.sqrt(lam_ratio)
-        back_raw = _unflip_word(_rename(x, inverse), word_sig)
-        backward = _aligned_periods(back_raw, x)
-        periods = {
-            e: (backward[e][0] / scale, forward[e][1]) for e in x.edges
-        }
-        nxt = x.replace(periods=periods)
-        diff = max(
-            max(abs(nxt.periods[e].w - x.periods[e].w), abs(nxt.periods[e].h - x.periods[e].h))
-            for e in x.edges
-        )
-        x = nxt
-        if diff < CLOSING_TOL:
-            break
-
-    # Gauss-Newton polish on the Poincare section: solve phi(x) = x over the
-    # closure-preserving perturbations of the periods
-    edges, null, _ = _closure_basis(x)
-    k = null.shape[0]
-    base_w = np.array([float(x.periods[e].w) for e in edges])
-    base_h = np.array([float(x.periods[e].h) for e in edges])
-
-    def surface_at(c):
-        dw = c[:k] @ null
-        dh = c[k:] @ null
-        periods = {e: (base_w[i] + dw[i], base_h[i] + dh[i]) for i, e in enumerate(edges)}
-        return x.replace(periods=periods)
-
-    def residual_vec(c):
-        cur = surface_at(c)
-        ret, _ = _return_map(cur, word_sig, match.relabel)
-        out = []
-        for i, e in enumerate(edges):
-            out.append(float(ret[e][0]) - float(cur.periods[e].w))
-            out.append(float(ret[e][1]) - float(cur.periods[e].h))
-        return np.array(out)
-
-    from scipy.optimize import least_squares
-
-    sol = least_squares(residual_vec, np.zeros(2 * k), xtol=3e-16, ftol=3e-16, gtol=3e-16)
-    x = surface_at(sol.x)
-
-    # the return map commutes with homotheties, so the scale of the fixed
-    # point is a neutral direction; pin it to unit area
-    f = 1.0 / math.sqrt(float(area(x)))
-    x = x.replace(periods={e: (f * p.w, f * p.h) for e, p in x.periods.items()})
-    returned, lam_ratio = _return_map(x, word_sig, match.relabel)
+    near = rebase(traj.states()[match.m])
+    edges = near.edges
+    r = period_matrix(near.triangles, [e for e, _ in word_sig], match.relabel)
+    rf = np.array(r, dtype=float)
+    w = _eigenvector(rf, 1 / match.lam_w, np.array([near.periods[e].w for e in edges]))
+    h = _eigenvector(rf, match.lam_w, np.array([near.periods[e].h for e in edges]))
+    # the edge that relabel carries to the word's last edge
+    last = next(e for e, (e2, _) in match.relabel.items() if e2 == word_sig[-1][0])
+    x = _pin_moment(near.replace(periods={e: (w[i], h[i]) for i, e in enumerate(edges)}), last)
+    raw = _flow_word(x, word_sig)
+    back = rebase(raw).periods
     residual = max(
-        max(
-            abs(returned[e][0] - x.periods[e].w),
-            abs(returned[e][1] - x.periods[e].h),
-        )
-        for e in x.edges
-    ) / max(abs(float(x.periods[e].w)) for e in x.edges)
+        max(abs(sg * back[e2].w - x.periods[e].w), abs(sg * back[e2].h - x.periods[e].h))
+        for e, (e2, sg) in match.relabel.items()
+    ) / max(abs(p.w) for p in x.periods.values())
+    lam_ratio = float(raw.lam) / float(x.lam)
     return ClosingResult(
         x,
         0.5 * math.log(lam_ratio),
         math.sqrt(lam_ratio),
         tuple(word_sig),
-        iterations,
+        r,
         residual,
         residual < 1e-10,
     )
@@ -369,6 +329,8 @@ def axis_distance(x: Surface, y: Surface, window: float = 0.5) -> float:
 
     Both surfaces must live in the same labelled chart; the optimization is
     over the flow time applied to x within (-window, window)."""
+    from scipy.optimize import minimize_scalar
+
     if x.triangles != y.triangles:
         raise VeertrackError("surfaces are in different charts")
     edges = sorted(x.edges)

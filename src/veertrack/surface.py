@@ -227,12 +227,6 @@ class Surface:
             out.append(round(total / math.pi))
         return out
 
-    def vertex_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        for k in self.vertex_angle_multiples():
-            census[k] = census.get(k, 0) + 1
-        return census
-
     def marked_vertex_flags(self) -> list[bool]:
         """Vertices of cone angle pi or 2*pi are the marked points."""
         return [k <= 2 for k in self.vertex_angle_multiples()]
@@ -513,11 +507,8 @@ def apply_flow_scale(s: Surface, lam) -> Surface:
 
 
 def rebase(s: Surface) -> Surface:
-    """Fold the flow parameter into the stored periods (float mode only)."""
-    if s.num.exact:
-        if s.lam == 1:
-            return s
-        raise ValueError("exact surfaces cannot be rebased without leaving the rationals")
+    """Fold the flow parameter into the stored periods of a float-mode copy;
+    the one place a surface leaves exact mode on purpose."""
     sig = s.sigma
-    periods = {e: (p.w * sig, p.h / sig) for e, p in s.periods.items()}
+    periods = {e: (float(p.w) * sig, float(p.h) / sig) for e, p in s.periods.items()}
     return Surface(s.triangles, periods, "float")

@@ -55,10 +55,14 @@ def test_flow_word_states_are_coherent(monkeypatch):
         return flipped, rec
 
     monkeypatch.setattr(lab, "flip", recording)
-    assert lab.closing_search(gold()).converged
-    assert len(seen) > 50
-    for s in seen:
-        assert_coherent(s)
+    for start in STARTS.values():
+        seen.clear()
+        result = lab.closing_search(start())
+        assert result.converged
+        # the replay flips once per event of the word
+        assert len(seen) == 2 * len(result.word)
+        for s in seen:
+            assert_coherent(s)
 
 
 def _warm(s: Surface) -> Surface:

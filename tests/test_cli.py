@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +15,7 @@ from veertrack.cli import main
 from veertrack.delaunay import greedy_delaunay
 from veertrack.fixtures import GOLD_PERIOD_T, gold, pillow, t2
 from veertrack.flow import run_flow
-from veertrack.surface import serialize_surface
+from veertrack.surface import Surface, serialize_surface
 
 
 @pytest.fixture
@@ -142,11 +146,35 @@ class TestArtifacts:
         assert data["converged"]
         assert data["T_prime"] == pytest.approx(GOLD_PERIOD_T, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["close"], ["close", "--delta", "1e-3", "--seed", "5"],
+         ["contract", "--time", "3", "--trials", "2"]],
+        ids=["close", "close-delta", "contract"],
+    )
+    def test_exact_gold_matches_float_gold(self, capsys, tmp_path, gold_doc, argv):
+        exact = tmp_path / "goldx.json"
+        exact.write_text(serialize_surface(Surface(gold().triangles, gold().periods, "exact")))
+        outputs = []
+        for doc in (gold_doc, str(exact)):
+            assert main([argv[0], "--input", doc, *argv[1:]]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out and outputs[0] == outputs[1]
+
     def test_track_and_report_run(self, capsys, torus_doc):
         assert main(["track", "--input", torus_doc, "--vertex-curves"]) == 0
         assert main(["report", "--input", torus_doc, "--time", "0.5"]) == 0
         text = capsys.readouterr().out
         assert "e1" in text
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, veertrack.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestParserReuse:

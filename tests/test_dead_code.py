@@ -1,6 +1,7 @@
-"""Source guards: every top-level function and class of the package is
-named somewhere besides its own definition, and only surface.py (with the
-fixtures that build surfaces) decides by the number mode's name."""
+"""Source guards: every top-level function and class of the package, and
+every method of its classes other than the dunder ones, is named somewhere
+besides its own definition, and only surface.py (with the fixtures that
+build surfaces) decides by the number mode's name."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,14 @@ def unused_definitions(root: Path = ROOT) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
                 unused.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (
+                        isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                        and item.name not in used
+                    ):
+                        unused.append(f"{path.stem}.{node.name}.{item.name}")
     return unused
 
 
@@ -47,6 +56,16 @@ def test_guard_sees_an_unused_definition(tmp_path):
         "def used():\n    pass\n\n\ndef orphan():\n    return used()\n\n\nclass Orphan:\n    pass\n"
     )
     assert unused_definitions(tmp_path) == ["mod.orphan", "mod.Orphan"]
+
+
+def test_guard_sees_an_unused_method(tmp_path):
+    (tmp_path / "src" / "veertrack").mkdir(parents=True)
+    (tmp_path / "src" / "veertrack" / "mod.py").write_text(
+        "class Box:\n    def __init__(self):\n        self.used()\n\n"
+        "    def used(self):\n        pass\n\n"
+        "    def orphan(self):\n        pass\n\n\nBox()\n"
+    )
+    assert unused_definitions(tmp_path) == ["mod.Box.orphan"]
 
 
 MODE_MODULES = ("surface.py", "fixtures.py")

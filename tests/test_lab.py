@@ -1,13 +1,15 @@
 """Desk experiments: stable contraction, Hilbert decay, orbit closing."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import veertrack.lab as lab
 from veertrack.cones import image_diameter, orthant, split_transition
-from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold
+from veertrack.errors import VeertrackError
+from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, slope_torus
 from veertrack.flow import run_flow
 from veertrack.lab import (
     axis_distance,
@@ -16,6 +18,23 @@ from veertrack.lab import (
     hilbert_contraction_experiment,
 )
 from veertrack.surface import apply_flow, area
+
+
+def _slope(n: int) -> float:
+    return (n + math.sqrt(n * n + 4)) / 2
+
+
+def _perturbed(s, seed, delta=1e-3):
+    """s with its heights moved as `veertrack close --delta` moves them."""
+    u = lab._height_perturbations(s, random.Random(seed))
+    return s.replace(periods={e: (s.periods[e].w, s.periods[e].h + delta * u[e]) for e in s.edges})
+
+
+CLOSING_STARTS = [
+    (name, n, seed)
+    for name, n in [("gold", 1)] + [(f"x_{n}", n) for n in range(1, 9)]
+    for seed in (None, 5, 11, 77)
+]
 
 
 class TestStableContraction:
@@ -103,3 +122,77 @@ class TestClosing:
         result = closing_search(gold())
         shifted = apply_flow(result.surface, 0.13)
         assert axis_distance(result.surface, shifted) < 1e-8
+
+
+class TestPeriodMatrix:
+    def test_gold_matrix_and_characteristic_polynomial(self):
+        r = closing_search(gold()).matrix
+        assert r == ((0, 0, 1), (0, 1, -1), (0, -1, 2))
+        # x (x^2 - 3x + 1)
+        assert np.round(np.poly(np.array(r, dtype=float))).tolist() == [1, -3, 1, 0]
+
+    @pytest.mark.parametrize(
+        "name, n, seed", CLOSING_STARTS, ids=[f"{name}-{seed}" for name, _, seed in CLOSING_STARTS]
+    )
+    def test_closed_orbit_is_the_eigenvector_pair(self, name, n, seed):
+        s = gold() if name == "gold" else slope_torus(_slope(n))
+        result = closing_search(s if seed is None else _perturbed(s, seed))
+        assert len(result.word) == 2 * n
+        assert abs(result.lam_w - _slope(n) ** 2) <= 1e-9
+        assert result.residual < 1e-10 and result.converged
+        r = np.array(result.matrix, dtype=float)
+        edges = sorted(result.surface.edges)
+        w = np.array([result.surface.periods[e].w for e in edges])
+        h = np.array([result.surface.periods[e].h for e in edges])
+        lam = result.lam_w
+        assert np.abs(r @ w - w / lam).max() <= 1e-9 * np.abs(w).max()
+        assert np.abs(r @ h - lam * h).max() <= 1e-9 * np.abs(h).max()
+
+
+class TestReplayCheck:
+    """The replay certifies the point: a wrong point does not come back."""
+
+    @staticmethod
+    def _comes_back(s) -> bool:
+        try:
+            return closing_search(s).converged
+        except VeertrackError:
+            return False
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_point_without_the_pin_fails(self, monkeypatch, n):
+        s = _perturbed(slope_torus(_slope(n)), 5)
+        assert self._comes_back(s)
+        monkeypatch.setattr(lab, "_pin_moment", lambda x, edge: x)
+        assert not self._comes_back(s)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_swapped_eigenvectors_fail(self, monkeypatch, n):
+        s = _perturbed(slope_torus(_slope(n)), 5)
+        real = lab._eigenvector
+        monkeypatch.setattr(lab, "_eigenvector", lambda r, target, ref: real(r, 1 / target, ref))
+        assert not self._comes_back(s)
+
+    def test_certificate_is_checked_between_events(self, monkeypatch):
+        probes = []
+        real = lab.delaunay_violations
+
+        def recording(s):
+            probes.append(float(s.lam))
+            found = real(s)
+            assert found == []
+            return found
+
+        monkeypatch.setattr(lab, "delaunay_violations", recording)
+        result = closing_search(_perturbed(slope_torus(_slope(3)), 5))
+        # one probe before each event of the word, from the point (lam 1) on
+        assert len(probes) == len(result.word) == 6
+        assert 1 < probes[0] and all(a < b for a, b in zip(probes, probes[1:]))
+        assert probes[-1] < result.lam_w**2
+
+    @pytest.mark.parametrize(
+        "matrix", [[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]], ids=["complex", "double"]
+    )
+    def test_eigenvalue_must_be_real_and_simple(self, matrix):
+        with pytest.raises(VeertrackError, match="not real and simple"):
+            lab._eigenvector(np.array(matrix), 1.0, np.ones(2))
