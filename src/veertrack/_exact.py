@@ -1,37 +1,14 @@
 """Tiny exact linear algebra over Fraction.
 
-Just enough for kernel computations, membership tests and integer matrix
-bookkeeping at desk scale (dimensions well under a hundred).  Matrices are
-lists of lists; vectors are lists.
+Just enough for determinants, ranks, kernels and span membership at desk
+scale (dimensions well under a hundred).  Matrices are sequences of rows;
+vectors are sequences.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            ait = ai[t]
-            if ait:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += ait * bt[j]
-    return out
-
-
-def transpose(a: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*a)]
 
 
 def mat_det(a: Sequence[Sequence]) -> Fraction:

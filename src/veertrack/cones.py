@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import identity, in_span, mat_det, mat_mul, transpose
+from ._exact import in_span, mat_det
 from .errors import DegeneracyError, VeertrackError
 from .flow import PeriodicMatch, SplitEvent, Trajectory
 from .traintrack import Subgraph, TrainTrack, dual_track, is_filling_subtrack, split_with_direction
@@ -50,7 +50,7 @@ class TransitionPair:
         return len(self.branches)
 
     def det(self) -> int:
-        return int(mat_det([[Fraction(x) for x in row] for row in self.transverse]))
+        return int(mat_det(self.transverse))
 
     def nonneg_shift(self) -> bool:
         """Whether M - I is entrywise nonnegative."""
@@ -63,20 +63,22 @@ class TransitionPair:
 
 def split_transition(event: SplitEvent, branches: tuple[str, ...]) -> TransitionPair:
     """Elementary transition matrix of one split event."""
-    idx = {b: i for i, b in enumerate(branches)}
-    m = [[1 if i == j else 0 for j in range(len(branches))] for i in range(len(branches))]
-    row = idx[event.edge]
-    for loser in event.losers:
-        m[row][idx[loser]] += 1
-    return TransitionPair(branches, tuple(tuple(r) for r in m))
+    return compose_word((event,), branches)
 
 
 def compose_word(events, branches: tuple[str, ...]) -> TransitionPair:
-    """Product of elementary matrices in temporal order."""
-    m = identity(len(branches))
+    """Product of elementary matrices in temporal order: right-multiplying by
+    a split's matrix adds the split edge's column to each loser's column."""
+    idx = {b: i for i, b in enumerate(branches)}
+    m = [[int(i == j) for j in range(len(branches))] for i in range(len(branches))]
     for ev in events:
-        m = mat_mul(m, [list(r) for r in split_transition(ev, branches).transverse])
-    return TransitionPair(branches, tuple(tuple(int(x) for x in row) for row in m))
+        e = idx[ev.edge]
+        losers = [idx[loser] for loser in ev.losers]
+        for row in m:
+            x = row[e]
+            for j in losers:
+                row[j] += x
+    return TransitionPair(branches, tuple(tuple(row) for row in m))
 
 
 def reconstruct_from_words(
@@ -271,7 +273,6 @@ class PAReport:
     entropy: float | None
     branches: tuple[str, ...]
     return_matrix: tuple[tuple[int, ...], ...] | None
-    word_pair: TransitionPair
     positive_power: int | None
 
 
@@ -321,21 +322,18 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
     filling = is_filling_subtrack(track1, Subgraph(frozenset(support)))
     if not filling:
         return PAReport(
-            frozenset(support), False, False, None, None, None, branches, None, pair, None
+            frozenset(support), False, False, None, None, None, branches, None, None
         )
 
     # fold the word matrix with the relabeling: A = M_word P^{-1}, where
-    # (P x)(e) = x(sigma(e)); then the base-chart widths at the first state
-    # form an eigenvector of A with eigenvalue lam_w
+    # (P x)(e) = x(sigma(e)), so column j of A is column sigma(b_j) of M_word;
+    # then the base-chart widths at the first state form an eigenvector of A
+    # with eigenvalue lam_w
     idx = {b: i for i, b in enumerate(branches)}
     n = len(branches)
-    pinv = [[0] * n for _ in range(n)]
-    for e in branches:
-        pinv[idx[e]][idx[match.relabel[e][0]]] = 1
-    pinv_t = transpose(tuple(tuple(r) for r in pinv))
-    a = mat_mul([list(r) for r in pair.transverse], [list(r) for r in pinv_t])
-    a_int = tuple(tuple(int(x) for x in row) for row in a)
-    lam_w, vec = perron_root(a_int)
+    cols = [idx[match.relabel[b][0]] for b in branches]
+    a_int = tuple(tuple(row[c] for c in cols) for row in pair.transverse)
+    lam_w, _ = perron_root(a_int)
 
     # eigenvector check against the actual widths
     widths = np.array([abs(float(s1.periods[b].w)) for b in branches])
@@ -375,6 +373,5 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
         math.log(lam_w),
         branches,
         a_int,
-        pair,
         positive_power,
     )

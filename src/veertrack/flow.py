@@ -150,6 +150,8 @@ def _proxy_coefficients(s: Surface):
 
 def thick_fraction(traj: Trajectory, eps: float) -> ThickStats:
     """Lebesgue measure of the times where the proxy systole stays >= eps."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise VeertrackError(f"eps must be finite and positive, not {eps}")
     t0 = 0.5 * math.log(float(traj.start.lam))
     t_stop = t0 + traj.t_end
     cuts = [t0] + [ev.t for ev in traj.events if ev.t < t_stop] + [t_stop]

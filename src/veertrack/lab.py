@@ -117,6 +117,9 @@ def contraction_experiment(
     height separation at evenly spaced checkpoint times.  Trials whose two
     trajectories disagree combinatorially are dropped.
     """
+    for name, value in (("time", total_t), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise VeertrackError(f"{name} must be finite and positive, not {value}")
     s, _ = greedy_delaunay(rebase(s))
     times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
     base_traj = run_flow(s, total_t, verify="off")

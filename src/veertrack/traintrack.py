@@ -10,8 +10,9 @@ its small partners.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _exact
 from .errors import DegeneracyError, VeertrackError
@@ -222,55 +223,31 @@ def is_filling_subtrack(track: TrainTrack, support: Subgraph) -> bool:
 
 
 def extreme_rays_nonneg(rows, n: int) -> list[tuple[int, ...]]:
-    """Minimal integral extreme rays of {x >= 0, rows . x = 0}.
+    """Minimal integral extreme rays of {x >= 0, rows . x = 0}, rows integral.
 
-    Double description over the rationals; fine for desk-scale systems.
+    Double description on primitive integer rays, each kept with its
+    support: a row keeps the rays it vanishes on, combines every ray it makes
+    positive with every ray it makes negative into one it vanishes on, and
+    drops a ray when another one has a strictly smaller support.
     """
-    rays: list[list[Fraction]] = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    rays = {tuple(int(i == j) for j in range(n)): frozenset((i,)) for i in range(n)}
     for a in rows:
-        pos, zer, neg = [], [], []
-        for r in rays:
-            d = sum(ai * ri for ai, ri in zip(a, r))
-            (pos if d > 0 else neg if d < 0 else zer).append((r, d))
-        new = [r for r, _ in zer]
-        for u, du in pos:
-            for v, dv in neg:
-                comb = [du * vi - dv * ui for ui, vi in zip(u, v)]
-                new.append(comb)
-        # normalize and drop duplicates / non-minimal supports
-        normed = []
-        seen = set()
-        for r in new:
-            ints = _exact.scale_to_integers(r)
-            if any(ints) and tuple(ints) not in seen:
-                seen.add(tuple(ints))
-                normed.append(ints)
-        keep = []
-        for r in normed:
-            sup = {i for i, x in enumerate(r) if x}
-            minimal = True
-            for r2 in normed:
-                if r2 is r:
-                    continue
-                sup2 = {i for i, x in enumerate(r2) if x}
-                if sup2 < sup:
-                    minimal = False
-                    break
-            if minimal:
-                keep.append(r)
-        rays = [[Fraction(x) for x in r] for r in keep]
-
-    out = []
-    for r in rays:
-        ints = _exact.scale_to_integers(r)
-        # extremality certificate: the rows restricted to the support must
-        # have a one-dimensional kernel
-        sup = [i for i, x in enumerate(ints) if x]
-        sub = [[row[i] for i in sup] for row in rows]
-        if len(_exact.kernel_basis(sub, ncols=len(sup))) == 1:
-            out.append(tuple(ints))
-    out.sort()
-    return out
+        dots = [(r, sum(ai * ri for ai, ri in zip(a, r))) for r in rays]
+        new = [r for r, d in dots if d == 0]
+        pos = [(u, du) for u, du in dots if du > 0]
+        neg = [(v, dv) for v, dv in dots if dv < 0]
+        for (u, du), (v, dv) in itertools.product(pos, neg):
+            comb = [du * vi - dv * ui for ui, vi in zip(u, v)]
+            g = math.gcd(*comb)
+            new.append(tuple(x // g for x in comb))
+        supports = {r: frozenset(i for i, x in enumerate(r) if x) for r in new}
+        kinds = set(supports.values())
+        rays = {r: sup for r, sup in supports.items() if not any(k < sup for k in kinds)}
+    # extremality certificate: the rows restricted to the support must have a
+    # one-dimensional kernel
+    return sorted(
+        r for r, sup in rays.items() if len(sup) - _exact.rank([[row[i] for i in sup] for row in rows]) == 1
+    )
 
 
 def vertex_curves(track: TrainTrack) -> list[tuple[int, ...]]:

@@ -97,6 +97,22 @@ class TestExitCodes:
         assert main(["report", "--input", str(path)]) == 1
         assert "not a number within the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--time", "0"], ["--time", "nan"], ["--time", "-1"], ["--time", "1", "--delta", "0"]],
+        ids=["time-0", "time-nan", "time-negative", "delta-0"],
+    )
+    def test_contract_rejects_a_time_or_delta_it_cannot_fit(self, capsys, gold_doc, argv):
+        assert main(["contract", "--input", gold_doc, *argv]) == 1
+        assert "must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    def test_report_rejects_a_bad_eps(self, capsys, gold_doc, eps):
+        assert main(["report", "--input", gold_doc, "--time", "1", "--eps", eps]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: eps must be finite and positive")
+
     def test_structural_degeneracy_is_exit_2(self, tmp_path):
         reduced, _ = greedy_delaunay(pillow())
         path = tmp_path / "pillow.json"

@@ -1,7 +1,8 @@
 """Source guards: every top-level function and class of the package, and
 every method of its classes other than the dunder ones, is named somewhere
-besides its own definition, and only surface.py (with the fixtures that
-build surfaces) decides by the number mode's name."""
+besides its own definition; every top-level import of a package module is
+read there or exported; and only surface.py (with the fixtures that build
+surfaces) decides by the number mode's name."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,40 @@ def test_guard_sees_an_unused_method(tmp_path):
         "    def orphan(self):\n        pass\n\n\nBox()\n"
     )
     assert unused_definitions(tmp_path) == ["mod.Box.orphan"]
+
+
+def unused_imports(root: Path = ROOT) -> list[str]:
+    """module.name of every name a package module imports at top level but
+    neither reads nor lists in its __all__; __future__ imports are exempt."""
+    found = []
+    for path in sorted((root / "src" / "veertrack").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_import_guard_sees_an_unused_import(tmp_path):
+    (tmp_path / "src" / "veertrack").mkdir(parents=True)
+    (tmp_path / "src" / "veertrack" / "mod.py").write_text(
+        "from __future__ import annotations\n\nimport math\nimport os.path\n"
+        "from fractions import Fraction\nfrom typing import Sequence as Seq\n"
+        "from . import _exact\n\n__all__ = [\"Seq\"]\n\n\n"
+        "def f(x: Fraction):\n    return math.pi\n"
+    )
+    assert unused_imports(tmp_path) == ["mod.os", "mod._exact"]
 
 
 MODE_MODULES = ("surface.py", "fixtures.py")

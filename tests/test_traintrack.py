@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from util import brute_force_rays, scramble
+from util import brute_force_rays, scramble, sheared_surface
 
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
@@ -87,12 +87,22 @@ class TestRegions:
         assert complementary_regions(track).counts == {6: 1}
 
 
+SHEARED = [
+    pytest.param(
+        lambda build=build, seed=seed: sheared_surface(build(), random.Random(seed)),
+        id=f"{build.__name__}-shear{seed}",
+    )
+    for build in (t2, pillow, octagon)
+    for seed in (7, 8, 9)
+]
+
+
 class TestVertexCurves:
     def test_torus_vertical_curves(self):
         track, _ = dual_track(t2())
         assert sorted(vertex_curves(track)) == [(1, 0, 1), (1, 1, 0)]
 
-    @pytest.mark.parametrize("build", [t2, gold, pillow, octagon])
+    @pytest.mark.parametrize("build", [t2, gold, pillow, octagon, *SHEARED])
     def test_curves_match_brute_force(self, build):
         for direction in ("vertical", "horizontal"):
             track, _ = dual_track(build(), direction)
@@ -100,6 +110,7 @@ class TestVertexCurves:
             got = sorted(vertex_curves(track))
             want = brute_force_rays(rows, len(track.branches))
             assert got == [tuple(int(x) for x in ray) for ray in want]
+            assert all(type(x) is int for curve in got for x in curve)
 
     @pytest.mark.parametrize("build", [t2, gold, pillow, octagon])
     def test_curves_visit_each_branch_at_most_twice(self, build):
@@ -109,15 +120,19 @@ class TestVertexCurves:
 
     def test_extreme_rays_agree_with_oracle_on_random_systems(self):
         rng = random.Random(31)
-        for _ in range(15):
-            n = rng.randint(3, 6)
+        for k in range(40):
+            n = rng.randint(3, 8)
             rows = [
                 [rng.randint(-2, 2) for _ in range(n)]
-                for _ in range(rng.randint(1, 3))
+                for _ in range(rng.randint(1, 5))
             ]
-            got = sorted(extreme_rays_nonneg(rows, n))
-            want = brute_force_rays(rows, n)
-            assert got == want
+            if k % 2:
+                rows.append(list(rng.choice(rows)))
+            if k % 3 == 0:
+                rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+            got = extreme_rays_nonneg(rows, n)
+            assert got == brute_force_rays(rows, n)
+            assert all(type(x) is int for ray in got for x in ray)
 
 
 class TestFilling:
