@@ -23,7 +23,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from veertrack.fixtures import gold, slope_torus
-from veertrack.lab import _height_perturbations, closing_search
+from veertrack.lab import closing_search, perturb_heights
 
 
 def _slope(n: int) -> float:
@@ -58,10 +58,7 @@ def main() -> int:
         for seed in [None] + args.seeds:
             s = build()
             if seed is not None:
-                u = _height_perturbations(s, random.Random(seed))
-                s = s.replace(
-                    periods={e: (s.periods[e].w, s.periods[e].h + args.delta * u[e]) for e in s.edges}
-                )
+                s = perturb_heights(s, random.Random(seed), args.delta)
             res = closing_search(s)
             bad = failed_checks(res, n)
             failures += bool(bad)

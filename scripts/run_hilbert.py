@@ -11,7 +11,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from veertrack.cones import birkhoff_coefficient, compose_word, image_diameter, orthant
+from veertrack.cones import birkhoff_coefficient, compose_word, image_diameter
 from veertrack.fixtures import GOLD_PERIOD_T, gold
 from veertrack.flow import detect_periodicity, run_flow
 from veertrack.lab import hilbert_contraction_experiment
@@ -33,7 +33,7 @@ def main() -> int:
     for k in range(1, args.periods):
         word = tuple(traj.events[match.m : match.m + k * span])
         block = np.array(compose_word(word, branches).tangential, dtype=float)
-        delta = image_diameter(block, orthant(len(branches)))
+        delta = image_diameter(block)
         if math.isfinite(delta):
             print(f"{k}-period block diameter {delta:.6f}, "
                   f"Birkhoff coefficient {birkhoff_coefficient(delta):.6f}")

@@ -3,7 +3,7 @@ surfaces, dual train tracks, and event-driven splitting sequences under the
 diagonal flow."""
 
 from .errors import DegeneracyError, DocumentError, NotFlippableError, VeertrackError
-from .surface import Surface, parse_surface, serialize_surface, validate, area, apply_flow, apply_flow_scale
+from .surface import Surface, parse_surface, serialize_surface, validate, area
 
 __all__ = [
     "DegeneracyError",
@@ -15,8 +15,6 @@ __all__ = [
     "serialize_surface",
     "validate",
     "area",
-    "apply_flow",
-    "apply_flow_scale",
 ]
 
 __version__ = "0.1.0"

@@ -11,13 +11,14 @@ import csv
 import functools
 import json
 import math
+import random
 import sys
 
 from .cones import analyze_periodic_word
 from .delaunay import delaunay_violations, greedy_delaunay, is_veering, linf_scaled
 from .errors import DegeneracyError, DocumentError, VeertrackError
 from .flow import detect_periodicity, next_split, run_flow, thick_fraction
-from .lab import closing_search, contraction_experiment
+from .lab import closing_search, contraction_experiment, perturb_heights
 from .surface import area, parse_surface, rebase, serialize_surface, validate
 from .traintrack import complementary_regions, dual_track, vertex_curves
 
@@ -148,16 +149,11 @@ def cmd_contract(args) -> int:
 
 
 def cmd_close(args) -> int:
+    if not (math.isfinite(args.delta) and args.delta >= 0):
+        raise VeertrackError(f"delta must be finite and nonnegative, not {args.delta}")
     s = rebase(_load(args.input))
     if args.delta:
-        import random
-
-        from .lab import _height_perturbations
-
-        u = _height_perturbations(s, random.Random(args.seed))
-        s = s.replace(
-            periods={e: (s.periods[e].w, s.periods[e].h + args.delta * u[e]) for e in s.edges}
-        )
+        s = perturb_heights(s, random.Random(args.seed), args.delta)
     res = closing_search(s, search_t=args.time)
     doc = {
         "periodic_point": json.loads(serialize_surface(res.surface)),

@@ -1,5 +1,5 @@
-"""Transition matrices of splitting sequences, measure cones, and the
-Hilbert projective metric.
+"""Transition matrices of splitting sequences, and the Hilbert projective
+metric on the positive orthant of measures.
 
 Transverse measures pull back along a split: if the branch e splits and the
 branches l1, l2 lose, the old measure of e equals the new measure of e plus
@@ -160,92 +160,35 @@ def tangential_equivalent(track: TrainTrack, r1, r2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polyhedral cones and the Hilbert metric
+# the Hilbert metric on the positive orthant
 
 
-@dataclass(frozen=True)
-class Cone:
-    """A full-dimensional polyhedral cone in R^n, by generators, facets, or
-    both.  Facet normals f satisfy f . x >= 0 on the cone."""
+def hilbert_distance(x, y) -> float:
+    """Hilbert projective distance on the positive orthant, whose facet
+    functionals are the coordinates: d = log max x_i/y_i + log max y_j/x_j.
 
-    dim: int
-    generators: tuple[tuple[float, ...], ...] = ()
-    facets: tuple[tuple[float, ...], ...] = ()
-
-    def with_facets(self) -> "Cone":
-        if self.facets:
-            return self
-        return Cone(self.dim, self.generators, facets_from_generators(self.generators))
-
-
-def orthant(n: int) -> Cone:
-    basis = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
-    return Cone(n, generators=basis, facets=basis)
-
-
-def facets_from_generators(generators) -> tuple[tuple[float, ...], ...]:
-    """Facet normals of cone(generators): for every (n-1)-subset spanning a
-    hyperplane, keep its normal when all generators lie weakly on one side."""
-    gens = np.asarray(generators, dtype=float)
-    k, n = gens.shape
-    if k < n:
-        raise VeertrackError("cone is not full-dimensional: too few generators")
-    tol = 1e-9 * max(1.0, float(np.abs(gens).max()))
-    found = []
-    for subset in itertools.combinations(range(k), n - 1):
-        a = gens[list(subset)]
-        if np.linalg.matrix_rank(a, tol=tol) < n - 1:
-            continue
-        _, _, vt = np.linalg.svd(a)
-        v = vt[-1]
-        vals = gens @ v
-        if np.all(vals >= -tol):
-            cand = v
-        elif np.all(vals <= tol):
-            cand = -v
-        else:
-            continue
-        cand = cand / np.linalg.norm(cand)
-        if not any(np.allclose(cand, f, atol=1e-8) for f in found):
-            found.append(cand)
-    if len(found) < n:
-        raise VeertrackError("generator set does not span a full-dimensional pointed cone")
-    return tuple(tuple(float(x) for x in f) for f in found)
-
-
-def _facet_values(cone: Cone, x):
-    c = cone.with_facets()
-    xv = np.asarray(x, dtype=float)
-    return np.array([float(np.dot(f, xv)) for f in c.facets])
-
-
-def hilbert_distance(cone: Cone, x, y) -> float:
-    """Hilbert projective distance via facet functionals:
-    d = log max_f f(x)/f(y) + log max_g g(y)/g(x).
-
-    Points on the cone boundary are infinitely far from interior points; the
-    distance is returned as math.inf in that case.  Points outside the cone
-    are an error.
+    Points on the orthant boundary are infinitely far from interior points;
+    the distance is returned as math.inf in that case.  Points outside the
+    orthant are an error.
     """
-    fx, fy = _facet_values(cone, x), _facet_values(cone, y)
+    fx, fy = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     scale = max(1.0, float(np.abs(fx).max()), float(np.abs(fy).max()))
     if fx.min() < -CONE_TOL * scale or fy.min() < -CONE_TOL * scale:
-        raise VeertrackError("point lies outside the cone")
+        raise VeertrackError("point lies outside the positive orthant")
     if fx.min() <= CONE_TOL * scale or fy.min() <= CONE_TOL * scale:
         return math.inf
     return float(np.log(np.max(fx / fy)) + np.log(np.max(fy / fx)))
 
 
-def image_diameter(matrix, cone: Cone, target: Cone | None = None) -> float:
-    """Hilbert diameter of matrix . cone inside target (default: cone).
+def image_diameter(matrix) -> float:
+    """Hilbert diameter of the image of the positive orthant under matrix:
+    the largest distance between two of its columns.
 
-    Infinite when some generator lands on the boundary of the target."""
-    target = (target or cone).with_facets()
-    a = np.asarray(matrix, dtype=float)
-    images = [tuple(a @ np.asarray(g, dtype=float)) for g in cone.generators]
+    Infinite when some column lies on the orthant boundary."""
+    columns = np.asarray(matrix, dtype=float).T
     diam = 0.0
-    for u, v in itertools.combinations(images, 2):
-        d = hilbert_distance(target, u, v)
+    for u, v in itertools.combinations(columns, 2):
+        d = hilbert_distance(u, v)
         if math.isinf(d):
             return math.inf
         diam = max(diam, d)

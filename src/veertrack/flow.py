@@ -96,7 +96,10 @@ def next_split(s: Surface) -> SplitEvent | None:
 
 
 def run_flow(s: Surface, T: float, max_events: int = 10000, verify: str = "debug") -> Trajectory:
-    """Iterate next_split and flip until time T (from s) or max_events."""
+    """Iterate next_split and flip until time T (from s) or max_events; an
+    infinite T flows until max_events."""
+    if not T >= 0:
+        raise VeertrackError(f"time must be nonnegative, not {T}")
     if delaunay_violations(s):
         raise VeertrackError("run_flow needs a certified Delaunay start surface")
     lam_end_f = float(s.lam) * math.exp(2.0 * T)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import image_diameter, orthant, split_transition
+from .cones import image_diameter, split_transition
 from .delaunay import delaunay_violations, flip, greedy_delaunay, other_diagonal
 from .errors import DegeneracyError, VeertrackError
 from .flow import Trajectory, detect_periodicity, next_split, run_flow
@@ -55,9 +55,10 @@ def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float]:
     return edges, vt[sum(sv > tol):], tol
 
 
-def _height_perturbations(s: Surface, rng: random.Random) -> dict:
-    """A random perturbation of the imaginary parts that keeps every triangle
-    closed and preserves the total area to first order."""
+def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
+    """s with its imaginary parts moved by delta along a random unit
+    direction that keeps every triangle closed and preserves the total area
+    to first order."""
     edges, closure_null, tol = _closure_basis(s)
     idx = {e: i for i, e in enumerate(edges)}
     if closure_null.shape[0] == 0:
@@ -85,7 +86,9 @@ def _height_perturbations(s: Surface, rng: random.Random) -> dict:
         raise DegeneracyError("no admissible height perturbation: area constraint is everything")
     u = coeffs @ closure_null
     u = u / np.linalg.norm(u)
-    return {e: float(u[idx[e]]) for e in edges}
+    return s.replace(
+        periods={e: (s.periods[e].w, s.periods[e].h + delta * float(u[idx[e]])) for e in s.edges}
+    )
 
 
 def _stable_distance(s1: Surface, s2: Surface) -> float:
@@ -126,10 +129,7 @@ def contraction_experiment(
     sig_a = [(ev.edge, ev.direction) for ev in base_traj.events]
 
     def one_trial(i: int):
-        rng = random.Random(f"{seed}:{i}")
-        u = _height_perturbations(s, rng)
-        periods = {e: (s.periods[e].w, s.periods[e].h + delta * u[e]) for e in s.edges}
-        sp = s.replace(periods=periods)
+        sp = perturb_heights(s, random.Random(f"{seed}:{i}"), delta)
         try:
             pert_traj = run_flow(sp, total_t, verify="off")
         except (DegeneracyError, VeertrackError):
@@ -192,14 +192,13 @@ def hilbert_contraction_experiment(traj: Trajectory) -> DiameterTrace:
     branches = tuple(sorted(traj.start.edges))
     n = len(branches)
     composed = np.eye(n)
-    cone = orthant(n)
     times, diams = [], []
     for ev in traj.events:
         m = np.array(split_transition(ev, branches).tangential, dtype=float)
         composed = m @ composed
         composed = composed / np.abs(composed).max()
         times.append(ev.t)
-        diams.append(image_diameter(composed, cone))
+        diams.append(image_diameter(composed))
     return DiameterTrace(tuple(times), tuple(diams))
 
 
@@ -294,6 +293,8 @@ def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:
     scaled to unit area.  One certified replay of the word from the point
     checks that it follows the word and measures its recurrence defect.
     """
+    if not (math.isfinite(search_t) and search_t > 0):
+        raise VeertrackError(f"time must be finite and positive, not {search_t}")
     s, _ = greedy_delaunay(rebase(s))
     traj = run_flow(s, search_t, verify="off")
     match = detect_periodicity(traj, rel_tol=0.1)
@@ -325,28 +326,3 @@ def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:
         residual,
         residual < 1e-10,
     )
-
-
-def axis_distance(x: Surface, y: Surface, window: float = 0.5) -> float:
-    """Least relative period distance between flow translates of x and y.
-
-    Both surfaces must live in the same labelled chart; the optimization is
-    over the flow time applied to x within (-window, window)."""
-    from scipy.optimize import minimize_scalar
-
-    if x.triangles != y.triangles:
-        raise VeertrackError("surfaces are in different charts")
-    edges = sorted(x.edges)
-    yw = np.array([float(y.periods[e].w) for e in edges])
-    yh = np.array([float(y.periods[e].h) for e in edges])
-    xw = np.array([float(x.periods[e].w) for e in edges])
-    xh = np.array([float(x.periods[e].h) for e in edges])
-    scale = max(np.abs(yw).max(), np.abs(yh).max())
-
-    def dist(t):
-        f = math.exp(t)
-        return max(np.abs(xw * f - yw).max(), np.abs(xh / f - yh).max()) / scale
-
-    res = minimize_scalar(dist, bounds=(-window, window), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.fun)

@@ -5,10 +5,11 @@ A surface is a list of counterclockwise triangles, each an ordered triple of
 occurrences of an edge determine the gluing; opposite occurrence signs mean a
 translation gluing, equal signs the half-translation one.
 
-The diagonal flow g_t scales (w, h) to (e^t w, e^{-t} h).  In exact mode the
-flow is never applied destructively: the surface keeps rational base periods
-plus the parameter lam = e^{2t}, and every geometric comparison downstream is
-phrased as a comparison rational in lam.
+The diagonal flow g_t scales (w, h) to (e^t w, e^{-t} h).  In both modes a
+surface keeps its base periods plus the flow parameter lam = e^{2t}
+(Surface.replace(lam=...)), and every geometric comparison downstream is
+phrased as a comparison rational in lam; rebase folds lam into the periods
+of a float copy.
 
 Every decision that depends on the number mode is made by NumberMode, whose
 instance a surface holds as s.num: exact mode decides exactly (slack 0, tie
@@ -485,25 +486,6 @@ def area(s: Surface) -> object:
             raise ArithmeticError(f"triangle {t} has non-positive area {a1}")
         total += a1
     return total
-
-
-def apply_flow(s: Surface, t: float) -> Surface:
-    """g_t in float mode: scale the stored periods, keep lam untouched."""
-    if s.num.exact:
-        if t == 0:
-            return s
-        raise ValueError("exact mode flows via apply_flow_scale(s, lam) with rational lam = e^{2t}")
-    et = math.exp(t)
-    periods = {e: (p.w * et, p.h / et) for e, p in s.periods.items()}
-    return s.replace(periods=periods)
-
-
-def apply_flow_scale(s: Surface, lam) -> Surface:
-    """Multiply the flow parameter: lam_new = lam * lam_old, lam = e^{2t}."""
-    lam = s.num.coerce(lam)
-    if not lam > 0:
-        raise ValueError("flow parameter must be positive")
-    return s.replace(lam=s.lam * lam)
 
 
 def rebase(s: Surface) -> Surface:

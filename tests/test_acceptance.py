@@ -26,7 +26,6 @@ from veertrack.cones import (
     compose_word,
     hilbert_distance,
     image_diameter,
-    orthant,
     perron_root,
     reconstruct_from_words,
     split_transition,
@@ -57,7 +56,6 @@ from veertrack.flow import (
     thick_fraction,
 )
 from veertrack.lab import (
-    axis_distance,
     closing_search,
     contraction_experiment,
     hilbert_contraction_experiment,
@@ -175,10 +173,9 @@ class TestCriterion06HilbertFormula:
         rng = random.Random(6)
         for _ in range(1000):
             n = rng.randint(2, 6)
-            cone = orthant(n)
             x = tuple(rng.uniform(0.05, 5.0) for _ in range(n))
             y = tuple(rng.uniform(0.05, 5.0) for _ in range(n))
-            d = hilbert_distance(cone, x, y)
+            d = hilbert_distance(x, y)
             best = 0.0
             for i in range(n):
                 for j in range(n):
@@ -186,22 +183,21 @@ class TestCriterion06HilbertFormula:
             assert abs(d - best) <= 1e-10
 
     def test_log_two_anchor(self):
-        d = hilbert_distance(orthant(2), (1.0, 1.0), (2.0, 1.0))
+        d = hilbert_distance((1.0, 1.0), (2.0, 1.0))
         assert abs(d - math.log(2)) <= 1e-12
 
 
 class TestCriterion07BirkhoffBound:
     def test_random_positive_matrices(self):
         rng = np.random.default_rng(7)
-        cone = orthant(5)
         for _ in range(20):
             m = rng.uniform(0.05, 3.0, size=(5, 5))
-            kappa = birkhoff_coefficient(image_diameter(m, cone))
+            kappa = birkhoff_coefficient(image_diameter(m))
             for _ in range(500):
                 x = rng.uniform(0.05, 5.0, size=5)
                 y = rng.uniform(0.05, 5.0, size=5)
-                before = hilbert_distance(cone, tuple(x), tuple(y))
-                after = hilbert_distance(cone, tuple(m @ x), tuple(m @ y))
+                before = hilbert_distance(tuple(x), tuple(y))
+                after = hilbert_distance(tuple(m @ x), tuple(m @ y))
                 assert after <= kappa * before + 1e-12
 
 
@@ -279,7 +275,7 @@ class TestCriterion11HilbertDecay:
         for k in range(1, 9):
             word = tuple(traj.events[match.m : match.m + k * span])
             block = np.array(compose_word(word, branches).tangential, dtype=float)
-            delta = image_diameter(block, orthant(len(branches)))
+            delta = image_diameter(block)
             if math.isfinite(delta):
                 break
         kappa = birkhoff_coefficient(delta)
@@ -288,6 +284,16 @@ class TestCriterion11HilbertDecay:
 
 
 class TestCriterion12Closing:
+    @staticmethod
+    def _same_point(x, y) -> bool:
+        """Whether x and y share their triangles and every period
+        coordinate within 1e-8 of the largest coordinate of y."""
+        scale = max(max(abs(p.w), abs(p.h)) for p in y.periods.values())
+        gap = max(
+            max(abs(x.periods[e].w - p.w), abs(x.periods[e].h - p.h)) for e, p in y.periods.items()
+        )
+        return x.triangles == y.triangles and gap < 1e-8 * scale
+
     def test_perturbed_starts_land_on_the_axis(self):
         t0 = time.perf_counter()
         reference = closing_search(gold())
@@ -302,9 +308,11 @@ class TestCriterion12Closing:
             res = closing_search(s.replace(periods=periods))
             assert res.converged
             assert abs(res.period_t - 0.9624236501192069) < 1e-6
-            assert axis_distance(res.surface, reference.surface) < 1e-8
+            # closing_search pins its point at the word's last split moment
+            # and scales it to unit area, so closings of one orbit coincide
+            assert self._same_point(res.surface, reference.surface)
             results.append(res)
-        assert axis_distance(results[0].surface, results[1].surface) < 1e-8
+        assert self._same_point(results[0].surface, results[1].surface)
         assert time.perf_counter() - t0 < 30.0
 
 

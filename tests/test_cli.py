@@ -113,6 +113,42 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err.startswith("error: eps must be finite and positive")
 
+    @pytest.mark.parametrize("time", ["nan", "-1"])
+    @pytest.mark.parametrize("command", ["flow", "analyze", "report"])
+    def test_flow_commands_reject_a_time_they_cannot_flow(self, capsys, gold_doc, command, time):
+        assert main([command, "--input", gold_doc, "--time", time]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: time must be nonnegative")
+
+    def test_infinite_time_flows_until_max_events(self, capsys, gold_doc):
+        assert main(["flow", "--input", gold_doc, "--time", "inf", "--max-events", "3"]) == 0
+        assert capsys.readouterr().out.startswith("3 events in time inf\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--time", "0"], "time must be finite and positive"),
+            (["--time", "-1"], "time must be finite and positive"),
+            (["--time", "nan"], "time must be finite and positive"),
+            (["--delta", "nan"], "delta must be finite and nonnegative"),
+            (["--delta", "inf"], "delta must be finite and nonnegative"),
+            (["--delta", "-0.001"], "delta must be finite and nonnegative"),
+        ],
+        ids=["time-0", "time-negative", "time-nan", "delta-nan", "delta-inf", "delta-negative"],
+    )
+    def test_close_rejects_a_time_or_delta_it_cannot_search(self, capsys, gold_doc, argv, message):
+        assert main(["close", "--input", gold_doc, *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {message}")
+
+    def test_close_with_zero_delta_does_not_perturb(self, capsys, gold_doc):
+        assert main(["close", "--input", gold_doc]) == 0
+        plain = capsys.readouterr().out
+        assert main(["close", "--input", gold_doc, "--delta", "0", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_structural_degeneracy_is_exit_2(self, tmp_path):
         reduced, _ = greedy_delaunay(pillow())
         path = tmp_path / "pillow.json"

@@ -1,4 +1,5 @@
-"""Transition matrices, polyhedral cones, Hilbert metric, periodic analysis."""
+"""Transition matrices, the Hilbert metric on the positive orthant, periodic
+analysis."""
 
 import math
 import random
@@ -13,10 +14,8 @@ from veertrack.cones import (
     analyze_periodic_word,
     birkhoff_coefficient,
     compose_word,
-    facets_from_generators,
     hilbert_distance,
     image_diameter,
-    orthant,
     perron_root,
     reconstruct_from_words,
     split_transition,
@@ -28,16 +27,15 @@ from veertrack.flow import detect_periodicity, run_flow
 from veertrack.traintrack import dual_track
 
 
-def cross_ratio_distance(cone, x, y, trials, rng):
-    """Oracle: sup over facet pairs of the log cross-ratio (f(x)g(y))/(f(y)g(x))."""
+def cross_ratio_distance(x, y):
+    """Oracle: sup over coordinate pairs of the log cross-ratio
+    (x_i y_j)/(y_i x_j)."""
     best = 0.0
-    fx = [sum(f * v for f, v in zip(facet, x)) for facet in cone.facets]
-    fy = [sum(f * v for f, v in zip(facet, y)) for facet in cone.facets]
-    for i in range(len(cone.facets)):
-        for j in range(len(cone.facets)):
-            if fy[i] <= 0 or fx[j] <= 0:
+    for i in range(len(x)):
+        for j in range(len(x)):
+            if y[i] <= 0 or x[j] <= 0:
                 return math.inf
-            best = max(best, math.log((fx[i] * fy[j]) / (fy[i] * fx[j])))
+            best = max(best, math.log((x[i] * y[j]) / (y[i] * x[j])))
     return best
 
 
@@ -100,55 +98,43 @@ class TestEquivalence:
 
 class TestHilbert:
     def test_orthant_distance_closed_form(self):
-        cone = orthant(2)
-        assert hilbert_distance(cone, (1.0, 1.0), (2.0, 1.0)) == pytest.approx(
+        assert hilbert_distance((1.0, 1.0), (2.0, 1.0)) == pytest.approx(
             math.log(2), abs=1e-12
         )
 
     def test_boundary_is_infinitely_far(self):
-        cone = orthant(3)
-        assert hilbert_distance(cone, (1.0, 1.0, 1.0), (1.0, 0.0, 1.0)) == math.inf
+        assert hilbert_distance((1.0, 1.0, 1.0), (1.0, 0.0, 1.0)) == math.inf
 
     def test_outside_cone_rejected(self):
         with pytest.raises(VeertrackError):
-            hilbert_distance(orthant(2), (1.0, 1.0), (-1.0, 1.0))
+            hilbert_distance((1.0, 1.0), (-1.0, 1.0))
 
     def test_scale_invariance(self):
-        cone = orthant(4)
         x, y = (1.0, 2.0, 3.0, 4.0), (4.0, 1.0, 2.0, 2.0)
-        d = hilbert_distance(cone, x, y)
-        assert hilbert_distance(cone, tuple(7 * v for v in x), y) == pytest.approx(d)
+        d = hilbert_distance(x, y)
+        assert hilbert_distance(tuple(7 * v for v in x), y) == pytest.approx(d)
 
     def test_facet_formula_matches_cross_ratio_oracle(self):
         rng = random.Random(12)
         for _ in range(50):
             n = rng.randint(2, 5)
-            cone = orthant(n)
             x = tuple(rng.uniform(0.1, 3.0) for _ in range(n))
             y = tuple(rng.uniform(0.1, 3.0) for _ in range(n))
-            d = hilbert_distance(cone, x, y)
-            oracle = cross_ratio_distance(cone, x, y, 0, rng)
+            d = hilbert_distance(x, y)
+            oracle = cross_ratio_distance(x, y)
             assert d == pytest.approx(oracle, abs=1e-10)
-
-    def test_facets_recovered_from_generators(self):
-        gens = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-        facets = facets_from_generators(gens)
-        assert len(facets) == 3
-        for facet in facets:
-            assert all(sum(f * g for f, g in zip(facet, gen)) >= -1e-9 for gen in gens)
 
     def test_birkhoff_bound_on_random_positive_matrices(self):
         rng = np.random.default_rng(7)
-        cone = orthant(4)
         for _ in range(5):
             m = rng.uniform(0.2, 2.0, size=(4, 4))
-            delta = image_diameter(m, cone)
+            delta = image_diameter(m)
             kappa = birkhoff_coefficient(delta)
             for _ in range(200):
                 x = rng.uniform(0.1, 4.0, size=4)
                 y = rng.uniform(0.1, 4.0, size=4)
-                before = hilbert_distance(cone, tuple(x), tuple(y))
-                after = hilbert_distance(cone, tuple(m @ x), tuple(m @ y))
+                before = hilbert_distance(tuple(x), tuple(y))
+                after = hilbert_distance(tuple(m @ x), tuple(m @ y))
                 assert after <= kappa * before + 1e-12
 
     def test_infinite_diameter_coefficient_is_one(self):

@@ -1,10 +1,12 @@
 """Source guards: every top-level function and class of the package, and
 every method of its classes other than the dunder ones, is named somewhere
 besides its own definition; every top-level import of a package module is
-read there or exported; and only surface.py (with the fixtures that build
+read there or exported; every import names the standard library, numpy or
+the package itself; and only surface.py (with the fixtures that build
 surfaces) decides by the number mode's name."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,6 +103,44 @@ def test_import_guard_sees_an_unused_import(tmp_path):
         "def f(x: Fraction):\n    return math.pi\n"
     )
     assert unused_imports(tmp_path) == ["mod.os", "mod._exact"]
+
+
+ALLOWED_IMPORTS = frozenset(sys.stdlib_module_names) | {"numpy", "veertrack"}
+
+
+def foreign_imports(root: Path = ROOT) -> list[str]:
+    """"module: name" for every import in a package module, at top level or
+    nested, of a top-level name outside ALLOWED_IMPORTS; relative imports
+    name the package itself."""
+    found = []
+    for path in sorted((root / "src" / "veertrack").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in ALLOWED_IMPORTS:
+                    found.append(f"{path.stem}: {top}")
+    return found
+
+
+def test_imports_need_only_numpy():
+    assert foreign_imports() == []
+
+
+def test_dependency_guard_sees_a_foreign_import(tmp_path):
+    (tmp_path / "src" / "veertrack").mkdir(parents=True)
+    (tmp_path / "src" / "veertrack" / "mod.py").write_text(
+        "import os.path\nimport numpy as np\nfrom . import surface\n"
+        "from veertrack.flow import run_flow\nfrom yaml import safe_load\n\n\n"
+        "def f():\n    from scipy.optimize import minimize_scalar\n    import sympy, json\n"
+        "    return minimize_scalar\n"
+    )
+    assert foreign_imports(tmp_path) == ["mod: yaml", "mod: scipy", "mod: sympy"]
 
 
 MODE_MODULES = ("surface.py", "fixtures.py")

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 import veertrack.lab as lab
-from veertrack.cones import image_diameter, orthant, split_transition
+from veertrack.cones import image_diameter, split_transition
 from veertrack.errors import VeertrackError
 from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, slope_torus
 from veertrack.flow import run_flow
 from veertrack.lab import (
-    axis_distance,
     closing_search,
     contraction_experiment,
     hilbert_contraction_experiment,
 )
-from veertrack.surface import apply_flow, area
+from veertrack.surface import area
 
 
 def _slope(n: int) -> float:
@@ -26,8 +25,7 @@ def _slope(n: int) -> float:
 
 def _perturbed(s, seed, delta=1e-3):
     """s with its heights moved as `veertrack close --delta` moves them."""
-    u = lab._height_perturbations(s, random.Random(seed))
-    return s.replace(periods={e: (s.periods[e].w, s.periods[e].h + delta * u[e]) for e in s.edges})
+    return lab.perturb_heights(s, random.Random(seed), delta)
 
 
 CLOSING_STARTS = [
@@ -79,9 +77,9 @@ class TestHilbertDecay:
         traj = run_flow(gold(), 5 * GOLD_PERIOD_T)
         seen = []
 
-        def recording(matrix, cone):
+        def recording(matrix):
             seen.append(np.array(matrix))
-            return image_diameter(matrix, cone)
+            return image_diameter(matrix)
 
         monkeypatch.setattr(lab, "image_diameter", recording)
         trace = hilbert_contraction_experiment(traj)
@@ -89,7 +87,7 @@ class TestHilbertDecay:
         composed = np.eye(len(branches))
         for ev, d in zip(traj.events, trace.diameters):
             composed = np.array(split_transition(ev, branches).tangential, dtype=float) @ composed
-            want = image_diameter(composed, orthant(len(branches)))
+            want = image_diameter(composed)
             assert d == want or abs(d - want) <= 1e-9
         assert len(seen) == len(traj.events) == 10
         assert all(m.max() <= 1.0 for m in seen)
@@ -118,10 +116,10 @@ class TestClosing:
         assert result.converged
         assert result.lam_w == pytest.approx(GOLD_DILATATION, abs=1e-9)
 
-    def test_axis_distance_vanishes_along_the_orbit(self):
-        result = closing_search(gold())
-        shifted = apply_flow(result.surface, 0.13)
-        assert axis_distance(result.surface, shifted) < 1e-8
+    @pytest.mark.parametrize("search_t", [0.0, -1.0, math.nan, math.inf])
+    def test_search_window_must_be_finite_and_positive(self, search_t):
+        with pytest.raises(VeertrackError, match="time must be finite and positive"):
+            closing_search(gold(), search_t=search_t)
 
 
 class TestPeriodMatrix:

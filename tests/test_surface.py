@@ -1,6 +1,7 @@
 """Surface data model: parsing, validation, vertices, area, flow."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,6 @@ from veertrack.errors import DocumentError
 from veertrack.fixtures import gold, octagon, pillow, t2
 from veertrack.surface import (
     Surface,
-    apply_flow,
-    apply_flow_scale,
     area,
     parse_surface,
     rebase,
@@ -35,9 +34,9 @@ class TestParsing:
         assert again.mode == "exact"
 
     def test_round_trip_float_with_flow(self):
-        s = apply_flow(gold(), 0.37)
+        s = gold().replace(lam=math.exp(2 * 0.37))
         again = parse_surface(serialize_surface(s))
-        assert again.lam == pytest.approx(s.lam)
+        assert again.lam == pytest.approx(math.exp(2 * 0.37))
         for e in s.edges:
             assert float(again.periods[e].w) == pytest.approx(float(s.periods[e].w))
 
@@ -242,35 +241,36 @@ class TestArea:
 
 
 class TestFlow:
+    """The flow lives in lam = e^{2t}; rebase folds it into the periods."""
+
     @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
     @settings(max_examples=60, deadline=None)
     def test_group_law(self, t1, t2_):
         s = gold()
-        a = apply_flow(apply_flow(s, t1), t2_)
-        b = apply_flow(s, t1 + t2_)
+        a = rebase(rebase(s.replace(lam=math.exp(2 * t1))).replace(lam=math.exp(2 * t2_)))
+        b = rebase(s.replace(lam=math.exp(2 * (t1 + t2_))))
         for e in s.edges:
             assert float(a.periods[e].w) == pytest.approx(float(b.periods[e].w), rel=1e-12)
             assert float(a.periods[e].h) == pytest.approx(float(b.periods[e].h), rel=1e-12)
 
     def test_flow_preserves_area(self):
         s = gold()
-        assert float(area(apply_flow(s, 0.8))) == pytest.approx(float(area(s)), rel=1e-12)
+        assert float(area(rebase(s.replace(lam=math.exp(1.6))))) == pytest.approx(
+            float(area(s)), rel=1e-12
+        )
 
     def test_lazy_scale_matches_effective_periods(self):
         s = t2()
-        flowed = apply_flow_scale(s, Fraction(9, 4))
+        flowed = s.replace(lam=Fraction(9, 4))
         for e in s.edges:
             w_eff, h_eff = flowed.effective_period(e)
             assert w_eff == pytest.approx(float(s.periods[e].w) * 1.5)
             assert h_eff == pytest.approx(float(s.periods[e].h) / 1.5)
 
     def test_rebase_bakes_flow_in(self):
-        s = apply_flow(gold(), 0.41)
+        s = gold().replace(lam=math.exp(0.82))
         r = rebase(s)
         assert float(r.lam) == 1.0
         for e in s.edges:
             assert float(r.periods[e].w) == pytest.approx(s.effective_period(e)[0])
-
-    def test_exact_mode_refuses_destructive_flow(self):
-        with pytest.raises(Exception):
-            apply_flow(t2(), 0.1)
+            assert float(r.periods[e].h) == pytest.approx(s.effective_period(e)[1])
