@@ -47,8 +47,11 @@ DOCUMENTS = {
     "octagonf": lambda: octagon("float"),
     "x2": lambda: _slope(2),
     "x3": lambda: _slope(3),
+    **{f"x{n}": (lambda n=n: _slope(n)) for n in range(5, 9)},
 }
 FLOWING = ("t2", "t2f", "gold", "goldx", "pillow", "x2", "x3")
+# long words LⁿRⁿ: many mirror-image state pairs precede the match
+MIRRORED = ("x5", "x6", "x7", "x8")
 LAB = ("gold", "x2")
 
 
@@ -69,6 +72,9 @@ def invocations() -> list[tuple[list[str], str | None]]:
         out.append((["flow", "--input", doc, "--time", "12"], None))
         out.append((["flow", "--input", doc, "--time", "8", "--csv", "events.csv"], "events.csv"))
         out.append((["analyze", "--input", doc, "--time", "12", "--report", "report.json"], "report.json"))
+    for name in MIRRORED:
+        out.append((["analyze", "--input", f"{name}.json", "--time", "16", "--report", "report.json"], "report.json"))
+    out.append((["analyze", "--input", "gold.json", "--time", "0.5"], None))  # no return
     for name in LAB:
         doc = f"{name}.json"
         out.append((["contract", "--input", doc, "--time", "4", "--trials", "3", "--csv", "decay.csv"], "decay.csv"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .delaunay import delaunay_violations, flip, other_diagonal, quad, slope_sign
 from .errors import DegeneracyError, VeertrackError
@@ -95,18 +96,29 @@ def next_split(s: Surface) -> SplitEvent | None:
     return SplitEvent(thr, e, direction, tuple(sorted(losers)), tuple(sorted(winners)))
 
 
+def lam_after(lam: float, t: float) -> float:
+    """lam * e^{2t} as a float; a product past the float range is infinite."""
+    try:
+        return lam * math.exp(2.0 * t)
+    except OverflowError:
+        return math.inf
+
+
 def run_flow(s: Surface, T: float, max_events: int = 10000, verify: str = "debug") -> Trajectory:
     """Iterate next_split and flip until time T (from s) or max_events; an
-    infinite T flows until max_events."""
+    infinite T, or one whose end lam is past the float range, flows until
+    max_events."""
     if not T >= 0:
         raise VeertrackError(f"time must be nonnegative, not {T}")
+    if not max_events >= 1:
+        raise VeertrackError(f"max-events must be at least 1, not {max_events}")
     if delaunay_violations(s):
         raise VeertrackError("run_flow needs a certified Delaunay start surface")
-    lam_end_f = float(s.lam) * math.exp(2.0 * T)
+    lam_end_f = lam_after(float(s.lam), T)
     events: list[SplitEvent] = []
     surfaces: list[Surface] = []
     cur = s
-    ev = next_split(cur) if max_events > 0 else None
+    ev = next_split(cur)
     while ev is not None and float(ev.threshold) <= lam_end_f:
         at_event = cur.replace(lam=ev.threshold)
         flipped, _ = flip(at_event, ev.edge)
@@ -253,6 +265,60 @@ def _sorted_close(a: list, b: list, bound: float) -> bool:
     return len(a) == len(b) and all(abs(x - y) <= bound for x, y in zip(a, b))
 
 
+class _Signature(NamedTuple):
+    """What detect_periodicity compares of one state, built once per state."""
+
+    eff: dict  # edge -> effective (w, h)
+    lam: float
+    ws: list  # sorted |w|
+    hs: list  # sorted |h|
+    whs: list  # sorted signed w * h
+    bound: float  # rel_tol times the largest coordinate
+    wh_bound: float  # the same tolerance carried to the products w * h
+
+
+def _signature(eff: dict, lam: float, rel_tol: float) -> _Signature:
+    ws, hs, whs = [], [], []
+    for w, h in eff.values():
+        ws.append(abs(w))
+        hs.append(abs(h))
+        whs.append(w * h)
+    ws.sort()
+    hs.sort()
+    whs.sort()
+    top = max(1e-15, *ws[-1:], *hs[-1:])
+    bound = rel_tol * top
+    # see _may_match; the last term allows for the rounding of the products
+    wh_bound = bound * (2 * top + bound) + 1e-12 * (top + bound) ** 2
+    return _Signature(eff, lam, ws, hs, whs, bound, wh_bound)
+
+
+def _may_match(a: _Signature, b: _Signature) -> bool:
+    """False when no signed relabelling carries the periods of b onto those
+    of a within a's tolerance; True does not promise a match."""
+    # A match pairs each edge e of a with an edge of b whose (w, h), after
+    # one sign for the edge and one global sign, differ from those of e by
+    # at most delta_e = rel_tol * scale_e <= a.bound in each coordinate.  So
+    # |w| and |h| differ by at most a.bound, and the product w * h, which
+    # the signs leave alone, by |w a' + h a + a a'| <= delta_e * (|w| + |h|
+    # + delta_e) <= a.bound * (2 * top + a.bound) for the moves a, a' of w
+    # and h, with top the largest coordinate of a.  Pairing two sorted
+    # lists in order never increases the largest difference of any
+    # one-to-one pairing, and float rounding is monotone (wh_bound also
+    # allows for the rounding of the products), so a pair whose sorted
+    # lists differ by more than these bounds has no match.  The
+    # signed products separate a state from its mirror image, which has the
+    # same |w| and |h|.  The extreme entries are compared first: they reject
+    # most pairs.
+    if abs(a.ws[-1] - b.ws[-1]) > a.bound or abs(a.whs[0] - b.whs[0]) > a.wh_bound:
+        return False
+    return (
+        _sorted_close(a.ws, b.ws, a.bound)
+        and _sorted_close(a.hs, b.hs, a.bound)
+        and _sorted_close(a.whs, b.whs, a.wh_bound)
+    )
+
+
 def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch | None:
     """Find state indices m < m' whose surfaces recur as marked surfaces.
 
@@ -263,37 +329,36 @@ def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch
 
     Pairs are tried by increasing span, then increasing m, and the first
     match is returned.  Two periods match when they differ by at most
-    rel_tol times the larger of |w| and |h| of the edge of state m.  The
-    backtracking isomorphism search runs only on pairs whose sorted |w| and
-    sorted |h| lists agree entrywise within rel_tol times the largest
-    coordinate of state m; that test never rejects a pair that matches.
+    rel_tol times the larger of |w| and |h| of the edge of state m.  Each
+    state's signature (its sorted |w|, sorted |h| and sorted signed w * h)
+    is built once; the backtracking isomorphism search runs only on pairs
+    whose signatures agree entrywise within the tolerance that a match
+    implies (see _may_match), a test that never rejects a pair that matches.
+    On the slope torus x_n, whose word is LⁿRⁿ, the state n events on is
+    the mirror image of the current one, with the same sorted |w| and |h|;
+    its signed products differ, and the search runs on the matching pair
+    alone.
     """
     states = traj.states()
-    eff = [{e: s.effective_period(e) for e in s.edges} for s in states]
-    # A match pairs each edge e of m with an edge of m2 whose |w| and |h|
-    # differ from those of e by at most rel_tol * scale_e <= bound[m].
-    # Pairing two sorted lists in order never increases the largest
-    # difference of any one-to-one pairing, and float rounding is monotone,
-    # so a pair whose sorted lists differ by more than bound[m] has no match.
-    ws = [sorted(abs(w) for w, _ in p.values()) for p in eff]
-    hs = [sorted(abs(h) for _, h in p.values()) for p in eff]
-    bound = [rel_tol * max([1e-15] + w[-1:] + h[-1:]) for w, h in zip(ws, hs)]
-    for span in range(1, len(states)):
-        for m in range(0, len(states) - span):
+    sigs = [
+        _signature({e: s.effective_period(e) for e in s.periods}, float(s.lam), rel_tol)
+        for s in states
+    ]
+    for span in range(1, len(sigs)):
+        for m in range(0, len(sigs) - span):
             m2 = m + span
-            lam_w = math.sqrt(float(states[m2].lam) / float(states[m].lam))
-            if not lam_w > 1 + 1e-9:
+            a, b = sigs[m], sigs[m2]
+            if not _may_match(a, b):
                 continue
-            if not (
-                _sorted_close(ws[m], ws[m2], bound[m]) and _sorted_close(hs[m], hs[m2], bound[m])
-            ):
+            lam_w = math.sqrt(b.lam / a.lam)
+            if not lam_w > 1 + 1e-9:
                 continue
             for sigma in _triangle_isomorphisms(states[m], states[m2]):
                 glob = None
                 good = True
                 for e, (e2, f) in sigma.items():
-                    w1, h1 = eff[m][e]
-                    w2, h2 = f * eff[m2][e2][0], f * eff[m2][e2][1]
+                    w1, h1 = a.eff[e]
+                    w2, h2 = f * b.eff[e2][0], f * b.eff[e2][1]
                     scale = max(abs(w1), abs(h1), 1e-15)
                     if glob is None:
                         if abs(abs(w1) - abs(w2)) > rel_tol * scale:

@@ -19,7 +19,7 @@ import numpy as np
 from .cones import image_diameter, split_transition
 from .delaunay import delaunay_violations, flip, greedy_delaunay, other_diagonal
 from .errors import DegeneracyError, VeertrackError
-from .flow import Trajectory, detect_periodicity, next_split, run_flow
+from .flow import Trajectory, detect_periodicity, lam_after, next_split, run_flow
 from .surface import Surface, area, edge_occurrences, exchange_diagonal, quad_sides, rebase
 
 
@@ -123,6 +123,8 @@ def contraction_experiment(
     for name, value in (("time", total_t), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
             raise VeertrackError(f"{name} must be finite and positive, not {value}")
+    if not trials >= 1:
+        raise VeertrackError(f"trials must be at least 1, not {trials}")
     s, _ = greedy_delaunay(rebase(s))
     times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
     base_traj = run_flow(s, total_t, verify="off")
@@ -163,7 +165,7 @@ def contraction_experiment(
 def _state_at(traj: Trajectory, t: float) -> Surface:
     """The surface of traj at time t past its start, in the chart current
     there."""
-    lam = float(traj.start.lam) * math.exp(2.0 * t)
+    lam = lam_after(float(traj.start.lam), t)
     state = traj.start
     for ev, srf in zip(traj.events, traj.surfaces):
         if float(ev.threshold) <= lam:

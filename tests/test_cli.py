@@ -126,6 +126,39 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("3 events in time inf\n")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--time", "3", "--max-events", "-5"],
+            ["flow", "--time", "3", "--max-events", "0"],
+            ["analyze", "--time", "5", "--max-events", "0"],
+        ],
+        ids=["flow-negative", "flow-0", "analyze-0"],
+    )
+    def test_flow_commands_reject_max_events_below_one(self, capsys, gold_doc, argv):
+        assert main([*argv, "--input", gold_doc]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: max-events must be at least 1")
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_contract_rejects_trials_below_one(self, capsys, gold_doc, trials):
+        assert main(["contract", "--input", gold_doc, "--time", "2", "--trials", trials]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: trials must be at least 1")
+
+    @pytest.mark.parametrize("command", ["flow", "analyze", "report", "contract", "close"])
+    def test_time_past_the_float_range_flows_as_infinite_time(self, capsys, gold_doc, command):
+        # e^{2T} overflows from T of about 355 up; float gold then flows
+        # until its float degeneracy at t of about 19, as --time inf does
+        assert main([command, "--input", gold_doc, "--time", "400"]) == 2
+        err = capsys.readouterr().err
+        assert err == "degeneracy: edge e2: new diagonal is axis-parallel\n"
+        if command in ("flow", "analyze", "report"):
+            assert main([command, "--input", gold_doc, "--time", "inf"]) == 2
+            assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["--time", "0"], "time must be finite and positive"),

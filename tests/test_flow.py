@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from util import exact_trajectory_prefix
 
@@ -21,6 +23,8 @@ from veertrack.fixtures import (
 from veertrack.delaunay import greedy_delaunay, other_diagonal
 from veertrack.flow import (
     PeriodicMatch,
+    _may_match,
+    _signature,
     _triangle_isomorphisms,
     detect_periodicity,
     next_split,
@@ -93,6 +97,18 @@ class TestRunFlow:
     def test_max_events_cap(self):
         traj = run_flow(gold(), 50.0, max_events=7)
         assert len(traj.events) == 7
+
+    @pytest.mark.parametrize("max_events", [0, -5])
+    def test_max_events_below_one_is_refused(self, max_events):
+        with pytest.raises(VeertrackError, match="max-events must be at least 1"):
+            run_flow(gold(), 3.0, max_events=max_events)
+
+    def test_end_past_the_float_range_flows_as_infinite_time(self):
+        # e^{2T} overflows from T of about 355 up
+        assert flow.lam_after(1.0, 400.0) == math.inf
+        assert run_flow(gold(), 400.0, max_events=5).events == run_flow(
+            gold(), math.inf, max_events=5
+        ).events
 
     @pytest.mark.parametrize(
         "verify, max_events, extra",
@@ -225,6 +241,8 @@ def _slope(n):
 REFERENCE_TRAJECTORIES = {
     **{f"x{n}": (lambda n=n: run_flow(slope_torus(_slope(n)), 3 * math.log(_slope(n) ** 2)))
        for n in range(1, 5)},
+    # longer words, so more mirror-image pairs precede the match
+    **{f"x{n}": (lambda n=n: run_flow(slope_torus(_slope(n)), 16.0)) for n in range(5, 9)},
     "gold": lambda: run_flow(gold(), 4 * GOLD_PERIOD_T),
     "gold-perturbed": lambda: run_flow(_perturbed_gold(), 5.0, verify="off"),
     "gold-no-return": lambda: run_flow(gold(), 0.8 * GOLD_PERIOD_T),
@@ -260,3 +278,96 @@ class TestPeriodicityAgainstReference:
         rel_tol = tightest * (1 + 1e-9)
         assert _reference_detect_periodicity(traj, rel_tol) == match
         assert detect_periodicity(traj, rel_tol=rel_tol) == match
+
+
+class TestPeriodicitySearchCount:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_isomorphism_search_runs_once_per_call(self, monkeypatch, n):
+        # x_n at n events on is the mirror image of x_n, with the same sorted
+        # |w| and |h|: only the signed products keep those pairs from the
+        # search
+        calls = 0
+
+        def counting(s1, s2):
+            nonlocal calls
+            calls += 1
+            yield from _triangle_isomorphisms(s1, s2)
+
+        monkeypatch.setattr(flow, "_triangle_isomorphisms", counting)
+        for window in (8.0, 10.0, 12.0, 14.0, 15.9):
+            traj = run_flow(slope_torus(_slope(n)), window)
+            calls = 0
+            match = detect_periodicity(traj)
+            assert (match.m, match.m2) == (1, 1 + 2 * n)
+            assert calls == 1
+
+
+def _noisy_copy(periods, noise, signs, order, rel_tol):
+    """State m's effective periods, and a copy relabelled by order with one
+    sign per edge whose coordinates differ by the fractions noise of
+    rel_tol * scale_e, clamped so that the match test of detect_periodicity
+    accepts them."""
+    eff1 = {f"e{i}": p for i, p in enumerate(periods)}
+    eff2 = {}
+    for (w, h), (a, b), sg, j in zip(periods, noise, signs, order):
+        tol = rel_tol * max(abs(w), abs(h), 1e-15)
+        moved = []
+        for x, frac in ((w, a), (h, b)):
+            y = x + frac * tol
+            while abs(y - x) > tol:
+                y = math.nextafter(y, x)
+            moved.append(y)
+        eff2[f"e{j}"] = (sg * moved[0], sg * moved[1])
+    return eff1, eff2
+
+
+_COORD = st.one_of(st.just(0.0), st.floats(1e-3, 1e3)).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+_NOISE = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+
+
+class TestSignatureFilter:
+    @pytest.mark.parametrize(
+        "periods, noise",
+        [
+            # the extreme: |w| = |h| = the largest coordinate, both moved the
+            # full tolerance outwards, so w * h moves by exactly
+            # bound * (2 * top + bound) (every number here is exact)
+            ([(1.0, 1.0), (0.5, -0.25), (-0.5, -0.75)], [(1, 1), (0, 0), (0, 0)]),
+            ([(-1.0, 1.0), (0.5, -0.25), (-0.5, -0.75)], [(-1, 1), (0, 0), (0, 0)]),
+            ([(2.0, 2.0), (1.0, -2.0), (-1.0, -1.0)], [(1, 1), (-1, 1), (1, -1)]),
+        ],
+    )
+    @pytest.mark.parametrize("rel_tol", [0.125, 0.5])
+    def test_extreme_noise_is_let_through(self, periods, noise, rel_tol):
+        n = len(periods)
+        eff1, eff2 = _noisy_copy(periods, noise, [1] * n, list(range(n)), rel_tol)
+        assert all(
+            abs(eff2[e][k] - eff1[e][k]) == rel_tol * max(map(abs, eff1[e])) * abs(nz[k])
+            for e, nz in zip(eff1, noise)
+            for k in (0, 1)
+        )
+        assert _may_match(_signature(eff1, 1.0, rel_tol), _signature(eff2, 1.0, rel_tol))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 9),
+        rel_tol=st.sampled_from([1e-9, 1e-5, 1e-4, 1e-2, 0.1, 0.125, 0.5]),
+    )
+    def test_a_signed_relabelled_copy_is_never_rejected(self, data, n, rel_tol):
+        periods = data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n))
+        noise = data.draw(st.lists(st.tuples(_NOISE, _NOISE), min_size=n, max_size=n))
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+        eff1, eff2 = _noisy_copy(periods, noise, signs, order, rel_tol)
+        assert _may_match(_signature(eff1, 1.0, rel_tol), _signature(eff2, 1.0, rel_tol))
+
+    def test_the_mirror_image_is_rejected(self):
+        # (w, h) -> (-w, h) keeps every |w| and |h| but flips each product
+        eff1 = {"a": (1.0, 2.0), "b": (-0.5, 0.25), "c": (0.5, 2.25)}
+        eff2 = {e: (-w, h) for e, (w, h) in eff1.items()}
+        a, b = _signature(eff1, 1.0, 1e-9), _signature(eff2, 1.0, 1e-9)
+        assert (a.ws, a.hs) == (b.ws, b.hs)
+        assert not _may_match(a, b)
