@@ -20,6 +20,7 @@ import os
 import pathlib
 import sys
 import tempfile
+from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -37,6 +38,17 @@ def _exact_gold():
     return Surface(g.triangles, g.periods, "exact")
 
 
+def _t2_shear():
+    """t2 sheared by (w, h) -> (w + 11h/100, 9w/100 + h): valid, but its
+    Delaunay violation e3 flips before the first split."""
+    periods = {
+        "e1": (Fraction(1033, 1000), Fraction(39, 100)),
+        "e2": (Fraction(-29, 100), Fraction(241, 250)),
+        "e3": (Fraction(-743, 1000), Fraction(-677, 500)),
+    }
+    return t2().replace(periods=periods)
+
+
 DOCUMENTS = {
     "t2": t2,
     "t2f": lambda: t2("float"),
@@ -48,6 +60,7 @@ DOCUMENTS = {
     "x2": lambda: _slope(2),
     "x3": lambda: _slope(3),
     **{f"x{n}": (lambda n=n: _slope(n)) for n in range(5, 9)},
+    "t2shear": _t2_shear,
 }
 FLOWING = ("t2", "t2f", "gold", "goldx", "pillow", "x2", "x3")
 # long words LⁿRⁿ: many mirror-image state pairs precede the match
@@ -62,6 +75,7 @@ def invocations() -> list[tuple[list[str], str | None]]:
         doc = f"{name}.json"
         out.append((["validate", "--input", doc], None))
         out.append((["report", "--input", doc, "--time", "3"], None))
+        out.append((["report", "--input", doc], None))
         out.append((["delaunay", "--input", doc, "--emit-flips", "flips.csv"], "flips.csv"))
         out.append((["delaunay", "--input", doc, "--output", "reduced.json"], "reduced.json"))
         for direction in ("vertical", "horizontal"):

@@ -1,109 +1,66 @@
-"""Tiny exact linear algebra over Fraction.
+"""Tiny exact linear algebra over Python ints.
 
-Just enough for determinants, ranks, kernels and span membership at desk
-scale (dimensions well under a hundred).  Matrices are sequences of rows;
-vectors are sequences.
+One fraction-free (Bareiss) elimination answers rank, determinant and span
+membership at desk scale (dimensions well under a hundred).  Matrices are
+sequences of integer rows; vectors are sequences.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Sequence
 
 
-def mat_det(a: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination over Fraction."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+def _eliminate(a: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free row echelon form of an integer matrix.
 
-
-def rref(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    if not a:
-        return [], []
-    rows = [[Fraction(x) for x in row] for row in a]
-    ncols = len(rows[0])
+    Returns (pivot columns, sign of the row swaps, last pivot).  Every entry
+    after step k is a (k+1)-minor of a, so each division by the previous
+    pivot is exact (Sylvester's identity); on a square matrix of full rank
+    the last pivot is the determinant up to the swap sign.
+    """
+    rows = [list(row) for row in a]
+    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
+    sign, prev = 1, 1
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == len(rows):
             break
-    return rows, pivots
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return pivots, sign, prev
 
 
-def rank(a: Sequence[Sequence]) -> int:
-    return len(rref(a)[1])
+def rank(a: Sequence[Sequence[int]]) -> int:
+    return len(_eliminate(a)[0])
 
 
-def kernel_basis(a: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel of a (rows are constraints)."""
-    if not a:
-        n = ncols or 0
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    n = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+def mat_det(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    pivots, sign, last = _eliminate(a)
+    return sign * last if len(pivots) == len(a) else 0
 
 
-def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """Whether target lies in the linear span of the given vectors (exact)."""
-    if all(x == 0 for x in target):
+def in_span(vectors: Sequence[Sequence[int]], target: Sequence) -> bool:
+    """Whether a rational target lies in the linear span of the given
+    integer vectors (exact)."""
+    if not any(target):
         return True
     if not vectors:
         return False
-    rows = [list(v) for v in vectors]
-    return rank(rows) == rank(rows + [list(target)])
-
-
-def scale_to_integers(v: Sequence[Fraction]) -> list[int]:
-    """Smallest positive integer multiple of a rational vector."""
-    from math import gcd, lcm
-
-    fracs = [Fraction(x) for x in v]
-    den = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+    den = math.lcm(*(x.denominator for x in target))
+    scaled = [x.numerator * (den // x.denominator) for x in target]
+    return rank(vectors) == rank([*vectors, scaled])

@@ -32,6 +32,17 @@ def _load(path: str):
     return parse_surface(text)
 
 
+def _load_valid(path: str):
+    """_load, refusing a document that fails validation with its first
+    violation."""
+    s = _load(path)
+    report = validate(s)
+    if not report.passed:
+        rule, where, detail = report.violations[0]
+        raise DocumentError(f"violation [{rule}] {where}: {detail}")
+    return s
+
+
 def cmd_validate(args) -> int:
     s = _load(args.input)
     report = validate(s)
@@ -81,7 +92,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    s, _ = greedy_delaunay(_load(args.input))
+    s, _ = greedy_delaunay(_load_valid(args.input))
     traj = run_flow(s, args.time, max_events=args.max_events)
     print(f"{len(traj.events)} events in time {args.time}")
     rows = []
@@ -102,7 +113,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    s, _ = greedy_delaunay(_load(args.input))
+    s, _ = greedy_delaunay(_load_valid(args.input))
     traj = run_flow(s, args.time, max_events=args.max_events)
     match = detect_periodicity(traj)
     if match is None:
@@ -131,7 +142,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    s = _load(args.input)
+    s = _load_valid(args.input)
     fit = contraction_experiment(
         s, args.time, trials=args.trials, delta=args.delta, seed=args.seed
     )
@@ -151,7 +162,7 @@ def cmd_contract(args) -> int:
 def cmd_close(args) -> int:
     if not (math.isfinite(args.delta) and args.delta >= 0):
         raise VeertrackError(f"delta must be finite and nonnegative, not {args.delta}")
-    s = rebase(_load(args.input))
+    s = rebase(_load_valid(args.input))
     if args.delta:
         s = perturb_heights(s, random.Random(args.seed), args.delta)
     res = closing_search(s, search_t=args.time)
@@ -190,15 +201,15 @@ def cmd_report(args) -> int:
             track, _ = dual_track(s, direction)
             census = complementary_regions(track)
             doc[f"{direction}_regions"] = {str(k): v for k, v in sorted(census.counts.items())}
-        ev = next_split(s)
+        reduced, _ = greedy_delaunay(s)
+        traj = run_flow(reduced, args.time) if args.time else None
+        ev = next_split(reduced)
         doc["next_split"] = (
             None if ev is None else {"edge": ev.edge, "t": ev.t, "direction": ev.direction}
         )
-        if args.time:
-            traj = run_flow(greedy_delaunay(s)[0], args.time)
-            stats = thick_fraction(traj, args.eps)
+        if traj is not None:
             doc["events"] = len(traj.events)
-            doc["thick_fraction"] = stats.theta
+            doc["thick_fraction"] = thick_fraction(traj, args.eps).theta
     print(json.dumps(doc, indent=2))
     return 0 if rep.passed else 1
 

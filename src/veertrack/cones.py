@@ -50,7 +50,7 @@ class TransitionPair:
         return len(self.branches)
 
     def det(self) -> int:
-        return int(mat_det(self.transverse))
+        return mat_det(self.transverse)
 
     def nonneg_shift(self) -> bool:
         """Whether M - I is entrywise nonnegative."""
@@ -154,8 +154,6 @@ def tangential_equivalent(track: TrainTrack, r1, r2) -> bool:
     by an element of V(tau), the span of the switch rows
     1_large - 1_small - 1_small."""
     diff = [Fraction(a) - Fraction(b) for a, b in zip(r1, r2)]
-    if all(x == 0 for x in diff):
-        return True
     return in_span(track.switch_matrix(), diff)
 
 

@@ -79,7 +79,6 @@ class FlipRecord:
     old_edge: str
     old_period: tuple
     new_period: tuple
-    quad: tuple[tuple[str, int], ...]
 
 
 def build_quad(s: Surface, e: str) -> Quad:
@@ -137,15 +136,12 @@ def is_delaunay(s: Surface) -> bool:
 
 def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
     """Replace e by the other diagonal of its quadrilateral; e keeps its label."""
-    q = quad(s, e)
-    va, vb, vc, vd = q.vectors
-    if not (cross(vb, vc) > 0 and cross(vd, va) > 0):
+    new_p, flippable = other_diagonal(s, e)
+    if not flippable:
         raise NotFlippableError(f"edge {e}: quadrilateral is not convex")
-    new_p = (vb[0] + vc[0], vb[1] + vc[1])
-    if s.num.axis_parallel(new_p):
-        raise DegeneracyError(f"edge {e}: new diagonal is axis-parallel")
+    q = quad(s, e)
     old = s.periods[e]
-    rec = FlipRecord(e, (old.w, old.h), new_p, q.sides)
+    rec = FlipRecord(e, (old.w, old.h), new_p)
     return s.exchanged(e, q.t1, q.t2, q.sides, new_p), rec
 
 

@@ -222,10 +222,10 @@ def _triangle_isomorphisms(s1: Surface, s2: Surface):
     for t0 in range(len(tris2)):
         for rot in range(3):
             sigma: dict[str, tuple[str, int]] = {}
+            used: set[str] = set()
             tri_map = {0: (t0, rot)}
             stack = [0]
             ok = True
-            seen_tri = {0}
             while stack and ok:
                 t = stack.pop()
                 tt, rr = tri_map[t]
@@ -238,10 +238,11 @@ def _triangle_isomorphisms(s1: Surface, s2: Surface):
                             ok = False
                             break
                     else:
-                        if any(v[0] == e2 for v in sigma.values()):
+                        if e2 in used:
                             ok = False
                             break
                         sigma[e] = (e2, f)
+                        used.add(e2)
                     # propagate to the neighbor triangle across e
                     for tn, jn, _ in occ1[e]:
                         if tn == t and jn == i:
@@ -254,9 +255,7 @@ def _triangle_isomorphisms(s1: Surface, s2: Surface):
                                     ok = False
                             else:
                                 tri_map[tn] = (tn2, (jn2 - jn) % 3)
-                                if tn not in seen_tri:
-                                    seen_tri.add(tn)
-                                    stack.append(tn)
+                                stack.append(tn)
             if ok and len(tri_map) == len(tris1) and len(sigma) == len(s1.periods):
                 yield sigma
 

@@ -163,7 +163,8 @@ class Surface:
     def effective_period(self, e: str) -> tuple[float, float]:
         """Flowed period as floats; for display and float-mode geometry."""
         p = self.periods[e]
-        return (float(p.w) * self.sigma, float(p.h) / self.sigma)
+        sig = self.sigma
+        return (float(p.w) * sig, float(p.h) / sig)
 
     def replace(self, triangles=None, periods=None, lam=None) -> "Surface":
         """A copy with the given fields replaced; a copy with a new lam alone
@@ -491,6 +492,5 @@ def area(s: Surface) -> object:
 def rebase(s: Surface) -> Surface:
     """Fold the flow parameter into the stored periods of a float-mode copy;
     the one place a surface leaves exact mode on purpose."""
-    sig = s.sigma
-    periods = {e: (float(p.w) * sig, float(p.h) / sig) for e, p in s.periods.items()}
+    periods = {e: s.effective_period(e) for e in s.periods}
     return Surface(s.triangles, periods, "float")

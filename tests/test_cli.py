@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from util import sheared_surface
+
 from veertrack.cli import main
-from veertrack.delaunay import greedy_delaunay
-from veertrack.fixtures import GOLD_PERIOD_T, gold, pillow, t2
-from veertrack.flow import run_flow
+from veertrack.delaunay import delaunay_violations, greedy_delaunay
+from veertrack.fixtures import GOLD_PERIOD_T, gold, octagon, pillow, t2
+from veertrack.flow import next_split, run_flow
 from veertrack.surface import Surface, serialize_surface
 
 
@@ -187,6 +190,54 @@ class TestExitCodes:
         path = tmp_path / "pillow.json"
         path.write_text(serialize_surface(reduced))
         assert main(["flow", "--input", str(path), "--time", "2.0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["flow", "--time", "3"], ["analyze", "--time", "12"], ["contract", "--time", "2"], ["close"]],
+        ids=["flow", "analyze", "contract", "close"],
+    )
+    def test_flow_commands_refuse_an_invalid_surface(self, capsys, tmp_path, argv):
+        # e1 = (1, 1) opens both triangles of gold
+        doc = json.loads(serialize_surface(gold()))
+        doc["edges"]["e1"] = [1, 1]
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: violation [zero-sum] triangle 0: ")
+
+    def test_flow_refuses_an_empty_surface(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"mode": "exact", "edges": {}, "triangles": []}))
+        assert main(["flow", "--input", str(path), "--time", "3"]) == 1
+        assert capsys.readouterr().err == "error: violation [empty] surface: no triangles\n"
+
+    def test_report_reads_the_next_split_off_the_delaunay_surface(self, capsys, tmp_path):
+        s = sheared_surface(t2(), random.Random(20))
+        assert delaunay_violations(s) == ["e3"]
+        path = tmp_path / "shear.json"
+        path.write_text(serialize_surface(s))
+        assert main(["report", "--input", str(path)]) == 0
+        split = json.loads(capsys.readouterr().out)["next_split"]
+        ev = next_split(greedy_delaunay(s)[0])
+        assert split == {"edge": "e3", "t": ev.t, "direction": ev.direction}
+        assert main(["flow", "--input", str(path), "--time", "1"]) == 0
+        first = capsys.readouterr().out.splitlines()[1].split(",")
+        assert (first[3], float(first[2])) == ("e3", ev.t)
+
+    @pytest.mark.parametrize("build", [pillow, octagon])
+    def test_report_on_a_tied_first_split_is_exit_2(self, capsys, tmp_path, build):
+        path = tmp_path / "tied.json"
+        path.write_text(serialize_surface(build()))
+        assert main(["report", "--input", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("degeneracy: simultaneous split events on ")
+        assert main(["flow", "--input", str(path), "--time", "3"]) == 2
+        assert capsys.readouterr().err == out.err
+        # a bad argument is still reported before the tie
+        assert main(["report", "--input", str(path), "--time", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: time must be nonnegative")
 
 
 class TestArtifacts:

@@ -4,10 +4,10 @@ exact trajectory prefixes, and brute-force oracles."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from veertrack._exact import kernel_basis
 from veertrack.delaunay import build_quad, flip, greedy_delaunay, other_diagonal
 from veertrack.errors import DegeneracyError, NotFlippableError, VeertrackError
 from veertrack.fixtures import octagon, t2
@@ -103,12 +103,72 @@ def scramble(s: Surface, rng: random.Random, flips: int = 8) -> Surface:
     return cur
 
 
+def rref(a):
+    """Reduced row echelon form over Fraction; returns (matrix, pivot
+    column indices).  The oracles' own elimination, sharing no code with
+    the integer elimination in veertrack._exact."""
+    if not a:
+        return [], []
+    rows = [[Fraction(x) for x in row] for row in a]
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def kernel_basis(a, ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right kernel of a (rows are constraints)."""
+    if not a:
+        n = ncols or 0
+        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    n = len(a[0])
+    red, pivots = rref(a)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def scale_to_integers(v) -> list[int]:
+    """Smallest positive integer multiple of a rational vector."""
+    fracs = [Fraction(x) for x in v]
+    den = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
+    ints = [int(f * den) for f in fracs]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    if g:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x != 0), 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return ints
+
+
 def brute_force_rays(rows, n):
     """Support-enumeration oracle for the extreme rays of {x >= 0, Ax = 0}:
     a support is extreme when the kernel restricted to it is one strictly
     positive line and no smaller support works."""
-    from veertrack._exact import scale_to_integers
-
     found = []
     for size in range(1, n + 1):
         for support in itertools.combinations(range(n), size):
