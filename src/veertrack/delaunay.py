@@ -9,6 +9,7 @@ the comparison of max(lam |w|, |h|), which stays rational in exact mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegeneracyError, NotFlippableError, VeertrackError
 from .surface import Surface, cross, quad_sides
@@ -57,8 +58,7 @@ def is_veering(s: Surface) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Quad:
+class Quad(NamedTuple):
     """The quadrilateral around an interior edge, developed into one chart.
 
     Sides run a, b, c, d counterclockwise; the present diagonal joins the
@@ -83,33 +83,47 @@ class FlipRecord:
 
 def build_quad(s: Surface, e: str) -> Quad:
     t1, t2, sides = quad_sides(s.triangles, s.occurrences(), e)
-    vecs = tuple((sg * s.periods[eid].w, sg * s.periods[eid].h) for eid, sg in sides)
-    return Quad(e, t1, t2, sides, vecs)
+    periods = s.periods
+    vecs = []
+    for eid, sg in sides:
+        p = periods[eid]
+        vecs.append((sg * p.w, sg * p.h))
+    return Quad(e, t1, t2, sides, tuple(vecs))
+
+
+def _quad_table(s: Surface) -> dict:
+    """edge -> (quad, other diagonal, flippable flag, axis-parallel error
+    message or None), built in one pass over the edges of s."""
+    slack = s.num.slack(1e-12)
+    axis_parallel = s.num.axis_parallel
+    table = {}
+    for e in s.periods:
+        q = build_quad(s, e)
+        va, vb, vc, vd = q.vectors
+        diag = (vb[0] + vc[0], vb[1] + vc[1])
+        # zero cross product: one of the would-be triangles is flat, which
+        # happens structurally when the two triangles share a second edge
+        # (a flat cylinder); the diagonal exchange is illegal there
+        flippable = cross(vb, vc) > slack and cross(vd, va) > slack
+        error = None
+        if flippable and axis_parallel(diag):
+            error = f"edge {e}: new diagonal is axis-parallel"
+        table[e] = (q, diag, flippable, error)
+    return table
 
 
 def quad(s: Surface, e: str) -> Quad:
     """build_quad(s, e), built once for s and its lam-only copies."""
-    return s.cached(("quad", e), build_quad, e)
+    return s.cached("quads", _quad_table)[e][0]
 
 
 def other_diagonal(s: Surface, e: str):
     """(diagonal period vector, flippable flag) for the quadrilateral of e,
-    computed once for s and its lam-only copies."""
-    return s.cached(("diagonal", e), _other_diagonal, e)
-
-
-def _other_diagonal(s: Surface, e: str):
-    q = quad(s, e)
-    va, vb, vc, vd = q.vectors
-    diag = (vb[0] + vc[0], vb[1] + vc[1])
-    c1, c2 = cross(vb, vc), cross(vd, va)
-    # zero cross product: one of the would-be triangles is flat, which
-    # happens structurally when the two triangles share a second edge
-    # (a flat cylinder); the diagonal exchange is illegal there
-    slack = s.num.slack(1e-12)
-    flippable = c1 > slack and c2 > slack
-    if flippable and s.num.axis_parallel(diag):
-        raise DegeneracyError(f"edge {e}: new diagonal is axis-parallel")
+    computed once for s and its lam-only copies; DegeneracyError, on every
+    call, when e is flippable and the diagonal is axis-parallel."""
+    _, diag, flippable, error = s.cached("quads", _quad_table)[e]
+    if error is not None:
+        raise DegeneracyError(error)
     return diag, flippable
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .delaunay import delaunay_violations, flip, other_diagonal, quad, slope_sign
 from .errors import DegeneracyError, VeertrackError
 from .surface import Surface
-from .traintrack import TrainTrack, dual_track, large_slots, split_roles, vertex_curves
+from .traintrack import dual_track, large_slots, split_roles, vertex_curves
 
 FLOAT_EVENT_TIE = 1e-12
 
@@ -57,12 +57,16 @@ class ThickStats:
     theta: float
 
 
+def _large_edges(s: Surface) -> list[str]:
+    """The sorted edges of s that are the large side of both their
+    triangles in the vertical track."""
+    sides = sorted(tri[ls][0] for tri, ls in zip(s.triangles, large_slots(s, "vertical")))
+    return [e for e, f in zip(sides, sides[1:]) if e == f]
+
+
 def _split_candidates(s: Surface):
-    roles = TrainTrack("vertical", s.triangles, large_slots(s, "vertical")).branch_roles()
     out = []
-    for e, role in roles.items():
-        if role != "large":
-            continue
+    for e in _large_edges(s):
         diag, flippable = other_diagonal(s, e)
         if not flippable:
             continue

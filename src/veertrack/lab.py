@@ -55,16 +55,12 @@ def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float]:
     return edges, vt[sum(sv > tol):], tol
 
 
-def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
-    """s with its imaginary parts moved by delta along a random unit
-    direction that keeps every triangle closed and preserves the total area
-    to first order."""
+def _height_directions(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float, np.ndarray]:
+    """(edges, closure basis, its tolerance, numeric gradient of the area
+    along each basis direction) for perturb_heights; pure in the triangles
+    and periods of s."""
     edges, closure_null, tol = _closure_basis(s)
     idx = {e: i for i, e in enumerate(edges)}
-    if closure_null.shape[0] == 0:
-        raise DegeneracyError("no admissible height perturbation: closure fills the space")
-
-    # numeric gradient of the area along the closure-preserving directions
     h0 = np.array([float(s.periods[e].h) for e in edges])
     step = 1e-7 * max(1.0, float(np.abs(h0).max()))
 
@@ -78,6 +74,17 @@ def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
             for d in closure_null
         ]
     )
+    return edges, closure_null, tol, grad
+
+
+def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
+    """s with its imaginary parts moved by delta along a random unit
+    direction that keeps every triangle closed and preserves the total area
+    to first order."""
+    edges, closure_null, tol, grad = s.cached("height_directions", _height_directions)
+    if closure_null.shape[0] == 0:
+        raise DegeneracyError("no admissible height perturbation: closure fills the space")
+    idx = {e: i for i, e in enumerate(edges)}
     coeffs = np.array([rng.gauss(0, 1) for _ in range(closure_null.shape[0])])
     gn = np.linalg.norm(grad)
     if gn > tol:

@@ -2,13 +2,16 @@
 it, and no cached value differs from one computed on a fresh surface."""
 
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import veertrack.lab as lab
-from veertrack.delaunay import build_quad, flip, other_diagonal, quad
+from veertrack.delaunay import _quad_table, build_quad, delaunay_violations, flip, other_diagonal, quad
 from veertrack.errors import DegeneracyError
-from veertrack.fixtures import gold, slope_torus
+from veertrack.fixtures import gold, slope_torus, t2
 from veertrack.flow import run_flow
 from veertrack.surface import Surface, edge_occurrences
 
@@ -35,6 +38,13 @@ def assert_coherent(s: Surface):
     for e in s.edges:
         assert quad(s, e) == build_quad(fresh, e)
         assert _diagonal(s, e) == _diagonal(fresh, e)
+    if "quads" in s._derived:
+        assert s._derived["quads"] == _quad_table(fresh)
+    if "height_directions" in s._derived:
+        edges, basis, tol, grad = s._derived["height_directions"]
+        edges2, basis2, tol2, grad2 = lab._height_directions(fresh)
+        assert (edges, tol) == (edges2, tol2)
+        assert np.array_equal(basis, basis2) and np.array_equal(grad, grad2)
 
 
 @pytest.mark.parametrize("verify", ["debug", "off"])
@@ -101,3 +111,59 @@ def test_new_triangles_or_periods_inherit_no_cache(change):
     moved = s.replace(**change(s))
     assert moved.occurrences() is not s.occurrences()
     assert_coherent(moved)
+
+
+def test_contraction_trials_share_one_closure_basis(monkeypatch):
+    calls = []
+    basis = lab._closure_basis
+
+    def counting(s):
+        calls.append(s)
+        return basis(s)
+
+    monkeypatch.setattr(lab, "_closure_basis", counting)
+    fit = lab.contraction_experiment(_slope(1), 4.0, trials=6, seed=2)
+    assert len(fit.log_ratios) + fit.dropped == 6
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["gold", "x_1", "x_3"])
+def test_perturbation_is_the_same_on_a_warm_and_a_fresh_surface(name):
+    s = STARTS[name]()
+    warm = lab.perturb_heights(s, random.Random(4), 1e-3)
+    again = lab.perturb_heights(s, random.Random(4), 1e-3)
+    fresh = lab.perturb_heights(Surface(s.triangles, s.periods, s.mode), random.Random(4), 1e-3)
+    assert "height_directions" in s._derived
+    assert warm.periods == again.periods == fresh.periods
+    assert_coherent(s)
+
+
+def _axis_parallel_diagonal():
+    """t2 with e1's other diagonal e3 - e2 vertical: e1 is flippable, and
+    flipping it would make an axis-parallel edge."""
+    periods = {
+        "e1": (1, Fraction(3, 10)),
+        "e2": (Fraction(-1, 2), 1),
+        "e3": (Fraction(-1, 2), Fraction(-13, 10)),
+    }
+    return t2().replace(periods=periods)
+
+
+@pytest.mark.parametrize("first", ["e1", "e2", "e3"])
+def test_axis_parallel_diagonal_raises_on_its_own_edge_alone(first):
+    s = _axis_parallel_diagonal()
+    message = "edge e1: new diagonal is axis-parallel"
+    # the first edge asked builds the table; the error stays with e1
+    assert _diagonal(s, first) == _diagonal(Surface(s.triangles, s.periods, s.mode), first)
+    assert quad(s, "e1") == build_quad(s, "e1")
+    for _ in range(2):
+        with pytest.raises(DegeneracyError) as exc:
+            other_diagonal(s, "e1")
+        assert str(exc.value) == message
+    for e in ("e2", "e3"):
+        fresh = Surface(s.triangles, s.periods, s.mode)
+        assert other_diagonal(s, e) == other_diagonal(fresh, e)
+        assert other_diagonal(s, e)[1]
+    with pytest.raises(DegeneracyError, match=message):
+        delaunay_violations(s)
+    assert_coherent(s)

@@ -2,11 +2,14 @@
 every method of its classes other than the dunder ones, is named somewhere
 besides its own definition; every top-level import of a package module is
 read there or exported; every import names the standard library, numpy or
-the package itself; and only surface.py (with the fixtures that build
-surfaces) decides by the number mode's name."""
+the package itself; only surface.py (with the fixtures that build
+surfaces) decides by the number mode's name; and every function the
+benchmark's span tracer names still exists."""
 
 import ast
+import importlib
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -183,3 +186,34 @@ def test_mode_guard_sees_a_branch(tmp_path):
         '    return "float"\n'
     )
     assert sorted(mode_branches(tmp_path)) == ["mod:2", "mod:2", "mod:3", "mod:4", "mod:5"]
+
+
+def untraceable(spans: Path = ROOT / "perfbench" / "spans.py") -> list[str]:
+    """module.name of every entry of the span tracer's TRACED table that is
+    not a function of its veertrack module; spans.py is read, not imported."""
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    found = []
+    for mod, names in traced.items():
+        module = importlib.import_module(f"veertrack.{mod}")
+        for name in names:
+            if not isinstance(getattr(module, name, None), types.FunctionType):
+                found.append(f"{mod}.{name}")
+    return found
+
+
+def test_traced_functions_exist():
+    assert untraceable() == []
+
+
+def test_trace_guard_sees_a_missing_function(tmp_path):
+    spans = tmp_path / "spans.py"
+    spans.write_text(
+        'import numpy as np\n\nTRACED = {\n    "delaunay": ("build_quad", "build_quads"),\n'
+        '    "flow": ("run_flow", "FLOAT_EVENT_TIE", "SplitEvent"),\n}\n'
+    )
+    assert untraceable(spans) == ["delaunay.build_quads", "flow.FLOAT_EVENT_TIE", "flow.SplitEvent"]

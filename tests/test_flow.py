@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import exact_trajectory_prefix
+from util import exact_trajectory_prefix, sheared_surface
 
 import veertrack.flow as flow
 from veertrack.errors import DegeneracyError, VeertrackError
@@ -16,6 +16,7 @@ from veertrack.fixtures import (
     GOLD_DILATATION,
     GOLD_PERIOD_T,
     gold,
+    octagon,
     pillow,
     slope_torus,
     t2,
@@ -32,6 +33,7 @@ from veertrack.flow import (
     thick_fraction,
 )
 from veertrack.surface import Surface, validate
+from veertrack.traintrack import TrainTrack, large_slots
 
 
 class TestNextSplit:
@@ -61,6 +63,35 @@ class TestNextSplit:
         reduced, _ = greedy_delaunay(pillow())
         with pytest.raises(DegeneracyError):
             run_flow(reduced, 2.0)
+
+
+def _track_large_edges(s):
+    track = TrainTrack("vertical", s.triangles, large_slots(s, "vertical"))
+    return sorted(e for e, role in track.branch_roles().items() if role == "large")
+
+
+LARGE_EDGE_STATES = {
+    **{
+        name: (lambda start=start: run_flow(start(), 12.0).states())
+        for name, start in [("gold", gold)]
+        + [(f"x_{n}", lambda n=n: slope_torus(_slope(n))) for n in range(1, 9)]
+    },
+    **{
+        f"{build.__name__}-shears": (
+            lambda build=build: [sheared_surface(build(), random.Random(seed)) for seed in range(16)]
+        )
+        for build in (t2, pillow, octagon)
+    },
+}
+
+
+class TestLargeEdges:
+    @pytest.mark.parametrize("name", list(LARGE_EDGE_STATES))
+    def test_count_matches_the_track_roles(self, name):
+        states = LARGE_EDGE_STATES[name]()
+        for s in states:
+            assert flow._large_edges(s) == _track_large_edges(s)
+        assert any(flow._large_edges(s) for s in states)
 
 
 class TestRunFlow:
