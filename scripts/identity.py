@@ -57,6 +57,7 @@ DOCUMENTS = {
     "pillow": pillow,
     "octagon": octagon,
     "octagonf": lambda: octagon("float"),
+    "x1": lambda: _slope(1),
     "x2": lambda: _slope(2),
     "x3": lambda: _slope(3),
     **{f"x{n}": (lambda n=n: _slope(n)) for n in range(5, 9)},
@@ -66,6 +67,8 @@ FLOWING = ("t2", "t2f", "gold", "goldx", "pillow", "x2", "x3")
 # long words LⁿRⁿ: many mirror-image state pairs precede the match
 MIRRORED = ("x5", "x6", "x7", "x8")
 LAB = ("gold", "x2")
+# contract and close as the lab benchmark runs them, on three seeds each
+LAB_SEEDED = ("x1", "x2", "x3")
 
 
 def invocations() -> list[tuple[list[str], str | None]]:
@@ -94,6 +97,13 @@ def invocations() -> list[tuple[list[str], str | None]]:
         out.append((["contract", "--input", doc, "--time", "4", "--trials", "3", "--csv", "decay.csv"], "decay.csv"))
         out.append((["close", "--input", doc, "--output", "close.json"], "close.json"))
         out.append((["close", "--input", doc, "--delta", "1e-3", "--seed", "5", "--output", "close.json"], "close.json"))
+    for name in LAB_SEEDED:
+        doc = f"{name}.json"
+        for seed in ("1", "2", "3"):
+            out.append((["contract", "--input", doc, "--time", "8", "--trials", "6", "--seed", seed,
+                         "--csv", "decay.csv"], "decay.csv"))
+            out.append((["close", "--input", doc, "--delta", "1e-3", "--seed", seed, "--output", "close.json"],
+                        "close.json"))
     return out
 
 

@@ -87,41 +87,42 @@ def build_quad(s: Surface, e: str) -> Quad:
     vecs = []
     for eid, sg in sides:
         p = periods[eid]
-        vecs.append((sg * p.w, sg * p.h))
+        vecs.append((p.w, p.h) if sg > 0 else (-p.w, -p.h))
     return Quad(e, t1, t2, sides, tuple(vecs))
 
 
-def _quad_table(s: Surface) -> dict:
-    """edge -> (quad, other diagonal, flippable flag, axis-parallel error
-    message or None), built in one pass over the edges of s."""
-    slack = s.num.slack(1e-12)
-    axis_parallel = s.num.axis_parallel
-    table = {}
-    for e in s.periods:
+def _quad_entry(s: Surface, e: str) -> tuple:
+    """(quad, other diagonal, flippable flag, axis-parallel error message or
+    None) for the edge e of s: built from build_quad the first time e is
+    asked for, and kept for s and its lam-only copies."""
+    entries = s.cached("quads", lambda _: {})
+    entry = entries.get(e)
+    if entry is None:
         q = build_quad(s, e)
         va, vb, vc, vd = q.vectors
         diag = (vb[0] + vc[0], vb[1] + vc[1])
+        slack = s.num.slack(1e-12)
         # zero cross product: one of the would-be triangles is flat, which
         # happens structurally when the two triangles share a second edge
         # (a flat cylinder); the diagonal exchange is illegal there
         flippable = cross(vb, vc) > slack and cross(vd, va) > slack
         error = None
-        if flippable and axis_parallel(diag):
+        if flippable and s.num.axis_parallel(diag):
             error = f"edge {e}: new diagonal is axis-parallel"
-        table[e] = (q, diag, flippable, error)
-    return table
+        entry = entries[e] = (q, diag, flippable, error)
+    return entry
 
 
 def quad(s: Surface, e: str) -> Quad:
     """build_quad(s, e), built once for s and its lam-only copies."""
-    return s.cached("quads", _quad_table)[e][0]
+    return _quad_entry(s, e)[0]
 
 
 def other_diagonal(s: Surface, e: str):
     """(diagonal period vector, flippable flag) for the quadrilateral of e,
     computed once for s and its lam-only copies; DegeneracyError, on every
     call, when e is flippable and the diagonal is axis-parallel."""
-    _, diag, flippable, error = s.cached("quads", _quad_table)[e]
+    _, diag, flippable, error = _quad_entry(s, e)
     if error is not None:
         raise DegeneracyError(error)
     return diag, flippable
@@ -132,11 +133,12 @@ def delaunay_violations(s: Surface) -> list[str]:
     diagonal.  An exact tie is a hard error: the Delaunay triangulation is
     not unique there."""
     out = []
+    periods = s.periods
     for e in s.edges:
         diag, flippable = other_diagonal(s, e)
         if not flippable:
             continue
-        c = cmp_linf(s, diag, (s.periods[e].w, s.periods[e].h))
+        c = cmp_linf(s, diag, periods[e])
         if c == 0:
             raise DegeneracyError(f"edge {e}: certificate tie (equal L-infinity lengths)")
         if c < 0:

@@ -82,10 +82,11 @@ def next_split(s: Surface) -> SplitEvent | None:
     cands = [c for c in _split_candidates(s) if c[0] > s.lam]
     if not cands:
         return None
-    cands.sort(key=lambda c: (c[0], c[1]))
+    if len(cands) > 1:
+        cands.sort()  # by threshold, then edge; edges are distinct
+        if s.num.tie(cands[1][0], cands[0][0], FLOAT_EVENT_TIE):
+            raise DegeneracyError(f"simultaneous split events on {cands[0][1]} and {cands[1][1]}")
     thr, e, diag = cands[0]
-    if len(cands) > 1 and s.num.tie(cands[1][0], thr, FLOAT_EVENT_TIE):
-        raise DegeneracyError(f"simultaneous split events on {e} and {cands[1][1]}")
     direction = "L" if slope_sign(s, diag) > 0 else "R"
     q = quad(s, e)
     losers, winners = split_roles(q.sides, direction)
@@ -97,7 +98,11 @@ def next_split(s: Surface) -> SplitEvent | None:
         raise VeertrackError(
             f"edge {e}: slope direction {direction} disagrees with width comparison"
         )
-    return SplitEvent(thr, e, direction, tuple(sorted(losers)), tuple(sorted(winners)))
+    return SplitEvent(thr, e, direction, _ordered(*losers), _ordered(*winners))
+
+
+def _ordered(x: str, y: str) -> tuple[str, str]:
+    return (x, y) if x <= y else (y, x)
 
 
 def lam_after(lam: float, t: float) -> float:

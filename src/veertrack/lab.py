@@ -147,11 +147,14 @@ def contraction_experiment(
         if sig_a != sig_b:
             return None
         d0 = _stable_distance(s, sp)
+        if d0 == 0:
+            raise VeertrackError(f"delta {delta} does not move the heights at float precision")
         row = []
         for t in times:
-            a = _state_at(base_traj, t)
-            b = _state_at(pert_traj, t)
-            row.append(math.log(_stable_distance(a, b) / d0))
+            d = _stable_distance(_state_at(base_traj, t), _state_at(pert_traj, t))
+            if d == 0:
+                raise VeertrackError(f"delta {delta} is too small: the distance at time {t} rounds to 0")
+            row.append(math.log(d / d0))
         return tuple(row)
 
     results = [one_trial(i) for i in range(trials)]
@@ -161,6 +164,10 @@ def contraction_experiment(
         raise VeertrackError("every trial was dropped: no combinatorially shadowing pair")
     xs = np.array([t for row in kept for t in times])
     ys = np.array([v for row in kept for v in row])
+    # polyfit divides the times by their norm, whose square underflows to 0
+    # for a time below about 1e-161
+    if not np.sum(xs * xs) > 0:
+        raise VeertrackError(f"time {total_t} is too short to fit a decay rate")
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = slope * xs + intercept
     ss_res = float(np.sum((ys - pred) ** 2))

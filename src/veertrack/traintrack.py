@@ -108,12 +108,19 @@ def large_slots(s: Surface, direction: str) -> tuple[int, ...]:
     tie = s.num.tie
     periods = s.periods
     out = []
-    for t, tri in enumerate(s.triangles):
-        vals = [abs(periods[e][k]) for e, _ in tri]
-        _, second, largest = sorted(range(3), key=vals.__getitem__)
+    for t, ((x, _), (y, _), (z, _)) in enumerate(s.triangles):
+        a, b, c = abs(periods[x][k]), abs(periods[y][k]), abs(periods[z][k])
+        # the slot of a largest value, that value and the runner-up; which
+        # of two equal leaders is taken does not matter, as they tie below
+        if a > b and a > c:
+            largest, top, second = 0, a, (b if b > c else c)
+        elif b > c:
+            largest, top, second = 1, b, (a if a > c else c)
+        else:
+            largest, top, second = 2, c, (a if a > b else b)
         # the tie with the largest value loosens as a value grows, so a side
         # ties the largest only if the runner-up does
-        if tie(vals[second], vals[largest], 1e-9):
+        if tie(second, top, 1e-9):
             raise DegeneracyError(f"triangle {t}: no strictly largest side for the {direction} track")
         out.append(largest)
     return tuple(out)

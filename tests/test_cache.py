@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import veertrack.lab as lab
-from veertrack.delaunay import _quad_table, build_quad, delaunay_violations, flip, other_diagonal, quad
+from veertrack.delaunay import _quad_entry, build_quad, delaunay_violations, flip, other_diagonal, quad
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, slope_torus, t2
 from veertrack.flow import run_flow
@@ -34,12 +34,13 @@ def assert_coherent(s: Surface):
     """Every cached value of s equals one computed on a fresh surface."""
     assert s.occurrences() == edge_occurrences(s.triangles)
     fresh = Surface(s.triangles, s.periods, s.mode, s.lam)
+    # the quadrilateral entries filled so far, before the loop below fills the rest
+    for e, entry in s._derived.get("quads", {}).items():
+        assert entry == _quad_entry(fresh, e)
     assert s.vertex_classes() == fresh.vertex_classes()
     for e in s.edges:
         assert quad(s, e) == build_quad(fresh, e)
         assert _diagonal(s, e) == _diagonal(fresh, e)
-    if "quads" in s._derived:
-        assert s._derived["quads"] == _quad_table(fresh)
     if "height_directions" in s._derived:
         edges, basis, tol, grad = s._derived["height_directions"]
         edges2, basis2, tol2, grad2 = lab._height_directions(fresh)
@@ -153,7 +154,7 @@ def _axis_parallel_diagonal():
 def test_axis_parallel_diagonal_raises_on_its_own_edge_alone(first):
     s = _axis_parallel_diagonal()
     message = "edge e1: new diagonal is axis-parallel"
-    # the first edge asked builds the table; the error stays with e1
+    # whichever edge is asked first, the error stays with e1
     assert _diagonal(s, first) == _diagonal(Surface(s.triangles, s.periods, s.mode), first)
     assert quad(s, "e1") == build_quad(s, "e1")
     for _ in range(2):

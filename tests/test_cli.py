@@ -150,6 +150,26 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err.startswith("error: trials must be at least 1")
 
+    def test_contract_rejects_a_delta_that_does_not_move_the_heights(self, capsys, gold_doc):
+        assert main(["contract", "--input", gold_doc, "--time", "2", "--delta", "1e-17"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: delta 1e-17 does not move the heights at float precision\n"
+
+    def test_contract_rejects_a_delta_whose_distance_rounds_to_zero(self, capsys, gold_doc):
+        assert main(["contract", "--input", gold_doc, "--time", "2", "--delta", "3e-16"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: delta 3e-16 is too small: the distance at time ")
+        assert out.err.endswith(" rounds to 0\n")
+
+    @pytest.mark.parametrize("time", ["1e-300", "1e-200"])
+    def test_contract_rejects_a_time_too_short_to_fit(self, capsys, gold_doc, time):
+        assert main(["contract", "--input", gold_doc, "--time", time]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: time {float(time)} is too short to fit a decay rate\n"
+
     @pytest.mark.parametrize("command", ["flow", "analyze", "report", "contract", "close"])
     def test_time_past_the_float_range_flows_as_infinite_time(self, capsys, gold_doc, command):
         # e^{2T} overflows from T of about 355 up; float gold then flows

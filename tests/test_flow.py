@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from util import exact_trajectory_prefix, sheared_surface
 
+import veertrack.delaunay as delaunay
 import veertrack.flow as flow
 from veertrack.errors import DegeneracyError, VeertrackError
 from veertrack.fixtures import (
@@ -70,12 +71,9 @@ def _track_large_edges(s):
     return sorted(e for e, role in track.branch_roles().items() if role == "large")
 
 
+FLOW_STARTS = {"gold": gold, **{f"x_{n}": (lambda n=n: slope_torus(_slope(n))) for n in range(1, 9)}}
 LARGE_EDGE_STATES = {
-    **{
-        name: (lambda start=start: run_flow(start(), 12.0).states())
-        for name, start in [("gold", gold)]
-        + [(f"x_{n}", lambda n=n: slope_torus(_slope(n))) for n in range(1, 9)]
-    },
+    **{name: (lambda start=start: run_flow(start(), 12.0).states()) for name, start in FLOW_STARTS.items()},
     **{
         f"{build.__name__}-shears": (
             lambda build=build: [sheared_surface(build(), random.Random(seed)) for seed in range(16)]
@@ -165,6 +163,32 @@ class TestRunFlow:
         traj = run_flow(gold(), 4 * GOLD_PERIOD_T, max_events=max_events, verify=verify)
         assert len(traj.events) == min(8, max_events)
         assert count == len(traj.events) + extra
+
+    @pytest.mark.parametrize("verify", ["debug", "off"])
+    @pytest.mark.parametrize("name", list(FLOW_STARTS))
+    def test_build_quad_calls_per_event(self, monkeypatch, name, verify):
+        count = 0
+        build = delaunay.build_quad
+
+        def counting(s, e):
+            nonlocal count
+            count += 1
+            return build(s, e)
+
+        monkeypatch.setattr(delaunay, "build_quad", counting)
+        start = FLOW_STARTS[name]()
+        traj = run_flow(start, 8.0, verify=verify)
+        assert traj.events
+        edges = start.edges
+        if verify == "off":
+            # the start certificate builds every edge, then each event's
+            # surface builds the one its next split reads
+            assert count == len(edges) + len(traj.events)
+        else:
+            # the debug certificate of every surface builds every edge once
+            assert count == len(edges) * len(traj.states())
+            for s in traj.states():
+                assert sorted(s._derived["quads"]) == list(edges)
 
     @pytest.mark.parametrize("verify", ["debug", "off"])
     def test_debug_check_catches_a_skipped_event(self, monkeypatch, verify):

@@ -1,22 +1,27 @@
 """Dual train tracks: measures, regions, vertex curves, splitting moves."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from util import brute_force_rays, scramble, sheared_surface
+from util import brute_force_rays, scramble, sheared_surface, sorted_large_slots
 
+from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
-from veertrack.surface import area
+from veertrack.surface import Surface, area
 from veertrack.traintrack import (
     Subgraph,
     complementary_regions,
     dual_track,
     extreme_rays_nonneg,
     is_filling_subtrack,
+    large_slots,
     split_with_direction,
     vertex_curves,
 )
@@ -71,6 +76,95 @@ class TestDualTrack:
         track, mu = dual_track(s)
         paired = sum(mu.transverse[b] * mu.tangential[b] for b in track.branches)
         assert paired == area(s)
+
+
+def _sized_triangles(rows, mode: str, direction: str) -> Surface:
+    """One triangle per row of three side sizes, each side its own edge: the
+    widths (vertical) or heights (horizontal) are the sizes, the other
+    coordinate is 1.  large_slots reads nothing else."""
+    triangles, periods = [], {}
+    for t, row in enumerate(rows):
+        tri = []
+        for i, v in enumerate(row):
+            e = f"t{t}s{i}"
+            periods[e] = (v, 1) if direction == "vertical" else (1, v)
+            tri.append((e, 1))
+        triangles.append(tri)
+    return Surface(triangles, periods, mode)
+
+
+def _large_slots_or_error(s: Surface, direction: str, slots) -> object:
+    try:
+        return slots(s, direction)
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+# a float side size: a small multiple of the triangle's scale, moved by up
+# to 2e-9 relative, which crosses the 1e-9 tie on both sides
+_FLOAT_SIZE = st.builds(
+    lambda base, k, sign: sign * base * (1 + k * 1e-10),
+    st.sampled_from([0, 1, 2, 3]),
+    st.integers(-20, 20),
+    st.sampled_from([1, -1]),
+)
+_EXACT_SIZE = st.builds(
+    lambda base, den, sign: sign * Fraction(base, den),
+    st.integers(0, 4),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, -1]),
+)
+
+
+class TestLargeSlots:
+    ORDERS = list(itertools.permutations(range(3)))
+
+    @pytest.mark.parametrize("direction", ["vertical", "horizontal"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_an_exact_two_way_tie_raises(self, mode, direction, order):
+        sizes = (Fraction(3, 2), Fraction(-3, 2), Fraction(1, 2))
+        row = [sizes[i] for i in order]
+        s = _sized_triangles([(Fraction(1), Fraction(2), Fraction(-3)), row], mode, direction)
+        message = f"triangle 1: no strictly largest side for the {direction} track"
+        with pytest.raises(DegeneracyError) as exc:
+            large_slots(s, direction)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("direction", ["vertical", "horizontal"])
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("gap, ties", [(5e-10, True), (2e-9, False)], ids=["inside", "outside"])
+    def test_a_float_near_tie_raises_inside_the_tolerance(self, direction, order, gap, ties):
+        # the tolerance is relative to the larger value: 1e-9 * 1e6 here
+        sizes = (1e6, -1e6 * (1 - gap), 1e5)
+        row = [sizes[i] for i in order]
+        s = _sized_triangles([row], "float", direction)
+        if ties:
+            with pytest.raises(DegeneracyError, match="no strictly largest side"):
+                large_slots(s, direction)
+        else:
+            assert large_slots(s, direction) == (order.index(0),)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        mode=st.sampled_from(["exact", "float"]),
+        direction=st.sampled_from(["vertical", "horizontal"]),
+        triangles=st.integers(1, 4),
+    )
+    def test_matches_the_sorted_reference(self, data, mode, direction, triangles):
+        rows = []
+        for _ in range(triangles):
+            if mode == "exact":
+                rows.append(data.draw(st.tuples(_EXACT_SIZE, _EXACT_SIZE, _EXACT_SIZE)))
+            else:
+                scale = data.draw(st.sampled_from([1e-3, 1.0, 1e6]))
+                sizes = data.draw(st.tuples(_FLOAT_SIZE, _FLOAT_SIZE, _FLOAT_SIZE))
+                rows.append(tuple(scale * v for v in sizes))
+        s = _sized_triangles(rows, mode, direction)
+        assert _large_slots_or_error(s, direction, large_slots) == _large_slots_or_error(
+            s, direction, sorted_large_slots
+        )
 
 
 class TestRegions:

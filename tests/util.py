@@ -103,6 +103,20 @@ def scramble(s: Surface, rng: random.Random, flips: int = 8) -> Surface:
     return cur
 
 
+def sorted_large_slots(s: Surface, direction: str) -> tuple[int, ...]:
+    """The reference for traintrack.large_slots: per triangle, the last slot
+    of a stable sort of the side sizes, raising when the runner-up ties it."""
+    k = 0 if direction == "vertical" else 1
+    out = []
+    for t, tri in enumerate(s.triangles):
+        vals = [abs(s.periods[e][k]) for e, _ in tri]
+        _, second, largest = sorted(range(3), key=vals.__getitem__)
+        if s.num.tie(vals[second], vals[largest], 1e-9):
+            raise DegeneracyError(f"triangle {t}: no strictly largest side for the {direction} track")
+        out.append(largest)
+    return tuple(out)
+
+
 def rref(a):
     """Reduced row echelon form over Fraction; returns (matrix, pivot
     column indices).  The oracles' own elimination, sharing no code with
