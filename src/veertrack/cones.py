@@ -24,8 +24,6 @@ from .flow import PeriodicMatch, SplitEvent, Trajectory
 from .traintrack import Subgraph, TrainTrack, dual_track, is_filling_subtrack, split_with_direction
 
 CONE_TOL = 1e-12
-PERRON_TOL = 1e-12
-PERRON_MAX_ITER = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +57,6 @@ class TransitionPair:
             for i in range(self.n)
             for j in range(self.n)
         )
-
-
-def split_transition(event: SplitEvent, branches: tuple[str, ...]) -> TransitionPair:
-    """Elementary transition matrix of one split event."""
-    return compose_word((event,), branches)
 
 
 def compose_word(events, branches: tuple[str, ...]) -> TransitionPair:
@@ -217,25 +210,33 @@ class PAReport:
     positive_power: int | None
 
 
-def perron_root(matrix) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and eigenvector of a nonnegative matrix by power
-    iteration from the all-ones vector."""
-    a = np.asarray(matrix, dtype=float)
-    if a.min() < 0:
-        raise VeertrackError("power iteration needs a nonnegative matrix")
-    v = np.ones(a.shape[0])
-    lam = 0.0
-    for _ in range(PERRON_MAX_ITER):
-        w = a @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            raise DegeneracyError("matrix kills the positive cone")
-        w = w / nw
-        lam_new = float(w @ (a @ w))
-        if abs(lam_new - lam) <= PERRON_TOL * max(1.0, abs(lam_new)):
-            return lam_new, w
-        lam, v = lam_new, w
-    raise VeertrackError("power iteration did not converge")
+def eigenpairs(matrix, *targets: float) -> list[tuple[float, np.ndarray]]:
+    """For each target, the eigenvalue of matrix nearest it and a real
+    eigenvector for it, from one eigensolve; VeertrackError unless each of
+    those eigenvalues is real and simple."""
+    vals, vecs = np.linalg.eig(np.asarray(matrix, dtype=float))
+    pairs = []
+    for target in targets:
+        k = int(np.argmin(np.abs(vals - target)))
+        tol = 1e-6 * max(1.0, abs(vals[k]))
+        if abs(vals[k].imag) > tol or np.any(np.abs(np.delete(vals, k) - vals[k]) <= tol):
+            raise VeertrackError(f"eigenvalue {vals[k]:.6g} of the matrix is not real and simple")
+        pairs.append((float(vals[k].real), vecs[:, k].real))
+    return pairs
+
+
+def first_positive_power(matrix) -> int | None:
+    """The least k with matrix**k entrywise positive, for a nonnegative
+    matrix, or None when no k up to Wielandt's bound (n - 1)^2 + 1 gives
+    one, which no larger k then does.  Only the 0/1 pattern of the powers
+    is kept, so the test is exact."""
+    pattern = np.asarray(matrix) > 0
+    power = pattern
+    for k in range(1, (len(pattern) - 1) ** 2 + 2):
+        if power.all():
+            return k
+        power = power @ pattern
+    return None
 
 
 def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
@@ -243,7 +244,8 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
     extract its dilatation data.
 
     The return map on transverse measures is M_word composed with the inverse
-    relabeling permutation; its Perron root is the width dilatation lam_w.
+    relabeling permutation; its eigenvalue nearest the match's dilatation is
+    the width dilatation lam_w.
     The height dilatation lam_h is measured on the geometric tangential data
     of the matched states, so lam_w * lam_h = 1 is a genuine numeric check.
     """
@@ -271,10 +273,9 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
     # then the base-chart widths at the first state form an eigenvector of A
     # with eigenvalue lam_w
     idx = {b: i for i, b in enumerate(branches)}
-    n = len(branches)
     cols = [idx[match.relabel[b][0]] for b in branches]
     a_int = tuple(tuple(row[c] for c in cols) for row in pair.transverse)
-    lam_w, _ = perron_root(a_int)
+    [(lam_w, _)] = eigenpairs(a_int, match.lam_w)
 
     # eigenvector check against the actual widths
     widths = np.array([abs(float(s1.periods[b].w)) for b in branches])
@@ -297,14 +298,6 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
     if max(ratios) - min(ratios) > 1e-6 * max(ratios):
         raise VeertrackError("tangential ratios disagree across branches")
 
-    positive_power = None
-    power = np.asarray(a_int, dtype=float)
-    for k in range(1, 2 * n + 1):
-        if power.min() > 0:
-            positive_power = k
-            break
-        power = power @ np.asarray(a_int, dtype=float)
-
     return PAReport(
         frozenset(support),
         True,
@@ -314,5 +307,5 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
         math.log(lam_w),
         branches,
         a_int,
-        positive_power,
+        first_positive_power(a_int),
     )

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import image_diameter, split_transition
+from .cones import compose_word, eigenpairs, image_diameter
 from .delaunay import delaunay_violations, flip, greedy_delaunay, other_diagonal
 from .errors import DegeneracyError, VeertrackError
 from .flow import Trajectory, detect_periodicity, lam_after, next_split, run_flow
@@ -98,6 +99,15 @@ def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
     )
 
 
+# A checkpoint distance below this many roundoff units (the distance that
+# one unit in the last place of the largest flowed height makes) is about
+# the size of the rounding the flips leave in the heights, and the fit reads
+# that noise as a decay rate: gold at time 2 keeps 5.2 units or more at
+# delta 1e-13 and fits alpha 2.002, but falls to 1.6 units at delta 3e-14
+# and fits 1.87 (the rate is 2).
+ROUNDOFF_FLOOR = 4.0
+
+
 def _stable_distance(s1: Surface, s2: Surface) -> float:
     """Relative height separation of two surfaces sharing widths and
     combinatorics: ||delta h_eff|| / ||w_eff||."""
@@ -110,6 +120,15 @@ def _stable_distance(s1: Surface, s2: Surface) -> float:
         dh += (h1 - h2) ** 2
         wn += w1**2
     return math.sqrt(dh) / math.sqrt(wn)
+
+
+def _roundoff_unit(s: Surface) -> float:
+    """The separation _stable_distance reads from s when one height moves by
+    one unit in the last place of the largest flowed height:
+    eps * max |h_eff| / ||w_eff||."""
+    flowed = [s.effective_period(e) for e in s.edges]
+    top = max(abs(h) for _, h in flowed)
+    return sys.float_info.epsilon * top / math.sqrt(sum(w * w for w, _ in flowed))
 
 
 def contraction_experiment(
@@ -125,7 +144,8 @@ def contraction_experiment(
     Each trial perturbs the heights of s in a random admissible direction of
     norm delta, flows both surfaces for total_t, and measures the relative
     height separation at evenly spaced checkpoint times.  Trials whose two
-    trajectories disagree combinatorially are dropped.
+    trajectories disagree combinatorially are dropped; a checkpoint distance
+    under ROUNDOFF_FLOOR roundoff units is an error.
     """
     for name, value in (("time", total_t), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
@@ -136,6 +156,8 @@ def contraction_experiment(
     times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
     base_traj = run_flow(s, total_t, verify="off")
     sig_a = [(ev.edge, ev.direction) for ev in base_traj.events]
+    base_states = [_state_at(base_traj, t) for t in times]
+    units = [_roundoff_unit(b) for b in base_states]
 
     def one_trial(i: int):
         sp = perturb_heights(s, random.Random(f"{seed}:{i}"), delta)
@@ -149,13 +171,16 @@ def contraction_experiment(
         d0 = _stable_distance(s, sp)
         if d0 == 0:
             raise VeertrackError(f"delta {delta} does not move the heights at float precision")
-        row = []
-        for t in times:
-            d = _stable_distance(_state_at(base_traj, t), _state_at(pert_traj, t))
-            if d == 0:
-                raise VeertrackError(f"delta {delta} is too small: the distance at time {t} rounds to 0")
-            row.append(math.log(d / d0))
-        return tuple(row)
+        dists = [_stable_distance(b, _state_at(pert_traj, t)) for b, t in zip(base_states, times)]
+        k = min(range(checkpoints), key=lambda k: dists[k] / units[k])
+        if dists[k] == 0:
+            raise VeertrackError(f"delta {delta} is too small: the distance at time {times[k]} rounds to 0")
+        if dists[k] < ROUNDOFF_FLOOR * units[k]:
+            raise VeertrackError(
+                f"delta {delta} is too small: the distance at time {times[k]} is "
+                f"{dists[k] / units[k]:.3g} roundoff units of the heights, below {ROUNDOFF_FLOOR:g}"
+            )
+        return tuple(math.log(d / d0) for d in dists)
 
     results = [one_trial(i) for i in range(trials)]
     kept = [row for row in results if row is not None]
@@ -210,7 +235,7 @@ def hilbert_contraction_experiment(traj: Trajectory) -> DiameterTrace:
     composed = np.eye(n)
     times, diams = [], []
     for ev in traj.events:
-        m = np.array(split_transition(ev, branches).tangential, dtype=float)
+        m = np.array(compose_word((ev,), branches).tangential, dtype=float)
         composed = m @ composed
         composed = composed / np.abs(composed).max()
         times.append(ev.t)
@@ -251,19 +276,6 @@ def period_matrix(triangles, flips, relabel: dict) -> tuple[tuple[int, ...], ...
         rows[e] = tuple(sg_b * x + sg_c * y for x, y in zip(rows[b], rows[c]))
         triangles = exchange_diagonal(triangles, e, t1, t2, sides)
     return tuple(tuple(relabel[e][1] * x for x in rows[relabel[e][0]]) for e in edges)
-
-
-def _eigenvector(r: np.ndarray, target: float, ref: np.ndarray) -> np.ndarray:
-    """The eigenvector of r for its eigenvalue nearest target, scaled onto
-    ref by least squares; VeertrackError unless that eigenvalue is real and
-    simple."""
-    vals, vecs = np.linalg.eig(r)
-    k = int(np.argmin(np.abs(vals - target)))
-    tol = 1e-6 * max(1.0, abs(vals[k]))
-    if abs(vals[k].imag) > tol or np.any(np.abs(np.delete(vals, k) - vals[k]) <= tol):
-        raise VeertrackError(f"eigenvalue {vals[k]:.6g} of the period matrix is not real and simple")
-    v = vecs[:, k].real
-    return v * (v @ ref) / (v @ v)
 
 
 def _pin_moment(x: Surface, edge: str) -> Surface:
@@ -320,9 +332,11 @@ def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:
     near = rebase(traj.states()[match.m])
     edges = near.edges
     r = period_matrix(near.triangles, [e for e, _ in word_sig], match.relabel)
-    rf = np.array(r, dtype=float)
-    w = _eigenvector(rf, 1 / match.lam_w, np.array([near.periods[e].w for e in edges]))
-    h = _eigenvector(rf, match.lam_w, np.array([near.periods[e].h for e in edges]))
+    (_, w), (_, h) = eigenpairs(r, 1 / match.lam_w, match.lam_w)
+    # each scaled onto the near point's widths or heights by least squares
+    w0 = np.array([near.periods[e].w for e in edges])
+    h0 = np.array([near.periods[e].h for e in edges])
+    w, h = w * (w @ w0) / (w @ w), h * (h @ h0) / (h @ h)
     # the edge that relabel carries to the word's last edge
     last = next(e for e, (e2, _) in match.relabel.items() if e2 == word_sig[-1][0])
     x = _pin_moment(near.replace(periods={e: (w[i], h[i]) for i, e in enumerate(edges)}), last)

@@ -163,6 +163,15 @@ class TestExitCodes:
         assert out.err.startswith("error: delta 3e-16 is too small: the distance at time ")
         assert out.err.endswith(" rounds to 0\n")
 
+    @pytest.mark.parametrize("delta", ["1e-14", "1e-15"])
+    def test_contract_rejects_a_distance_within_roundoff(self, capsys, gold_doc, delta):
+        # these fit alpha 1.80 and 0.09 to rounding noise; the torus rate is 2
+        assert main(["contract", "--input", gold_doc, "--time", "2", "--delta", delta]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: delta {delta} is too small: the distance at time ")
+        assert out.err.endswith(" roundoff units of the heights, below 4\n")
+
     @pytest.mark.parametrize("time", ["1e-300", "1e-200"])
     def test_contract_rejects_a_time_too_short_to_fit(self, capsys, gold_doc, time):
         assert main(["contract", "--input", gold_doc, "--time", time]) == 1

@@ -3,6 +3,7 @@ analysis."""
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -14,15 +15,16 @@ from veertrack.cones import (
     analyze_periodic_word,
     birkhoff_coefficient,
     compose_word,
+    eigenpairs,
+    first_positive_power,
     hilbert_distance,
     image_diameter,
-    perron_root,
     reconstruct_from_words,
-    split_transition,
     tangential_equivalent,
 )
+from veertrack.delaunay import greedy_delaunay
 from veertrack.errors import VeertrackError
-from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, t2
+from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, slope_torus, t2
 from veertrack.flow import detect_periodicity, run_flow
 from veertrack.traintrack import dual_track
 
@@ -43,7 +45,7 @@ class TestTransitions:
     def test_first_torus_event_matrix(self):
         events, _ = exact_trajectory_prefix(t2(), max_events=1)
         branches = ("e1", "e2", "e3")
-        pair = split_transition(events[0], branches)
+        pair = compose_word((events[0],), branches)
         # the losing branch sits on both sides of the splitting one
         assert pair.transverse == ((1, 2, 0), (0, 1, 0), (0, 0, 1))
         assert pair.tangential == ((1, 0, 0), (2, 1, 0), (0, 0, 1))
@@ -56,14 +58,14 @@ class TestTransitions:
         word = compose_word(events, branches)
         acc = np.eye(3, dtype=int)
         for ev in events:
-            acc = acc @ np.array(split_transition(ev, branches).transverse)
+            acc = acc @ np.array(compose_word((ev,), branches).transverse)
         assert word.transverse == tuple(tuple(int(x) for x in row) for row in acc)
 
     def test_transition_propagates_widths(self):
         events, states = exact_trajectory_prefix(t2(), max_events=2)
         branches = ("e1", "e2", "e3")
         for ev, before, after in zip(events, states, states[1:]):
-            m = np.array(split_transition(ev, branches).transverse)
+            m = np.array(compose_word((ev,), branches).transverse)
             w_after = np.array([abs(float(after.periods[b].w)) for b in branches])
             w_before = np.array([abs(float(before.periods[b].w)) for b in branches])
             assert np.allclose(m @ w_after, w_before)
@@ -143,9 +145,10 @@ class TestHilbert:
 
 class TestPerron:
     def test_fibonacci_oracle(self):
-        lam, vec = perron_root(((2, 1), (1, 1)))
+        [(lam, vec)] = eigenpairs(((2, 1), (1, 1)), 3.0)
         assert lam == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
-        assert min(vec) > 0
+        # the Perron eigenvector, up to the sign eig gives it
+        assert min(vec) > 0 or max(vec) < 0
 
     def test_golden_analysis(self):
         traj = run_flow(gold(), 5 * GOLD_PERIOD_T)
@@ -160,3 +163,42 @@ class TestPerron:
         a = np.array(report.return_matrix)
         power = np.linalg.matrix_power(a, report.positive_power)
         assert (power > 0).all()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_slope_torus_dilatation_to_eight_ulp(self, n):
+        # the word of x_n = (n + sqrt(n^2 + 4)) / 2 dilates by x_n^2, that
+        # is (n^2 + 2 + n sqrt(n^2 + 4)) / 2; flowed as `analyze` flows it
+        s, _ = greedy_delaunay(slope_torus((n + math.sqrt(n * n + 4)) / 2))
+        traj = run_flow(s, 12 if n <= 3 else 16)
+        report = analyze_periodic_word(traj, detect_periodicity(traj))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = (n * n + 2 + n * Decimal(n * n + 4).sqrt()) / 2
+            ulps = abs(Decimal(report.lam_w) - exact) / Decimal(math.ulp(float(exact)))
+        assert ulps <= 8
+
+
+def wielandt(n: int) -> list[list[int]]:
+    """The cycle 0 -> 1 -> ... -> n-1 -> 0 with the chord n-1 -> 1: the
+    primitive n x n pattern whose first positive power, (n - 1)^2 + 1, is
+    the largest of any."""
+    m = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    m[n - 1][0] = m[n - 1][1] = 1
+    return m
+
+
+class TestFirstPositivePower:
+    @pytest.mark.parametrize("n, k", [(2, 2), (3, 5), (4, 10), (5, 17)])
+    def test_wielandt_matrix_needs_the_bound(self, n, k):
+        m = wielandt(n)
+        assert first_positive_power(m) == k
+        assert not (np.linalg.matrix_power(np.array(m), k - 1) > 0).all()
+        assert (np.linalg.matrix_power(np.array(m), k) > 0).all()
+
+    @pytest.mark.parametrize(
+        "matrix, k",
+        [([[2, 1], [1, 1]], 1), ([[1, 1], [0, 1]], None), ([[0, 1], [1, 0]], None), ([[3]], 1)],
+        ids=["positive", "reducible", "periodic", "scalar"],
+    )
+    def test_small_patterns(self, matrix, k):
+        assert first_positive_power(matrix) == k

@@ -3,8 +3,9 @@ every method of its classes other than the dunder ones, is named somewhere
 besides its own definition; every top-level import of a package module is
 read there or exported; every import names the standard library, numpy or
 the package itself; only surface.py (with the fixtures that build
-surfaces) decides by the number mode's name; and every function the
-benchmark's span tracer names still exists."""
+surfaces) decides by the number mode's name; only cones.eigenpairs runs a
+float eigensolve; and every function the benchmark's span tracer names
+still exists."""
 
 import ast
 import importlib
@@ -186,6 +187,44 @@ def test_mode_guard_sees_a_branch(tmp_path):
         '    return "float"\n'
     )
     assert sorted(mode_branches(tmp_path)) == ["mod:2", "mod:2", "mod:3", "mod:4", "mod:5"]
+
+
+EIGENSOLVERS = frozenset({"eig", "eigvals", "eigh", "eigvalsh"})
+
+
+def eigensolves(root: Path = ROOT) -> list[str]:
+    """module.name of the top-level function or class around every numpy
+    eigensolver a package module calls, passes or imports by name (the
+    module alone outside them); cones.eigenpairs is the one place that
+    solves for eigenvalues, so the dilatation has one source."""
+    found = []
+    for path in sorted((root / "src" / "veertrack").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            where = f"{path.stem}.{top.name}" if named else path.stem
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS) or (
+                    isinstance(node, ast.alias) and node.name in EIGENSOLVERS
+                ):
+                    found.append(where)
+    return found
+
+
+def test_one_eigensolve():
+    assert eigensolves() == ["cones.eigenpairs"]
+
+
+def test_eigensolve_guard_sees_every_call(tmp_path):
+    (tmp_path / "src" / "veertrack").mkdir(parents=True)
+    (tmp_path / "src" / "veertrack" / "cones.py").write_text(
+        "import numpy as np\nfrom numpy.linalg import eigvals\n\n\n"
+        "def eigenpairs(m):\n    return np.linalg.eig(m)\n\n\n"
+        "def other(m):\n    return np.linalg.eigvalsh(m), eigvals(m)\n\n\n"
+        "class Box:\n    solve = staticmethod(np.linalg.eigh)\n\n\nVALS = np.linalg.eig\n"
+    )
+    assert eigensolves(tmp_path) == [
+        "cones", "cones.eigenpairs", "cones.other", "cones.Box", "cones"
+    ]
 
 
 def untraceable(spans: Path = ROOT / "perfbench" / "spans.py") -> list[str]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import veertrack.lab as lab
-from veertrack.cones import image_diameter, split_transition
+from veertrack.cones import compose_word, eigenpairs, image_diameter
 from veertrack.errors import VeertrackError
 from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, slope_torus
 from veertrack.flow import run_flow
@@ -86,7 +86,7 @@ class TestHilbertDecay:
         branches = tuple(sorted(traj.start.edges))
         composed = np.eye(len(branches))
         for ev, d in zip(traj.events, trace.diameters):
-            composed = np.array(split_transition(ev, branches).tangential, dtype=float) @ composed
+            composed = np.array(compose_word((ev,), branches).tangential, dtype=float) @ composed
             want = image_diameter(composed)
             assert d == want or abs(d - want) <= 1e-9
         assert len(seen) == len(traj.events) == 10
@@ -167,8 +167,8 @@ class TestReplayCheck:
     @pytest.mark.parametrize("n", [1, 3])
     def test_swapped_eigenvectors_fail(self, monkeypatch, n):
         s = _perturbed(slope_torus(_slope(n)), 5)
-        real = lab._eigenvector
-        monkeypatch.setattr(lab, "_eigenvector", lambda r, target, ref: real(r, 1 / target, ref))
+        real = lab.eigenpairs
+        monkeypatch.setattr(lab, "eigenpairs", lambda r, *targets: real(r, *(1 / t for t in targets)))
         assert not self._comes_back(s)
 
     def test_certificate_is_checked_between_events(self, monkeypatch):
@@ -193,4 +193,4 @@ class TestReplayCheck:
     )
     def test_eigenvalue_must_be_real_and_simple(self, matrix):
         with pytest.raises(VeertrackError, match="not real and simple"):
-            lab._eigenvector(np.array(matrix), 1.0, np.ones(2))
+            eigenpairs(np.array(matrix), 1.0)
