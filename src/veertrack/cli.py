@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 error (bad input, failed validation), 2 degeneracy
 (a tie that makes the requested computation ill-posed).
+
+cones and lab, the only modules that import numpy, are imported inside the
+commands that call them (analyze, contract, close), so the other commands
+start without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ import math
 import random
 import sys
 
-from .cones import analyze_periodic_word
 from .delaunay import delaunay_violations, greedy_delaunay, is_veering, linf_scaled
 from .errors import DegeneracyError, DocumentError, VeertrackError
 from .flow import detect_periodicity, next_split, run_flow, thick_fraction
-from .lab import closing_search, contraction_experiment, perturb_heights
 from .surface import area, parse_surface, rebase, serialize_surface, validate
 from .traintrack import complementary_regions, dual_track, vertex_curves
 
@@ -113,6 +115,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .cones import analyze_periodic_word
+
     s, _ = greedy_delaunay(_load_valid(args.input))
     traj = run_flow(s, args.time, max_events=args.max_events)
     match = detect_periodicity(traj)
@@ -142,6 +146,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_contract(args) -> int:
+    from .lab import contraction_experiment
+
     s = _load_valid(args.input)
     fit = contraction_experiment(
         s, args.time, trials=args.trials, delta=args.delta, seed=args.seed
@@ -160,6 +166,8 @@ def cmd_contract(args) -> int:
 
 
 def cmd_close(args) -> int:
+    from .lab import closing_search, perturb_heights
+
     if not (math.isfinite(args.delta) and args.delta >= 0):
         raise VeertrackError(f"delta must be finite and nonnegative, not {args.delta}")
     s = rebase(_load_valid(args.input))
@@ -184,6 +192,8 @@ def cmd_close(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise VeertrackError(f"eps must be finite and positive, not {args.eps}")
     s = _load(args.input)
     rep = validate(s)
     doc = {

@@ -109,9 +109,10 @@ class TestExitCodes:
         assert main(["contract", "--input", gold_doc, *argv]) == 1
         assert "must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("time", [[], ["--time", "1"]], ids=["no-time", "time-1"])
     @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
-    def test_report_rejects_a_bad_eps(self, capsys, gold_doc, eps):
-        assert main(["report", "--input", gold_doc, "--time", "1", "--eps", eps]) == 1
+    def test_report_rejects_a_bad_eps(self, capsys, gold_doc, eps, time):
+        assert main(["report", "--input", gold_doc, *time, "--eps", eps]) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: eps must be finite and positive")
@@ -333,13 +334,51 @@ class TestArtifacts:
         assert "e1" in text
 
 
-def test_importing_the_cli_loads_no_scipy():
+CLI_SESSION = """
+import contextlib, io, json, sys
+import veertrack.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = veertrack.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+print(sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"}))
+"""
+
+
+def numeric_libraries_loaded(*commands: list[str]) -> str:
+    """The sorted names among numpy and scipy that a fresh interpreter has
+    loaded after it imports veertrack.cli and runs each command through
+    main, every one of which must exit 0."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, veertrack.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_SESSION, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_numpy_free_commands_load_neither_numpy_nor_scipy(tmp_path, torus_doc, gold_doc):
+    loaded = numeric_libraries_loaded(
+        ["validate", "--input", torus_doc],
+        ["delaunay", "--input", torus_doc, "--output", str(tmp_path / "reduced.json")],
+        ["track", "--input", torus_doc, "--vertex-curves"],
+        ["track", "--input", torus_doc, "--direction", "horizontal", "--vertex-curves"],
+        ["report", "--input", torus_doc, "--time", "0.5"],
+        ["flow", "--input", gold_doc, "--time", "3"],
+    )
+    assert loaded == "[]"
+
+
+def test_numeric_commands_load_numpy_but_not_scipy(gold_doc):
+    loaded = numeric_libraries_loaded(
+        ["analyze", "--input", gold_doc, "--time", "5"],
+        ["contract", "--input", gold_doc, "--time", "2"],
+        ["close", "--input", gold_doc],
+    )
+    assert loaded == "['numpy']"
 
 
 class TestParserReuse:

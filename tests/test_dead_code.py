@@ -4,8 +4,10 @@ besides its own definition; every top-level import of a package module is
 read there or exported; every import names the standard library, numpy or
 the package itself; only surface.py (with the fixtures that build
 surfaces) decides by the number mode's name; only cones.eigenpairs runs a
-float eigensolve; and every function the benchmark's span tracer names
-still exists."""
+float eigensolve; only cones and lab import numpy, and nothing that
+importing cli loads imports cones, lab or numpy at top level, so the CLI
+starts without numpy; and every function the benchmark's span tracer
+names still exists."""
 
 import ast
 import importlib
@@ -225,6 +227,100 @@ def test_eigensolve_guard_sees_every_call(tmp_path):
     assert eigensolves(tmp_path) == [
         "cones", "cones.eigenpairs", "cones.other", "cones.Box", "cones"
     ]
+
+
+NUMPY_MODULES = ("cones", "lab")
+
+
+def imported_modules(tree: ast.AST, top_level: bool = False) -> set[str]:
+    """Every module an import in tree names: a package module by its stem,
+    any other by its top-level name. With top_level, imports inside a
+    function body are skipped: they run when it is called, not on import."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if top_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            dotted = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module.split(".") if node.module else []
+            if node.level:
+                module = ["veertrack", *module]
+            dotted = [module + [alias.name] if module == ["veertrack"] else module for alias in node.names]
+        else:
+            continue
+        for parts in dotted:
+            names.add(parts[1] if parts[0] == "veertrack" and len(parts) > 1 else parts[0])
+    return names
+
+
+def stray_numpy_imports(root: Path = ROOT) -> list[str]:
+    """Every package module outside NUMPY_MODULES that imports numpy,
+    at top level or nested."""
+    return [
+        path.stem
+        for path in sorted((root / "src" / "veertrack").glob("*.py"))
+        if path.stem not in NUMPY_MODULES
+        and "numpy" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+
+
+def test_only_cones_and_lab_import_numpy():
+    assert stray_numpy_imports() == []
+
+
+def numpy_at_cli_startup(root: Path = ROOT) -> list[str]:
+    """"module: name" for every top-level import of numpy or a NUMPY_MODULES
+    module in a package module that importing veertrack.cli loads: the
+    package's __init__, cli, and what their top-level imports load in turn."""
+    package = root / "src" / "veertrack"
+    imports = {
+        path.stem: imported_modules(ast.parse(path.read_text(encoding="utf-8")), top_level=True)
+        for path in package.glob("*.py")
+    }
+    loaded, todo = set(), ["__init__", "cli"]
+    while todo:
+        stem = todo.pop()
+        if stem in imports and stem not in loaded:
+            loaded.add(stem)
+            todo.extend(imports[stem])
+    return sorted(
+        f"{stem}: {name}"
+        for stem in loaded
+        for name in imports[stem] & {"numpy", *NUMPY_MODULES}
+    )
+
+
+def test_the_cli_starts_without_numpy():
+    assert numpy_at_cli_startup() == []
+
+
+def test_guard_sees_a_numpy_import_at_the_top(tmp_path):
+    package = tmp_path / "src" / "veertrack"
+    package.mkdir(parents=True)
+    for name, text in {
+        "__init__.py": "from .errors import VeertrackError\n",
+        "errors.py": "class VeertrackError(Exception):\n    pass\n",
+        "cli.py": (
+            "import json\nimport veertrack.errors\nfrom .flow import run_flow\n\n\n"
+            "def cmd_contract():\n    from .lab import contraction_experiment\n"
+            "    return contraction_experiment\n"
+        ),
+        "flow.py": (
+            "from veertrack import traintrack\n\n\n"
+            "def run_flow():\n    from numpy.linalg import norm\n    return norm\n"
+        ),
+        "traintrack.py": "from .cones import analyze_periodic_word\n",
+        "cones.py": "import numpy as np\n\n\ndef analyze_periodic_word():\n    pass\n",
+        "lab.py": "from numpy.linalg import norm\n\nfrom . import cones\n",
+        "fixtures.py": "import veertrack.lab\n",
+    }.items():
+        (package / name).write_text(text)
+    assert stray_numpy_imports(tmp_path) == ["flow"]
+    assert numpy_at_cli_startup(tmp_path) == ["cones: numpy", "traintrack: cones"]
 
 
 def untraceable(spans: Path = ROOT / "perfbench" / "spans.py") -> list[str]:
