@@ -84,8 +84,7 @@ def cmd_track(args) -> int:
             f"{b}: {roles[b]}, transverse {measures.transverse[b]}, "
             f"tangential {measures.tangential[b]}"
         )
-    census = complementary_regions(track)
-    print(f"regions: {dict(sorted(census.counts.items()))}")
+    print(f"regions: {dict(sorted(complementary_regions(track).items()))}")
     if args.vertex_curves:
         w = csv.writer(sys.stdout)
         for curve in vertex_curves(track):
@@ -210,7 +209,7 @@ def cmd_report(args) -> int:
         for direction in ("vertical", "horizontal"):
             track, _ = dual_track(s, direction)
             census = complementary_regions(track)
-            doc[f"{direction}_regions"] = {str(k): v for k, v in sorted(census.counts.items())}
+            doc[f"{direction}_regions"] = {str(k): v for k, v in sorted(census.items())}
         reduced, _ = greedy_delaunay(s)
         traj = run_flow(reduced, args.time) if args.time else None
         ev = next_split(reduced)

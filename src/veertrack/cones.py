@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from ._exact import in_span, mat_det
 from .errors import DegeneracyError, VeertrackError
 from .flow import PeriodicMatch, SplitEvent, Trajectory
-from .traintrack import Subgraph, TrainTrack, dual_track, is_filling_subtrack, split_with_direction
+from .traintrack import TrainTrack, dual_track, is_filling_subtrack, split_with_direction
 
 CONE_TOL = 1e-12
 
@@ -30,8 +30,7 @@ CONE_TOL = 1e-12
 # transition matrices
 
 
-@dataclass(frozen=True)
-class TransitionPair:
+class TransitionPair(NamedTuple):
     """Integer matrix pair acting on transverse (pull back) and tangential
     (push forward) measures, indexed by a fixed branch order."""
 
@@ -197,8 +196,7 @@ def birkhoff_coefficient(diameter: float) -> float:
 # periodic words and pseudo-Anosov data
 
 
-@dataclass(frozen=True)
-class PAReport:
+class PAReport(NamedTuple):
     support: frozenset
     filling: bool
     is_pseudo_anosov: bool
@@ -262,7 +260,7 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
             break
         support = grown
     track1, mp1 = dual_track(s1, "vertical")
-    filling = is_filling_subtrack(track1, Subgraph(frozenset(support)))
+    filling = is_filling_subtrack(track1, support)
     if not filling:
         return PAReport(
             frozenset(support), False, False, None, None, None, branches, None, None

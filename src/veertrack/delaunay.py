@@ -8,7 +8,6 @@ the comparison of max(lam |w|, |h|), which stays rational in exact mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegeneracyError, NotFlippableError, VeertrackError
@@ -74,8 +73,7 @@ class Quad(NamedTuple):
     vectors: tuple  # signed period vectors of a, b, c, d
 
 
-@dataclass(frozen=True)
-class FlipRecord:
+class FlipRecord(NamedTuple):
     old_edge: str
     old_period: tuple
     new_period: tuple

@@ -10,7 +10,6 @@ a sequence of exact rational comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .delaunay import delaunay_violations, flip, other_diagonal, quad, slope_sign
@@ -21,8 +20,7 @@ from .traintrack import dual_track, large_slots, split_roles, vertex_curves
 FLOAT_EVENT_TIE = 1e-12
 
 
-@dataclass(frozen=True)
-class SplitEvent:
+class SplitEvent(NamedTuple):
     threshold: object  # lam = e^{2t*}, absolute (Fraction in exact mode)
     edge: str
     direction: str  # "L" | "R"
@@ -34,8 +32,7 @@ class SplitEvent:
         return 0.5 * math.log(float(self.threshold))
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     start: Surface
     events: list[SplitEvent]
     surfaces: list[Surface]  # surface after each event, lam = its threshold
@@ -50,8 +47,7 @@ class Trajectory:
         return [ev.t - t0 for ev in self.events]
 
 
-@dataclass(frozen=True)
-class ThickStats:
+class ThickStats(NamedTuple):
     eps: float
     thick_time: float
     theta: float
@@ -117,6 +113,8 @@ def run_flow(s: Surface, T: float, max_events: int = 10000, verify: str = "debug
     """Iterate next_split and flip until time T (from s) or max_events; an
     infinite T, or one whose end lam is past the float range, flows until
     max_events."""
+    if verify not in ("debug", "off"):
+        raise ValueError(f"bad verify mode {verify!r}")
     if not T >= 0:
         raise VeertrackError(f"time must be nonnegative, not {T}")
     if not max_events >= 1:
@@ -209,8 +207,7 @@ def thick_fraction(traj: Trajectory, eps: float) -> ThickStats:
 # periodicity
 
 
-@dataclass(frozen=True)
-class PeriodicMatch:
+class PeriodicMatch(NamedTuple):
     m: int  # state index (0 = start surface)
     m2: int
     relabel: dict  # edge -> (edge', sign)

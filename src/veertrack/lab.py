@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cones import compose_word, eigenpairs, image_diameter
-from .delaunay import delaunay_violations, flip, greedy_delaunay, other_diagonal
+from .delaunay import greedy_delaunay, other_diagonal
 from .errors import DegeneracyError, VeertrackError
 from .flow import Trajectory, detect_periodicity, lam_after, next_split, run_flow
 from .surface import Surface, area, edge_occurrences, exchange_diagonal, quad_sides, rebase
@@ -28,8 +28,7 @@ from .surface import Surface, area, edge_occurrences, exchange_diagonal, quad_si
 # strong-stable contraction
 
 
-@dataclass(frozen=True)
-class ContractionFit:
+class ContractionFit(NamedTuple):
     times: tuple[float, ...]
     log_ratios: tuple[tuple[float, ...], ...]  # one tuple per kept trial
     alpha: float  # fitted decay exponent: d(T) ~ c_hat * d(0) * exp(-alpha T)
@@ -150,8 +149,9 @@ def contraction_experiment(
     for name, value in (("time", total_t), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
             raise VeertrackError(f"{name} must be finite and positive, not {value}")
-    if not trials >= 1:
-        raise VeertrackError(f"trials must be at least 1, not {trials}")
+    for name, value in (("checkpoints", checkpoints), ("trials", trials)):
+        if not value >= 1:
+            raise VeertrackError(f"{name} must be at least 1, not {value}")
     s, _ = greedy_delaunay(rebase(s))
     times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
     base_traj = run_flow(s, total_t, verify="off")
@@ -218,8 +218,7 @@ def _state_at(traj: Trajectory, t: float) -> Surface:
 # Hilbert diameter decay
 
 
-@dataclass(frozen=True)
-class DiameterTrace:
+class DiameterTrace(NamedTuple):
     event_times: tuple[float, ...]
     diameters: tuple[float, ...]
 
@@ -247,8 +246,7 @@ def hilbert_contraction_experiment(traj: Trajectory) -> DiameterTrace:
 # closing-lemma search
 
 
-@dataclass(frozen=True)
-class ClosingResult:
+class ClosingResult(NamedTuple):
     surface: Surface  # fixed point, unit area, anchored at its event moment
     period_t: float
     lam_w: float
@@ -292,20 +290,18 @@ def _pin_moment(x: Surface, edge: str) -> Surface:
 
 def _flow_word(s: Surface, word_sig: list[tuple[str, str]]) -> Surface:
     """Flow s, which sits at a split moment, through exactly the given
-    (edge, direction) event sequence, checking the Delaunay certificate
-    before each event as run_flow's debug check does.  Returns the surface
-    at its last event moment."""
-    cur = s
-    for edge, direction in word_sig:
-        # the current state sits exactly at a split moment; probe a hair past
-        # it so the just-performed flip does not resurface through rounding
-        ev = next_split(cur.replace(lam=float(cur.lam) * (1 + 1e-9)))
-        if ev is None or ev.edge != edge or ev.direction != direction:
-            raise VeertrackError("trajectory left the combinatorial neighborhood of the word")
-        if delaunay_violations(cur.replace(lam=(float(cur.lam) + float(ev.threshold)) / 2)):
-            raise VeertrackError(f"lost the Delaunay certificate before splitting {edge}")
-        cur, _ = flip(cur.replace(lam=ev.threshold), edge)
-    return cur
+    (edge, direction) event sequence, with run_flow's debug certificate
+    check.  Returns the surface at its last event moment."""
+    # probe a hair past the split moment so the just-performed flip does not
+    # resurface through rounding, then start the flow halfway to the next split
+    first = next_split(s.replace(lam=float(s.lam) * (1 + 1e-9)))
+    if first is None:
+        raise VeertrackError("trajectory left the combinatorial neighborhood of the word")
+    start = s.replace(lam=(float(s.lam) + float(first.threshold)) / 2)
+    traj = run_flow(start, math.inf, max_events=len(word_sig))
+    if [(ev.edge, ev.direction) for ev in traj.events] != list(word_sig):
+        raise VeertrackError("trajectory left the combinatorial neighborhood of the word")
+    return traj.surfaces[-1]
 
 
 def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,8 +39,7 @@ class Period(NamedTuple):
     h: object
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
     violations: tuple[tuple[str, str, str], ...] = ()
 
@@ -52,8 +50,7 @@ class ValidationReport:
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
-@dataclass(frozen=True)
-class NumberMode:
+class NumberMode(NamedTuple):
     """How a surface stores, reads, writes and compares its numbers; the two
     instances are NUMBER_MODES["exact"] (Fractions) and ["float"]."""
 
@@ -158,7 +155,7 @@ class Surface:
     def signed(self, tri_idx: int, slot: int) -> tuple:
         e, s = self.triangles[tri_idx][slot % 3]
         p = self.periods[e]
-        return (s * p.w, s * p.h)
+        return (p.w, p.h) if s > 0 else (-p.w, -p.h)
 
     def effective_period(self, e: str) -> tuple[float, float]:
         """Flowed period as floats; for display and float-mode geometry."""

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _exact
 from .errors import DegeneracyError, VeertrackError
 from .surface import Surface, corner_classes, edge_occurrences, exchange_diagonal, find_root, quad_sides
 
 
-@dataclass(frozen=True)
-class TrainTrack:
+class TrainTrack(NamedTuple):
     direction: str  # "vertical" | "horizontal"
     triangles: tuple  # same combinatorics as the source surface
     large_slots: tuple[int, ...]  # per triangle, the slot of the large branch
@@ -61,33 +60,9 @@ class TrainTrack:
         return rows
 
 
-@dataclass(frozen=True)
-class MeasurePair:
+class MeasurePair(NamedTuple):
     transverse: dict
     tangential: dict
-
-
-@dataclass(frozen=True)
-class RegionCensus:
-    """Complementary regions: an n-gon per cone point of angle n*pi."""
-
-    regions: tuple  # (n, marked) per region
-    counts: dict  # n -> multiplicity
-
-    @staticmethod
-    def from_regions(regions) -> "RegionCensus":
-        counts: dict[int, int] = {}
-        for n, _ in regions:
-            counts[n] = counts.get(n, 0) + 1
-        return RegionCensus(tuple(regions), counts)
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    branches: frozenset
-
-    def __init__(self, branches):
-        object.__setattr__(self, "branches", frozenset(branches))
 
 
 def _abs_w(p):
@@ -156,7 +131,7 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
 
 
 def _region_data(track: TrainTrack):
-    """(corner classes, region polygon sizes, marked flags, corner->region)."""
+    """(region polygon sizes, corner->region)."""
     classes = corner_classes(track.triangles)
     corner_region: dict[tuple[int, int], int] = {}
     sizes = []
@@ -167,14 +142,16 @@ def _region_data(track: TrainTrack):
             if track.large_slots[t] == (i + 1) % 3:
                 cusps += 1  # the corner opposite the large side is a cusp
         sizes.append(cusps)
-    marked = [n <= 2 for n in sizes]
-    return classes, sizes, marked, corner_region
+    return sizes, corner_region
 
 
-def complementary_regions(track: TrainTrack) -> RegionCensus:
-    """Census by ribbon traversal: one n-gon per cone point of angle n*pi."""
-    _, sizes, marked, _ = _region_data(track)
-    return RegionCensus.from_regions(tuple(zip(sizes, marked)))
+def complementary_regions(track: TrainTrack) -> dict[int, int]:
+    """Census by ribbon traversal, {n: multiplicity}: one n-gon per cone
+    point of angle n*pi."""
+    counts: dict[int, int] = {}
+    for n in _region_data(track)[0]:
+        counts[n] = counts.get(n, 0) + 1
+    return counts
 
 
 def _branch_region_edges(track: TrainTrack, corner_region):
@@ -186,26 +163,28 @@ def _branch_region_edges(track: TrainTrack, corner_region):
     return out
 
 
-def is_filling_subtrack(track: TrainTrack, support: Subgraph) -> bool:
-    """The support fills iff every complementary component of the subtrack is
-    a disk or once-punctured disk.
+def is_filling_subtrack(track: TrainTrack, branches) -> bool:
+    """The subtrack on the given branch labels fills iff every complementary
+    component of it is a disk or once-punctured disk.
 
     Deleting a branch merges the regions on its two sides across a rectangle;
     a component with k regions and d deleted branches has Euler number k - d,
     so it is a disk iff the component is a tree, and the punctures it holds
     are the marked points of its regions.
     """
-    if not support.branches:
+    support = frozenset(branches)
+    if not support:
         raise VeertrackError("empty support")
-    unknown = support.branches - set(track.branches)
+    unknown = support - set(track.branches)
     if unknown:
         raise VeertrackError(f"support contains unknown branches {sorted(unknown)}")
-    _, _, marked, corner_region = _region_data(track)
+    sizes, corner_region = _region_data(track)
+    marked = [n <= 2 for n in sizes]
     sides = _branch_region_edges(track, corner_region)
 
     nreg = len(marked)
     parent = list(range(nreg))
-    deleted = [e for e in track.branches if e not in support.branches]
+    deleted = [e for e in track.branches if e not in support]
     for e in deleted:
         r1, r2 = sides[e]
         parent[find_root(parent, r1)] = find_root(parent, r2)

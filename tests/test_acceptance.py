@@ -64,7 +64,7 @@ from veertrack.surface import (
     triangle_area_trapezoid,
     validate,
 )
-from veertrack.traintrack import Subgraph, dual_track, is_filling_subtrack, vertex_curves
+from veertrack.traintrack import dual_track, is_filling_subtrack, vertex_curves
 
 
 def ten_exact_trajectories(min_events=3, max_events=20):
@@ -349,12 +349,12 @@ class TestCriterion14ThickImpliesFilling:
             assert matched is not None
             support = {ev.edge for ev in traj.events[:matched]}
             track, _ = dual_track(states[0])
-            assert is_filling_subtrack(track, Subgraph(tuple(support)))
+            assert is_filling_subtrack(track, support)
 
     def test_periodic_golden_word_fills(self):
         traj = run_flow(gold(), 5 * GOLD_PERIOD_T)
         match = detect_periodicity(traj)
         report = analyze_periodic_word(traj, match)
         track, _ = dual_track(traj.states()[match.m])
-        assert is_filling_subtrack(track, Subgraph(tuple(report.support)))
+        assert is_filling_subtrack(track, report.support)
         assert report.filling

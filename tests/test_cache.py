@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import veertrack.flow as flow
 import veertrack.lab as lab
 from veertrack.delaunay import _quad_entry, build_quad, delaunay_violations, flip, other_diagonal, quad
 from veertrack.errors import DegeneracyError
@@ -65,7 +66,15 @@ def test_flow_word_states_are_coherent(monkeypatch):
         seen.extend((s, flipped))
         return flipped, rec
 
-    monkeypatch.setattr(lab, "flip", recording)
+    replay = lab._flow_word
+
+    def recording_replay(s, word_sig):
+        # flow's flip is recorded during the replay alone, not the search
+        with monkeypatch.context() as m:
+            m.setattr(flow, "flip", recording)
+            return replay(s, word_sig)
+
+    monkeypatch.setattr(lab, "_flow_word", recording_replay)
     for start in STARTS.values():
         seen.clear()
         result = lab.closing_search(start())

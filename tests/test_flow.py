@@ -127,6 +127,11 @@ class TestRunFlow:
         traj = run_flow(gold(), 50.0, max_events=7)
         assert len(traj.events) == 7
 
+    @pytest.mark.parametrize("verify", ["on", "Debug", "", None])
+    def test_unknown_verify_mode_is_refused(self, verify):
+        with pytest.raises(ValueError, match=f"bad verify mode {verify!r}"):
+            run_flow(gold(), 6.0, verify=verify)
+
     @pytest.mark.parametrize("max_events", [0, -5])
     def test_max_events_below_one_is_refused(self, max_events):
         with pytest.raises(VeertrackError, match="max-events must be at least 1"):

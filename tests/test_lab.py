@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import veertrack.flow as flow
 import veertrack.lab as lab
 from veertrack.cones import compose_word, eigenpairs, image_diameter
 from veertrack.errors import VeertrackError
@@ -54,6 +55,12 @@ class TestStableContraction:
         a = contraction_experiment(gold(), 3 * GOLD_PERIOD_T, trials=3, delta=1e-4)
         b = contraction_experiment(gold(), 3 * GOLD_PERIOD_T, trials=3, delta=5e-5)
         assert a.alpha == pytest.approx(b.alpha, rel=1e-2)
+
+    @pytest.mark.parametrize("checkpoints", [0, -2])
+    def test_checkpoints_below_one_are_refused(self, checkpoints):
+        # trials below one are refused the same way (see test_cli.py)
+        with pytest.raises(VeertrackError, match=f"checkpoints must be at least 1, not {checkpoints}"):
+            contraction_experiment(gold(), 2.0, checkpoints=checkpoints)
 
 
 class TestHilbertDecay:
@@ -173,7 +180,8 @@ class TestReplayCheck:
 
     def test_certificate_is_checked_between_events(self, monkeypatch):
         probes = []
-        real = lab.delaunay_violations
+        real = flow.delaunay_violations
+        replay = lab._flow_word
 
         def recording(s):
             probes.append(float(s.lam))
@@ -181,12 +189,19 @@ class TestReplayCheck:
             assert found == []
             return found
 
-        monkeypatch.setattr(lab, "delaunay_violations", recording)
+        def recording_replay(s, word_sig):
+            # the certificate is recorded during the replay alone, not the search
+            with monkeypatch.context() as m:
+                m.setattr(flow, "delaunay_violations", recording)
+                return replay(s, word_sig)
+
+        monkeypatch.setattr(lab, "_flow_word", recording_replay)
         result = closing_search(_perturbed(slope_torus(_slope(3)), 5))
-        # one probe before each event of the word, from the point (lam 1) on
-        assert len(probes) == len(result.word) == 6
+        # one probe before each event of the word, from the point (lam 1) on,
+        # and one past the word's last event, before the split that follows it
+        assert len(probes) == len(result.word) + 1 == 7
         assert 1 < probes[0] and all(a < b for a, b in zip(probes, probes[1:]))
-        assert probes[-1] < result.lam_w**2
+        assert probes[-2] < result.lam_w**2 < probes[-1]
 
     @pytest.mark.parametrize(
         "matrix", [[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]], ids=["complex", "double"]

@@ -16,7 +16,6 @@ from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
 from veertrack.surface import Surface, area
 from veertrack.traintrack import (
-    Subgraph,
     complementary_regions,
     dual_track,
     extreme_rays_nonneg,
@@ -172,13 +171,13 @@ class TestRegions:
         expected = {t2: {2: 1}, pillow: {1: 4}, octagon: {6: 1}}
         for build, counts in expected.items():
             track, _ = dual_track(build())
-            assert complementary_regions(track).counts == counts
+            assert complementary_regions(track) == counts
 
     def test_census_stable_under_scramble(self):
         rng = random.Random(9)
         s = scramble(octagon(), rng, flips=6)
         track, _ = dual_track(s)
-        assert complementary_regions(track).counts == {6: 1}
+        assert complementary_regions(track) == {6: 1}
 
 
 SHEARED = [
@@ -232,11 +231,11 @@ class TestVertexCurves:
 class TestFilling:
     def test_full_support_fills(self):
         track, _ = dual_track(gold())
-        assert is_filling_subtrack(track, Subgraph(track.branches))
+        assert is_filling_subtrack(track, track.branches)
 
     def test_single_branch_does_not_fill(self):
         track, _ = dual_track(octagon())
-        assert not is_filling_subtrack(track, Subgraph((track.branches[0],)))
+        assert not is_filling_subtrack(track, (track.branches[0],))
 
 
 class TestSplit:
