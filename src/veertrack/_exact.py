@@ -5,8 +5,6 @@ membership at desk scale (dimensions well under a hundred).  Matrices are
 sequences of integer rows; vectors are sequences.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Sequence
 

@@ -8,8 +8,6 @@ commands that call them (analyze, contract, close), so the other commands
 start without loading numpy.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import functools

@@ -2,24 +2,20 @@
 certificate and the greedy reduction.
 
 All length comparisons are made at the surface's current flow parameter lam:
-comparing max(e^t|w|, e^{-t}|h|) values is, after multiplying through by e^t,
-the comparison of max(lam |w|, |h|), which stays rational in exact mode.
+comparing max(e^t|w|, e^{-t}|h|) values is, after multiplying through by
+q e^t for lam = p/q, the comparison of max(p|w|, q|h|), which stays rational
+in exact mode.  Every decision here is homogeneous in the periods and in
+(p, q), so the greedy reduction makes it on integers: the periods times the
+lcm of their denominators (NumberMode.scaled).
 """
-
-from __future__ import annotations
 
 from typing import NamedTuple
 
 from .errors import DegeneracyError, NotFlippableError, VeertrackError
-from .surface import Surface, cross, quad_sides
+from .surface import Period, Surface, cross, edge_occurrences, exchange_diagonal, quad_sides
 
 FLOAT_TIE = 1e-9
 MAX_FLIPS = 10000
-
-
-def linf_length(p) -> object:
-    """max(|w|, |h|) of a period or plain (w, h) pair."""
-    return max(abs(p[0]), abs(p[1]))
 
 
 def linf_scaled(s: Surface, vec) -> float:
@@ -28,17 +24,16 @@ def linf_scaled(s: Surface, vec) -> float:
     return max(abs(float(vec[0])) * sig, abs(float(vec[1])) / sig)
 
 
-def _linf_key(s: Surface, vec):
-    """Comparison key: the flowed length multiplied through by e^t."""
-    return max(s.lam * abs(vec[0]), abs(vec[1]))
-
-
-def cmp_linf(s: Surface, u, v) -> int:
-    """-1/0/+1 comparison of flowed L-infinity lengths; 0 means a tie."""
-    a, b = _linf_key(s, u), _linf_key(s, v)
-    if s.num.tie(a, b, FLOAT_TIE):
-        return 0
-    return 1 if a > b else -1
+def certificate_fails(num, lam, e: str, diag, period) -> bool:
+    """Whether the other diagonal diag of the quadrilateral of e is strictly
+    shorter than e's period in flowed L-infinity length at lam = p/q, given
+    as the pair (p, q).  An exact tie is a hard error: the Delaunay
+    triangulation is not unique there."""
+    a = max(lam[0] * abs(diag[0]), lam[1] * abs(diag[1]))
+    b = max(lam[0] * abs(period[0]), lam[1] * abs(period[1]))
+    if num.tie(a, b, FLOAT_TIE):
+        raise DegeneracyError(f"edge {e}: certificate tie (equal L-infinity lengths)")
+    return not a > b  # two float lengths that overflow to inf fail
 
 
 def slope_sign(s: Surface, p) -> int:
@@ -79,14 +74,35 @@ class FlipRecord(NamedTuple):
     new_period: tuple
 
 
+def _signed_vectors(periods, sides) -> tuple:
+    """The (w, h) period of each (edge, sign) side, negated for sign -1."""
+    vecs = []
+    for x, sg in sides:
+        w, h = periods[x]
+        vecs.append((w, h) if sg > 0 else (-w, -h))
+    return tuple(vecs)
+
+
 def build_quad(s: Surface, e: str) -> Quad:
     t1, t2, sides = quad_sides(s.triangles, s.occurrences(), e)
-    periods = s.periods
-    vecs = []
-    for eid, sg in sides:
-        p = periods[eid]
-        vecs.append((p.w, p.h) if sg > 0 else (-p.w, -p.h))
-    return Quad(e, t1, t2, sides, tuple(vecs))
+    return Quad(e, t1, t2, sides, _signed_vectors(s.periods, sides))
+
+
+def _diagonal_rule(num, e: str, vectors) -> tuple:
+    """(other diagonal b + c, flippable flag, axis-parallel error message or
+    None) of the quadrilateral of e whose sides a, b, c, d have the given
+    signed vectors."""
+    va, vb, vc, vd = vectors
+    diag = (vb[0] + vc[0], vb[1] + vc[1])
+    slack = num.slack(1e-12)
+    # zero cross product: one of the would-be triangles is flat, which
+    # happens structurally when the two triangles share a second edge
+    # (a flat cylinder); the diagonal exchange is illegal there
+    flippable = cross(vb, vc) > slack and cross(vd, va) > slack
+    error = None
+    if flippable and num.axis_parallel(diag):
+        error = f"edge {e}: new diagonal is axis-parallel"
+    return diag, flippable, error
 
 
 def _quad_entry(s: Surface, e: str) -> tuple:
@@ -97,17 +113,7 @@ def _quad_entry(s: Surface, e: str) -> tuple:
     entry = entries.get(e)
     if entry is None:
         q = build_quad(s, e)
-        va, vb, vc, vd = q.vectors
-        diag = (vb[0] + vc[0], vb[1] + vc[1])
-        slack = s.num.slack(1e-12)
-        # zero cross product: one of the would-be triangles is flat, which
-        # happens structurally when the two triangles share a second edge
-        # (a flat cylinder); the diagonal exchange is illegal there
-        flippable = cross(vb, vc) > slack and cross(vd, va) > slack
-        error = None
-        if flippable and s.num.axis_parallel(diag):
-            error = f"edge {e}: new diagonal is axis-parallel"
-        entry = entries[e] = (q, diag, flippable, error)
+        entry = entries[e] = (q, *_diagonal_rule(s.num, e, q.vectors))
     return entry
 
 
@@ -128,24 +134,15 @@ def other_diagonal(s: Surface, e: str):
 
 def delaunay_violations(s: Surface) -> list[str]:
     """Edges whose flippable quadrilateral has a strictly shorter other
-    diagonal.  An exact tie is a hard error: the Delaunay triangulation is
-    not unique there."""
+    diagonal (certificate_fails)."""
+    lam = s.num.ratio(s.lam)
     out = []
     periods = s.periods
     for e in s.edges:
         diag, flippable = other_diagonal(s, e)
-        if not flippable:
-            continue
-        c = cmp_linf(s, diag, periods[e])
-        if c == 0:
-            raise DegeneracyError(f"edge {e}: certificate tie (equal L-infinity lengths)")
-        if c < 0:
+        if flippable and certificate_fails(s.num, lam, e, diag, periods[e]):
             out.append(e)
     return out
-
-
-def is_delaunay(s: Surface) -> bool:
-    return not delaunay_violations(s)
 
 
 def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
@@ -161,19 +158,42 @@ def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
 
 def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
     """Flip violating edges, longest first (label order breaks ties), until
-    the certificate passes; s itself, with no flips, when it already does."""
+    the certificate passes; s itself, with no flips, when it already does.
+
+    The flips run on the triangles, their occurrence index and the scaled
+    periods of NumberMode.scaled, and build one Surface at the end.  A flip
+    changes the two triangles around its edge and nothing else, so only
+    that edge and the sides of its quadrilateral are tested again, in label
+    order, as a full pass would meet them."""
+    num = s.num
+    lam = num.ratio(s.lam)
+    scale, view = num.scaled(s.periods)
+    triangles, occ, periods = s.triangles, s.occurrences(), dict(s.periods)
     records: list[FlipRecord] = []
-    cur = s
+    bad = {}  # violating edge -> (minus its flowed length, t1, t2, sides, diagonal)
+    touched = s.edges
     for _ in range(MAX_FLIPS):
-        bad = delaunay_violations(cur)
+        for f in sorted(touched):
+            t1, t2, sides = quad_sides(triangles, occ, f)
+            diag, flippable, error = _diagonal_rule(num, f, _signed_vectors(view, sides))
+            if error is not None:
+                raise DegeneracyError(error)
+            if flippable and certificate_fails(num, lam, f, diag, view[f]):
+                w, h = view[f]
+                bad[f] = (-linf_scaled(s, (w / scale, h / scale)), t1, t2, sides, diag)
+            else:
+                bad.pop(f, None)
         if not bad:
-            return cur, records
-        bad.sort(key=lambda e: (-linf_scaled(cur, cur.periods[e]), e))
-        cur, rec = flip(cur, bad[0])
-        records.append(rec)
+            if not records:
+                return s, records
+            return Surface._normalised(triangles, periods, num, s.lam, {}), records
+        e = min(bad, key=lambda f: (bad[f][0], f))
+        _, t1, t2, sides, diag = bad.pop(e)
+        old = periods[e]
+        periods[e] = Period(num.coerce(diag[0]) / scale, num.coerce(diag[1]) / scale)
+        records.append(FlipRecord(e, (old.w, old.h), tuple(periods[e])))
+        view[e] = diag
+        triangles = exchange_diagonal(triangles, e, t1, t2, sides)
+        occ = edge_occurrences(triangles)
+        touched = {x for t in (t1, t2) for x, _ in triangles[t]}
     raise VeertrackError(f"greedy did not terminate within {MAX_FLIPS} flips")
-
-
-def total_linf(s: Surface) -> float:
-    """Sum of flowed L-infinity edge lengths (the greedy's potential)."""
-    return sum(linf_scaled(s, s.periods[e]) for e in s.edges)

@@ -4,8 +4,6 @@ Degeneracies (ties, axis-parallel periods, simultaneous events) are kept
 distinct from plain errors so the CLI can map them to exit code 2.
 """
 
-from __future__ import annotations
-
 
 class VeertrackError(Exception):
     """Base class for everything this package raises on purpose."""

@@ -7,8 +7,6 @@ relative to the base chart, so in exact mode the whole splitting sequence is
 a sequence of exact rational comparisons.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -16,8 +16,6 @@ instance a surface holds as s.num: exact mode decides exactly (slack 0, tie
 a == b), float mode with the tolerance that each caller names.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import re
@@ -71,6 +69,25 @@ class NumberMode(NamedTuple):
         if self.exact:
             return p[0] == 0 or p[1] == 0
         return abs(p[0]) <= EPS_AXIS or abs(p[1]) <= EPS_AXIS
+
+    def ratio(self, x) -> tuple:
+        """(p, q) with x = p / q: lowest terms in exact mode, (x, 1) in
+        float mode."""
+        return (x.numerator, x.denominator) if self.exact else (x, 1)
+
+    def scaled(self, periods) -> tuple:
+        """(D, view): every period times D, as a (w, h) pair per edge.  In
+        exact mode D is the lcm of all denominators and the view holds
+        integers; in float mode D = 1 and the view holds the floats
+        themselves.  A decision homogeneous in the periods, made exactly,
+        reads the same on the view."""
+        if not self.exact:
+            return 1, dict(periods)
+        d = math.lcm(*(x.denominator for p in periods.values() for x in p))
+        return d, {
+            e: (w.numerator * (d // w.denominator), h.numerator * (d // h.denominator))
+            for e, (w, h) in periods.items()
+        }
 
     def from_float(self, x: float):
         """x in this mode; exact mode limits the denominator to 10^12."""

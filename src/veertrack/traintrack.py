@@ -8,8 +8,6 @@ switches carry 0, every other branch carries half the sum of the heights of
 its small partners.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from typing import NamedTuple

@@ -15,6 +15,8 @@ import pytest
 from util import (
     brute_force_rays,
     exact_trajectory_prefix,
+    is_delaunay,
+    linf_length,
     random_suited_surface,
     random_veering_triangle,
     scramble,
@@ -29,13 +31,7 @@ from veertrack.cones import (
     reconstruct_from_words,
     tangential_equivalent,
 )
-from veertrack.delaunay import (
-    delaunay_violations,
-    greedy_delaunay,
-    is_delaunay,
-    linf_length,
-    other_diagonal,
-)
+from veertrack.delaunay import delaunay_violations, greedy_delaunay, other_diagonal
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import (
     GOLD_DILATATION,

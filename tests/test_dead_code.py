@@ -6,8 +6,8 @@ the package itself; only surface.py (with the fixtures that build
 surfaces) decides by the number mode's name; only cones.eigenpairs runs a
 float eigensolve; only cones and lab import numpy, and nothing that
 importing cli loads imports cones, lab or numpy at top level, so the CLI
-starts without numpy; and every function the benchmark's span tracer
-names still exists."""
+starts without numpy, or postpones its annotations; and every function
+the benchmark's span tracer names still exists."""
 
 import ast
 import importlib
@@ -272,10 +272,10 @@ def test_only_cones_and_lab_import_numpy():
     assert stray_numpy_imports() == []
 
 
-def numpy_at_cli_startup(root: Path = ROOT) -> list[str]:
-    """"module: name" for every top-level import of numpy or a NUMPY_MODULES
-    module in a package module that importing veertrack.cli loads: the
-    package's __init__, cli, and what their top-level imports load in turn."""
+def cli_startup(root: Path = ROOT) -> tuple[dict[str, set[str]], set[str]]:
+    """(the top-level imports of every package module by stem, the stems of
+    the modules that importing veertrack.cli loads: the package's __init__,
+    cli, and what their top-level imports load in turn)."""
     package = root / "src" / "veertrack"
     imports = {
         path.stem: imported_modules(ast.parse(path.read_text(encoding="utf-8")), top_level=True)
@@ -287,6 +287,13 @@ def numpy_at_cli_startup(root: Path = ROOT) -> list[str]:
         if stem in imports and stem not in loaded:
             loaded.add(stem)
             todo.extend(imports[stem])
+    return imports, loaded
+
+
+def numpy_at_cli_startup(root: Path = ROOT) -> list[str]:
+    """"module: name" for every top-level import of numpy or a NUMPY_MODULES
+    module in a package module that importing veertrack.cli loads."""
+    imports, loaded = cli_startup(root)
     return sorted(
         f"{stem}: {name}"
         for stem in loaded
@@ -321,6 +328,44 @@ def test_guard_sees_a_numpy_import_at_the_top(tmp_path):
         (package / name).write_text(text)
     assert stray_numpy_imports(tmp_path) == ["flow"]
     assert numpy_at_cli_startup(tmp_path) == ["cones: numpy", "traintrack: cones"]
+
+
+def future_annotations_at_cli_startup(root: Path = ROOT) -> list[str]:
+    """Every package module that importing veertrack.cli loads and that
+    has `from __future__ import annotations`: under it typing.NamedTuple
+    compiles a ForwardRef for each field's string annotation on import."""
+    _, loaded = cli_startup(root)
+    found = []
+    for stem in sorted(loaded):
+        tree = ast.parse((root / "src" / "veertrack" / f"{stem}.py").read_text(encoding="utf-8"))
+        if any(
+            isinstance(node, ast.ImportFrom)
+            and node.module == "__future__"
+            and any(alias.name == "annotations" for alias in node.names)
+            for node in tree.body
+        ):
+            found.append(stem)
+    return found
+
+
+def test_the_cli_evaluates_annotations_eagerly():
+    assert future_annotations_at_cli_startup() == []
+
+
+def test_guard_sees_postponed_annotations(tmp_path):
+    package = tmp_path / "src" / "veertrack"
+    package.mkdir(parents=True)
+    future = "from __future__ import annotations\n"
+    for name, text in {
+        "__init__.py": "from .errors import VeertrackError\n",
+        "errors.py": future + "\n\nclass VeertrackError(Exception):\n    pass\n",
+        "cli.py": "from . import flow\n\n\ndef cmd_close():\n    from . import lab\n    return lab\n",
+        "flow.py": "from __future__ import division, annotations\n",
+        "lab.py": future,
+        "fixtures.py": future,
+    }.items():
+        (package / name).write_text(text)
+    assert future_annotations_at_cli_startup(tmp_path) == ["errors", "flow"]
 
 
 def untraceable(spans: Path = ROOT / "perfbench" / "spans.py") -> list[str]:

@@ -4,25 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from util import scramble
+from util import full_pass_greedy, is_delaunay, linf_length, scramble, total_linf
 
+from veertrack import delaunay
 from veertrack.delaunay import (
     build_quad,
-    cmp_linf,
+    certificate_fails,
     delaunay_violations,
     flip,
     greedy_delaunay,
-    is_delaunay,
     is_veering,
-    linf_length,
     other_diagonal,
     slope_sign,
-    total_linf,
 )
 from veertrack.errors import DegeneracyError, NotFlippableError
-from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
-from veertrack.surface import area, validate
+from veertrack.fixtures import BUILDERS, gold, octagon, pillow, slope_torus, t2
+from veertrack.surface import Surface, area, serialize_surface, validate
 
 
 class TestQuad:
@@ -120,11 +120,10 @@ class TestCertificate:
             delaunay_violations(s)
 
     def test_comparison_is_flow_aware(self):
-        s = t2()
+        num = t2().num
         u, v = (Fraction(2), Fraction(1)), (Fraction(1), Fraction(3))
-        assert cmp_linf(s, u, v) < 0
-        late = s.replace(lam=Fraction(4))
-        assert cmp_linf(late, u, v) > 0
+        assert certificate_fails(num, (1, 1), "e1", u, v)
+        assert not certificate_fails(num, (4, 1), "e1", u, v)
 
 
 class TestGreedy:
@@ -157,3 +156,105 @@ class TestGreedy:
             cur, _ = flip(cur, bad[0])
             lengths.append(total_linf(cur))
         assert all(b <= a + 1e-9 for a, b in zip(lengths, lengths[1:]))
+
+
+def sheared(name: str, shears, exact: bool) -> Surface | None:
+    """Fixture name under the product of elementary shears, each an
+    (upper, p, q) triple for [[1, p/q], [0, 1]] or [[1, 0], [p/q, 1]], so
+    of determinant 1; a float copy when not exact, None when some period
+    gets a zero coordinate."""
+    base = BUILDERS[name]("exact")
+    m = ((1, 0), (0, 1))
+    for upper, p, q in shears:
+        r = Fraction(p, q)
+        (a, b), (c, d) = ((1, r), (0, 1)) if upper else ((1, 0), (r, 1))
+        m = ((m[0][0] * a + m[0][1] * c, m[0][0] * b + m[0][1] * d),
+             (m[1][0] * a + m[1][1] * c, m[1][0] * b + m[1][1] * d))
+    periods = {
+        e: (m[0][0] * p.w + m[0][1] * p.h, m[1][0] * p.w + m[1][1] * p.h)
+        for e, p in base.periods.items()
+    }
+    if any(w == 0 or h == 0 for w, h in periods.values()):
+        return None
+    if exact:
+        return Surface(base.triangles, periods, "exact")
+    return Surface(base.triangles, {e: (float(w), float(h)) for e, (w, h) in periods.items()}, "float")
+
+
+def outcome(reduce, s: Surface):
+    """The result document and flip records of reduce(s), or the message of
+    the DegeneracyError it raised."""
+    try:
+        result, records = reduce(s)
+    except DegeneracyError as exc:
+        return str(exc)
+    return serialize_surface(result), [tuple(r) for r in records]
+
+
+TIE = ("octagon", [(False, 2, 1), (True, -3, 1), (False, -2, 2)])  # after 15 flips
+AXIS = ("octagon", [(True, 1, 2), (True, -3, 1), (False, -2, 1)])  # after 27 flips
+MANY_FLIPS = ("octagon", [(False, 2, 2), (False, 2, 1), (False, -2, 2)])  # 6 flips
+
+
+class TestGreedyAgainstFullPass:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(["t2", "pillow", "octagon"]),
+        shears=st.lists(
+            st.tuples(st.booleans(), st.integers(-3, 3), st.integers(1, 3)), min_size=3, max_size=3
+        ),
+        exact=st.booleans(),
+    )
+    @example(name=TIE[0], shears=TIE[1], exact=True)
+    @example(name=TIE[0], shears=TIE[1], exact=False)
+    @example(name=AXIS[0], shears=AXIS[1], exact=True)
+    @example(name=AXIS[0], shears=AXIS[1], exact=False)
+    def test_same_records_result_and_error(self, name, shears, exact):
+        s = sheared(name, shears, exact)
+        assume(s is not None)
+        assert outcome(greedy_delaunay, s) == outcome(full_pass_greedy, sheared(name, shears, exact))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (TIE, "edge g4: certificate tie (equal L-infinity lengths)"),
+            (AXIS, "edge s4: new diagonal is axis-parallel"),
+        ],
+    )
+    def test_degenerate_ends_after_flips(self, case, message, exact):
+        name, shears = case
+        assert outcome(greedy_delaunay, sheared(name, shears, exact)) == message
+
+    def test_records_hold_true_periods(self):
+        s = sheared(*MANY_FLIPS, True)
+        result, records = greedy_delaunay(s)
+        assert records == full_pass_greedy(sheared(*MANY_FLIPS, True))[1]
+        for r in records:
+            assert all(type(x) is Fraction for x in (*r.old_period, *r.new_period))
+        for e, p in result.periods.items():
+            if e not in {r.old_edge for r in records}:
+                assert p is s.periods[e]
+
+
+class TestGreedyCost:
+    def test_tests_only_what_a_flip_touches(self, monkeypatch):
+        s = sheared(*MANY_FLIPS, True)
+        calls = []
+        real = delaunay.quad_sides
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(delaunay, "quad_sides", counting)
+        _, records = greedy_delaunay(s)
+        assert len(records) >= 5
+        assert len(calls) <= len(s.edges) + 5 * len(records)
+
+    @pytest.mark.parametrize("build", [t2, gold, pillow, octagon])
+    def test_no_flip_returns_the_input(self, build):
+        s, _ = greedy_delaunay(build())
+        again, records = greedy_delaunay(s)
+        assert again is s
+        assert records == []

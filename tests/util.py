@@ -8,11 +8,48 @@ import math
 import random
 from fractions import Fraction
 
-from veertrack.delaunay import build_quad, flip, greedy_delaunay, other_diagonal
+from veertrack.delaunay import (
+    MAX_FLIPS,
+    build_quad,
+    delaunay_violations,
+    flip,
+    greedy_delaunay,
+    linf_scaled,
+    other_diagonal,
+)
 from veertrack.errors import DegeneracyError, NotFlippableError, VeertrackError
 from veertrack.fixtures import octagon, t2
 from veertrack.flow import next_split
 from veertrack.surface import Surface, validate
+
+
+def linf_length(p) -> object:
+    """max(|w|, |h|) of a period or plain (w, h) pair."""
+    return max(abs(p[0]), abs(p[1]))
+
+
+def total_linf(s: Surface) -> float:
+    """Sum of flowed L-infinity edge lengths (the greedy's potential)."""
+    return sum(linf_scaled(s, s.periods[e]) for e in s.edges)
+
+
+def is_delaunay(s: Surface) -> bool:
+    return not delaunay_violations(s)
+
+
+def full_pass_greedy(s: Surface):
+    """The reference for greedy_delaunay: one full certificate pass on the
+    surface's own periods before every flip, and a new Surface per flip."""
+    records = []
+    cur = s
+    for _ in range(MAX_FLIPS):
+        bad = delaunay_violations(cur)
+        if not bad:
+            return cur, records
+        bad.sort(key=lambda e: (-linf_scaled(cur, cur.periods[e]), e))
+        cur, rec = flip(cur, bad[0])
+        records.append(rec)
+    raise VeertrackError(f"greedy did not terminate within {MAX_FLIPS} flips")
 
 
 def random_veering_triangle(rng: random.Random, exact: bool):
