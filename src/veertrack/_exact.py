@@ -1,11 +1,10 @@
 """Tiny exact linear algebra over Python ints.
 
-One fraction-free (Bareiss) elimination answers rank, determinant and span
-membership at desk scale (dimensions well under a hundred).  Matrices are
-sequences of integer rows; vectors are sequences.
+One fraction-free (Bareiss) elimination answers rank at desk scale
+(dimensions well under a hundred); it also gives the determinant's pivot
+and row-swap sign.  Matrices are sequences of integer rows.
 """
 
-import math
 from typing import Sequence
 
 
@@ -44,21 +43,3 @@ def _eliminate(a: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
 
 def rank(a: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(a)[0])
-
-
-def mat_det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix."""
-    pivots, sign, last = _eliminate(a)
-    return sign * last if len(pivots) == len(a) else 0
-
-
-def in_span(vectors: Sequence[Sequence[int]], target: Sequence) -> bool:
-    """Whether a rational target lies in the linear span of the given
-    integer vectors (exact)."""
-    if not any(target):
-        return True
-    if not vectors:
-        return False
-    den = math.lcm(*(x.denominator for x in target))
-    scaled = [x.numerator * (den // x.denominator) for x in target]
-    return rank(vectors) == rank([*vectors, scaled])

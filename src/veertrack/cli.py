@@ -19,7 +19,7 @@ import sys
 from .delaunay import delaunay_violations, greedy_delaunay, is_veering, linf_scaled
 from .errors import DegeneracyError, DocumentError, VeertrackError
 from .flow import detect_periodicity, next_split, run_flow, thick_fraction
-from .surface import area, parse_surface, rebase, serialize_surface, validate
+from .surface import parse_surface, rebase, serialize_surface, validate
 from .traintrack import complementary_regions, dual_track, vertex_curves
 
 
@@ -47,7 +47,7 @@ def cmd_validate(args) -> int:
     s = _load(args.input)
     report = validate(s)
     if report.passed:
-        print(f"ok: {len(s.triangles)} triangles, {len(s.periods)} edges, area {float(area(s)):.6g}")
+        print(f"ok: {len(s.triangles)} triangles, {len(s.periods)} edges, area {float(report.area):.6g}")
         return 0
     for rule, where, detail in report.violations:
         print(f"violation [{rule}] {where}: {detail}")
@@ -200,7 +200,7 @@ def cmd_report(args) -> int:
         "edges": len(s.periods),
     }
     if rep.passed:
-        doc["area"] = float(area(s))
+        doc["area"] = float(rep.area)
         doc["veering"] = is_veering(s)
         doc["delaunay_violations"] = delaunay_violations(s)
         doc["longest_edge"] = max(s.edges, key=lambda e: linf_scaled(s, s.periods[e]))

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from ._exact import in_span, mat_det
 from .errors import DegeneracyError, VeertrackError
-from .flow import PeriodicMatch, SplitEvent, Trajectory
-from .traintrack import TrainTrack, dual_track, is_filling_subtrack, split_with_direction
+from .flow import PeriodicMatch, Trajectory
+from .traintrack import dual_track, is_filling_subtrack
 
 CONE_TOL = 1e-12
 
@@ -42,21 +40,6 @@ class TransitionPair(NamedTuple):
         """The transpose of the transverse matrix."""
         return tuple(zip(*self.transverse))
 
-    @property
-    def n(self) -> int:
-        return len(self.branches)
-
-    def det(self) -> int:
-        return mat_det(self.transverse)
-
-    def nonneg_shift(self) -> bool:
-        """Whether M - I is entrywise nonnegative."""
-        return all(
-            self.transverse[i][j] - (1 if i == j else 0) >= 0
-            for i in range(self.n)
-            for j in range(self.n)
-        )
-
 
 def compose_word(events, branches: tuple[str, ...]) -> TransitionPair:
     """Product of elementary matrices in temporal order: right-multiplying by
@@ -71,82 +54,6 @@ def compose_word(events, branches: tuple[str, ...]) -> TransitionPair:
             for j in losers:
                 row[j] += x
     return TransitionPair(branches, tuple(tuple(row) for row in m))
-
-
-def reconstruct_from_words(
-    track0: TrainTrack,
-    track_end: TrainTrack,
-    words: dict[str, str],
-) -> tuple[list[tuple[str, str, tuple[str, str], tuple[str, str]]], TransitionPair]:
-    """Rebuild a splitting sequence from its per-branch direction words.
-
-    words maps each branch label to the string of directions ("L"/"R") of its
-    splits, in temporal order.  The search interleaves the words in every
-    admissible way (a branch may only split while it is large) by
-    backtracking, and accepts a linearization when the final track equals
-    track_end.  Returns the event list as (edge, direction, losers, winners)
-    tuples together with the composed transition pair.
-    """
-    branches = tuple(sorted(track0.branches))
-    remaining0 = {e: list(w) for e, w in words.items() if w}
-
-    def canon(track: TrainTrack):
-        out = []
-        for tri, slot in zip(track.triangles, track.large_slots):
-            best = min(
-                (tuple(tri[(r + k) % 3] for k in range(3)), (slot - r) % 3)
-                for r in range(3)
-            )
-            out.append(best)
-        return frozenset(out)
-
-    target = canon(track_end)
-    seen: set = set()
-
-    def search(track: TrainTrack, remaining: dict, trail: list):
-        key = (canon(track), tuple(sorted((e, len(w)) for e, w in remaining.items())))
-        if key in seen:
-            return None
-        seen.add(key)
-        if not remaining:
-            return list(trail) if canon(track) == target else None
-        roles = track.branch_roles()
-        for e in sorted(remaining):
-            if roles.get(e) != "large":
-                continue
-            direction = remaining[e][0]
-            try:
-                nxt, losers, winners = split_with_direction(track, e, direction)
-            except VeertrackError:
-                continue
-            new_remaining = {k: v[1:] if k == e else v for k, v in remaining.items()}
-            new_remaining = {k: v for k, v in new_remaining.items() if v}
-            trail.append((e, direction, tuple(sorted(losers)), tuple(sorted(winners))))
-            hit = search(nxt, new_remaining, trail)
-            if hit is not None:
-                return hit
-            trail.pop()
-        return None
-
-    events = search(track0, remaining0, [])
-    if events is None:
-        raise VeertrackError("no interleaving of the direction words joins the two tracks")
-    pseudo = [
-        SplitEvent(1, e, d, losers, winners) for (e, d, losers, winners) in events
-    ]
-    return events, compose_word(pseudo, branches)
-
-
-# ---------------------------------------------------------------------------
-# the equivalence space of tangential measures
-
-
-def tangential_equivalent(track: TrainTrack, r1, r2) -> bool:
-    """Whether two tangential vectors (branch order = track.branches) differ
-    by an element of V(tau), the span of the switch rows
-    1_large - 1_small - 1_small."""
-    diff = [Fraction(a) - Fraction(b) for a, b in zip(r1, r2)]
-    return in_span(track.switch_matrix(), diff)
 
 
 # ---------------------------------------------------------------------------

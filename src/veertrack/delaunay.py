@@ -24,15 +24,16 @@ def linf_scaled(s: Surface, vec) -> float:
     return max(abs(float(vec[0])) * sig, abs(float(vec[1])) / sig)
 
 
-def certificate_fails(num, lam, e: str, diag, period) -> bool:
-    """Whether the other diagonal diag of the quadrilateral of e is strictly
-    shorter than e's period in flowed L-infinity length at lam = p/q, given
-    as the pair (p, q).  An exact tie is a hard error: the Delaunay
-    triangulation is not unique there."""
+def certificate_fails(num, lam, q: "Quad", period) -> bool:
+    """Whether the other diagonal of the quadrilateral q is strictly shorter
+    than period, the present diagonal's, in flowed L-infinity length at
+    lam = p/q, given as the pair (p, q).  An exact tie is a hard error: the
+    Delaunay triangulation is not unique there."""
+    diag = q.diagonal
     a = max(lam[0] * abs(diag[0]), lam[1] * abs(diag[1]))
     b = max(lam[0] * abs(period[0]), lam[1] * abs(period[1]))
     if num.tie(a, b, FLOAT_TIE):
-        raise DegeneracyError(f"edge {e}: certificate tie (equal L-infinity lengths)")
+        raise DegeneracyError(f"edge {q.edge}: certificate tie (equal L-infinity lengths)")
     return not a > b  # two float lengths that overflow to inf fail
 
 
@@ -66,6 +67,8 @@ class Quad(NamedTuple):
     t2: int
     sides: tuple[tuple[str, int], ...]  # a, b, c, d
     vectors: tuple  # signed period vectors of a, b, c, d
+    diagonal: tuple  # the other diagonal b + c
+    flippable: bool  # both triangles of the exchange are positively oriented
 
 
 class FlipRecord(NamedTuple):
@@ -74,24 +77,16 @@ class FlipRecord(NamedTuple):
     new_period: tuple
 
 
-def _signed_vectors(periods, sides) -> tuple:
-    """The (w, h) period of each (edge, sign) side, negated for sign -1."""
-    vecs = []
+def develop(num, triangles, occ, periods, e: str) -> Quad:
+    """The quadrilateral of e on triangles (occ their edge_occurrences
+    index), its vectors read from periods, which map each edge to a (w, h)
+    pair; DegeneracyError when e is flippable and the other diagonal is
+    axis-parallel."""
+    t1, t2, sides = quad_sides(triangles, occ, e)
+    vectors = []
     for x, sg in sides:
         w, h = periods[x]
-        vecs.append((w, h) if sg > 0 else (-w, -h))
-    return tuple(vecs)
-
-
-def build_quad(s: Surface, e: str) -> Quad:
-    t1, t2, sides = quad_sides(s.triangles, s.occurrences(), e)
-    return Quad(e, t1, t2, sides, _signed_vectors(s.periods, sides))
-
-
-def _diagonal_rule(num, e: str, vectors) -> tuple:
-    """(other diagonal b + c, flippable flag, axis-parallel error message or
-    None) of the quadrilateral of e whose sides a, b, c, d have the given
-    signed vectors."""
+        vectors.append((w, h) if sg > 0 else (-w, -h))
     va, vb, vc, vd = vectors
     diag = (vb[0] + vc[0], vb[1] + vc[1])
     slack = num.slack(1e-12)
@@ -99,37 +94,24 @@ def _diagonal_rule(num, e: str, vectors) -> tuple:
     # happens structurally when the two triangles share a second edge
     # (a flat cylinder); the diagonal exchange is illegal there
     flippable = cross(vb, vc) > slack and cross(vd, va) > slack
-    error = None
     if flippable and num.axis_parallel(diag):
-        error = f"edge {e}: new diagonal is axis-parallel"
-    return diag, flippable, error
+        raise DegeneracyError(f"edge {e}: new diagonal is axis-parallel")
+    # _make skips the keyword binding of Quad(...), once per tested edge
+    return Quad._make((e, t1, t2, sides, tuple(vectors), diag, flippable))
 
 
-def _quad_entry(s: Surface, e: str) -> tuple:
-    """(quad, other diagonal, flippable flag, axis-parallel error message or
-    None) for the edge e of s: built from build_quad the first time e is
-    asked for, and kept for s and its lam-only copies."""
-    entries = s.cached("quads", lambda _: {})
-    entry = entries.get(e)
-    if entry is None:
-        q = build_quad(s, e)
-        entry = entries[e] = (q, *_diagonal_rule(s.num, e, q.vectors))
-    return entry
+def build_quad(s: Surface, e: str) -> Quad:
+    return develop(s.num, s.triangles, s.occurrences(), s.periods, e)
 
 
 def quad(s: Surface, e: str) -> Quad:
-    """build_quad(s, e), built once for s and its lam-only copies."""
-    return _quad_entry(s, e)[0]
-
-
-def other_diagonal(s: Surface, e: str):
-    """(diagonal period vector, flippable flag) for the quadrilateral of e,
-    computed once for s and its lam-only copies; DegeneracyError, on every
-    call, when e is flippable and the diagonal is axis-parallel."""
-    _, diag, flippable, error = _quad_entry(s, e)
-    if error is not None:
-        raise DegeneracyError(error)
-    return diag, flippable
+    """build_quad(s, e), built once for s and its lam-only copies; an edge
+    whose build raises is not kept, so it raises on every call."""
+    quads = s.cached("quads", lambda _: {})
+    q = quads.get(e)
+    if q is None:
+        q = quads[e] = build_quad(s, e)
+    return q
 
 
 def delaunay_violations(s: Surface) -> list[str]:
@@ -139,21 +121,22 @@ def delaunay_violations(s: Surface) -> list[str]:
     out = []
     periods = s.periods
     for e in s.edges:
-        diag, flippable = other_diagonal(s, e)
-        if flippable and certificate_fails(s.num, lam, e, diag, periods[e]):
+        q = quad(s, e)
+        if q.flippable and certificate_fails(s.num, lam, q, periods[e]):
             out.append(e)
     return out
 
 
 def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
     """Replace e by the other diagonal of its quadrilateral; e keeps its label."""
-    new_p, flippable = other_diagonal(s, e)
-    if not flippable:
-        raise NotFlippableError(f"edge {e}: quadrilateral is not convex")
     q = quad(s, e)
+    if not q.flippable:
+        raise NotFlippableError(f"edge {e}: quadrilateral is not convex")
     old = s.periods[e]
-    rec = FlipRecord(e, (old.w, old.h), new_p)
-    return s.exchanged(e, q.t1, q.t2, q.sides, new_p), rec
+    periods = {**s.periods, e: Period(*q.diagonal)}
+    triangles = exchange_diagonal(s.triangles, e, q.t1, q.t2, q.sides)
+    rec = FlipRecord(e, (old.w, old.h), q.diagonal)
+    return Surface._normalised(triangles, periods, s.num, s.lam, {}), rec
 
 
 def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
@@ -170,17 +153,14 @@ def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
     scale, view = num.scaled(s.periods)
     triangles, occ, periods = s.triangles, s.occurrences(), dict(s.periods)
     records: list[FlipRecord] = []
-    bad = {}  # violating edge -> (minus its flowed length, t1, t2, sides, diagonal)
+    bad = {}  # violating edge -> (minus its flowed length, its Quad on the view)
     touched = s.edges
     for _ in range(MAX_FLIPS):
         for f in sorted(touched):
-            t1, t2, sides = quad_sides(triangles, occ, f)
-            diag, flippable, error = _diagonal_rule(num, f, _signed_vectors(view, sides))
-            if error is not None:
-                raise DegeneracyError(error)
-            if flippable and certificate_fails(num, lam, f, diag, view[f]):
+            q = develop(num, triangles, occ, view, f)
+            if q.flippable and certificate_fails(num, lam, q, view[f]):
                 w, h = view[f]
-                bad[f] = (-linf_scaled(s, (w / scale, h / scale)), t1, t2, sides, diag)
+                bad[f] = (-linf_scaled(s, (w / scale, h / scale)), q)
             else:
                 bad.pop(f, None)
         if not bad:
@@ -188,12 +168,13 @@ def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
                 return s, records
             return Surface._normalised(triangles, periods, num, s.lam, {}), records
         e = min(bad, key=lambda f: (bad[f][0], f))
-        _, t1, t2, sides, diag = bad.pop(e)
+        q = bad.pop(e)[1]
+        diag = q.diagonal
         old = periods[e]
         periods[e] = Period(num.coerce(diag[0]) / scale, num.coerce(diag[1]) / scale)
         records.append(FlipRecord(e, (old.w, old.h), tuple(periods[e])))
         view[e] = diag
-        triangles = exchange_diagonal(triangles, e, t1, t2, sides)
+        triangles = exchange_diagonal(triangles, e, q.t1, q.t2, q.sides)
         occ = edge_occurrences(triangles)
-        touched = {x for t in (t1, t2) for x, _ in triangles[t]}
+        touched = {x for t in (q.t1, q.t2) for x, _ in triangles[t]}
     raise VeertrackError(f"greedy did not terminate within {MAX_FLIPS} flips")

@@ -84,9 +84,9 @@ OCT_SIDES = (
 )
 
 
-def octagon(mode: str = "exact", sides=OCT_SIDES) -> Surface:
+def octagon(mode: str = "exact") -> Surface:
     """Octagon with opposite sides identified: genus 2, one zero of angle 6*pi."""
-    d = [(Fraction(w), Fraction(h)) for w, h in sides]
+    d = OCT_SIDES
     partial = [(Fraction(0), Fraction(0))]
     for k in range(7):
         v = d[k] if k < 4 else (-d[k - 4][0], -d[k - 4][1])

@@ -10,7 +10,7 @@ a sequence of exact rational comparisons.
 import math
 from typing import NamedTuple
 
-from .delaunay import delaunay_violations, flip, other_diagonal, quad, slope_sign
+from .delaunay import delaunay_violations, flip, quad, slope_sign
 from .errors import DegeneracyError, VeertrackError
 from .surface import Surface
 from .traintrack import dual_track, large_slots, split_roles, vertex_curves
@@ -61,13 +61,13 @@ def _large_edges(s: Surface) -> list[str]:
 def _split_candidates(s: Surface):
     out = []
     for e in _large_edges(s):
-        diag, flippable = other_diagonal(s, e)
-        if not flippable:
+        q = quad(s, e)
+        if not q.flippable:
             continue
         w_e, h_e = abs(s.periods[e].w), abs(s.periods[e].h)
-        w_d, h_d = abs(diag[0]), abs(diag[1])
+        w_d, h_d = abs(q.diagonal[0]), abs(q.diagonal[1])
         if w_d < w_e and h_d > h_e:
-            out.append((h_d / w_e, e, diag))
+            out.append((h_d / w_e, e, q))
     return out
 
 
@@ -80,9 +80,8 @@ def next_split(s: Surface) -> SplitEvent | None:
         cands.sort()  # by threshold, then edge; edges are distinct
         if s.num.tie(cands[1][0], cands[0][0], FLOAT_EVENT_TIE):
             raise DegeneracyError(f"simultaneous split events on {cands[0][1]} and {cands[1][1]}")
-    thr, e, diag = cands[0]
-    direction = "L" if slope_sign(s, diag) > 0 else "R"
-    q = quad(s, e)
+    thr, e, q = cands[0]
+    direction = "L" if slope_sign(s, q.diagonal) > 0 else "R"
     losers, winners = split_roles(q.sides, direction)
     # cross-check with the width comparison that defines the track split
     wb = abs(q.vectors[1][0]) + abs(q.vectors[3][0])

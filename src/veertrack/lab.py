@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import compose_word, eigenpairs, image_diameter
-from .delaunay import greedy_delaunay, other_diagonal
+from .delaunay import greedy_delaunay, quad
 from .errors import DegeneracyError, VeertrackError
 from .flow import Trajectory, detect_periodicity, lam_after, next_split, run_flow
 from .surface import Surface, area, edge_occurrences, exchange_diagonal, quad_sides, rebase
@@ -280,7 +280,7 @@ def _pin_moment(x: Surface, edge: str) -> Surface:
     """x with its heights scaled so that the rectangle of edge is a square,
     |h(edge)| = |w| of its other diagonal, which is the moment edge split;
     then scaled to unit area."""
-    hs = abs(other_diagonal(x, edge)[0][0] / x.periods[edge].h)
+    hs = abs(quad(x, edge).diagonal[0] / x.periods[edge].h)
     try:
         f = 1.0 / math.sqrt(hs * float(area(x)))
     except ArithmeticError as exc:

@@ -40,6 +40,7 @@ class Period(NamedTuple):
 class ValidationReport(NamedTuple):
     passed: bool
     violations: tuple[tuple[str, str, str], ...] = ()
+    area: object = None  # the shoelace total (as area gives it) when passed
 
 
 # Fraction expands a decimal exponent into an integer with that many digits,
@@ -192,16 +193,6 @@ class Surface:
             self.mode,
             self.lam if lam is None else lam,
         )
-
-    def exchanged(self, e: str, t1: int, t2: int, sides, diagonal) -> "Surface":
-        """The surface after e is replaced by the other diagonal of its
-        quadrilateral (t1, t2 and sides as quad_sides gives them), whose
-        period is diagonal; built from this surface's normalised data, with
-        an empty cache."""
-        triangles = exchange_diagonal(self.triangles, e, t1, t2, sides)
-        periods = dict(self.periods)
-        periods[e] = Period(*diagonal)
-        return Surface._normalised(triangles, periods, self.num, self.lam, {})
 
     def cached(self, key, compute, *args):
         """compute(self, *args), computed once for this surface and every copy
@@ -410,7 +401,9 @@ def cross(a, b):
 
 
 def validate(s: Surface) -> ValidationReport:
-    """Check every structural invariant; violations are data, not exceptions."""
+    """Check every structural invariant; violations are data, not exceptions.
+    The report of a surface that passes carries its area, the total that
+    area(s) gives."""
     violations: list[tuple[str, str, str]] = []
     slack = s.num.slack(1e-9)
     if not s.triangles:
@@ -424,6 +417,7 @@ def validate(s: Surface) -> ValidationReport:
         return ValidationReport(False, tuple(violations))
 
     disagreements = []
+    shoelace = s.num.coerce(0)
     for t in range(len(s.triangles)):
         sides = [s.signed(t, i) for i in range(3)]
         sw = sum(p[0] for p in sides)
@@ -433,9 +427,11 @@ def validate(s: Surface) -> ValidationReport:
         cr = cross(sides[0], sides[1])
         if not cr > slack:
             violations.append(("orientation", f"triangle {t}", f"cross product {cr} not positive"))
-        a2 = _disagreeing_trapezoid(sides, cr / 2, s.num)
+        a1 = cr / 2
+        shoelace += a1
+        a2 = _disagreeing_trapezoid(sides, a1, s.num)
         if a2 is not None:
-            disagreements.append(("area", f"triangle {t}", f"area formulas disagree ({cr / 2} vs {a2})"))
+            disagreements.append(("area", f"triangle {t}", f"area formulas disagree ({a1} vs {a2})"))
 
     for e, p in s.periods.items():
         if s.num.axis_parallel(p):
@@ -457,7 +453,7 @@ def validate(s: Surface) -> ValidationReport:
     if not violations:
         violations = disagreements
 
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(not violations, tuple(violations), None if violations else shoelace)
 
 
 # ---------------------------------------------------------------------------

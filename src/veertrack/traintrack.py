@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import _exact
 from .errors import DegeneracyError, VeertrackError
-from .surface import Surface, corner_classes, edge_occurrences, exchange_diagonal, find_root, quad_sides
+from .surface import Surface, corner_classes, edge_occurrences, find_root
 
 
 class TrainTrack(NamedTuple):
@@ -241,8 +241,8 @@ def vertex_curves(track: TrainTrack) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# combinatorial splits (the flow module drives the geometric version through
-# delaunay.flip, which exchanges the same triangles)
+# splits (the flow module drives them through delaunay.flip, which exchanges
+# the diagonal of the quadrilateral whose sides split_roles reads)
 
 
 def split_roles(sides, direction: str) -> tuple[tuple[str, str], tuple[str, str]]:
@@ -251,24 +251,3 @@ def split_roles(sides, direction: str) -> tuple[tuple[str, str], tuple[str, str]
     that follow the diagonal in each triangle, a and c, as the losers."""
     a, b, c, d = (side[0] for side in sides)
     return ((a, c), (b, d)) if direction == "L" else ((b, d), (a, c))
-
-
-def split_with_direction(track: TrainTrack, e: str, direction: str):
-    """Split the large branch e leftward or rightward, combinatorially.
-
-    Returns (track', losers, winners).
-    """
-    roles = track.branch_roles()
-    if roles.get(e) != "large":
-        raise VeertrackError(f"branch {e} is not large at both switches")
-    if direction not in ("L", "R"):
-        raise ValueError(f"bad direction {direction!r}")
-    t1, t2, sides = quad_sides(track.triangles, edge_occurrences(track.triangles), e)
-    losers, winners = split_roles(sides, direction)
-    triangles = exchange_diagonal(track.triangles, e, t1, t2, sides)
-    large = list(track.large_slots)
-    if direction == "L":
-        large[t1], large[t2] = 0, 0  # winners b and d head their triangles
-    else:
-        large[t1], large[t2] = 1, 1  # winners c and a sit second
-    return TrainTrack(track.direction, triangles, tuple(large)), losers, winners

@@ -17,9 +17,13 @@ from util import (
     exact_trajectory_prefix,
     is_delaunay,
     linf_length,
+    mat_det,
+    nonneg_shift,
     random_suited_surface,
     random_veering_triangle,
+    reconstruct_from_words,
     scramble,
+    tangential_equivalent,
 )
 
 from veertrack.cones import (
@@ -28,10 +32,8 @@ from veertrack.cones import (
     compose_word,
     hilbert_distance,
     image_diameter,
-    reconstruct_from_words,
-    tangential_equivalent,
 )
-from veertrack.delaunay import delaunay_violations, greedy_delaunay, other_diagonal
+from veertrack.delaunay import delaunay_violations, greedy_delaunay, quad
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import (
     GOLD_DILATATION,
@@ -92,7 +94,7 @@ class TestCriterion01Validation:
             "e3": (Fraction(13, 10), Fraction(7, 5)),
         }
         for e, (edge_len, diag_len) in pairs.items():
-            diag, _ = other_diagonal(s, e)
+            diag = quad(s, e).diagonal
             assert linf_length(s.periods[e]) == edge_len
             assert linf_length(diag) == diag_len
             assert edge_len < diag_len
@@ -202,10 +204,10 @@ class TestCriterion08TransitionAlgebra:
             for ev in events:
                 pair = compose_word((ev,), branches)
                 assert pair.tangential == tuple(zip(*pair.transverse))
-                assert pair.det() in (1, -1)
-                assert pair.nonneg_shift()
+                assert mat_det(pair.transverse) in (1, -1)
+                assert nonneg_shift(pair.transverse)
             word = compose_word(events, branches)
-            assert word.det() in (1, -1)
+            assert mat_det(word.transverse) in (1, -1)
             track0, _ = dual_track(states[0])
             track_end, _ = dual_track(states[-1])
             words = {}

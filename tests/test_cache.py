@@ -10,7 +10,7 @@ import pytest
 
 import veertrack.flow as flow
 import veertrack.lab as lab
-from veertrack.delaunay import _quad_entry, build_quad, delaunay_violations, flip, other_diagonal, quad
+from veertrack.delaunay import build_quad, delaunay_violations, flip, quad
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, slope_torus, t2
 from veertrack.flow import run_flow
@@ -24,9 +24,10 @@ def _slope(n):
 STARTS = {"gold": gold, **{f"x_{n}": (lambda n=n: _slope(n)) for n in range(1, 9)}}
 
 
-def _diagonal(s, e):
+def _outcome(get, s, e):
+    """get(s, e), or the message of the DegeneracyError it raises."""
     try:
-        return other_diagonal(s, e)
+        return get(s, e)
     except DegeneracyError as exc:
         return str(exc)
 
@@ -35,13 +36,12 @@ def assert_coherent(s: Surface):
     """Every cached value of s equals one computed on a fresh surface."""
     assert s.occurrences() == edge_occurrences(s.triangles)
     fresh = Surface(s.triangles, s.periods, s.mode, s.lam)
-    # the quadrilateral entries filled so far, before the loop below fills the rest
-    for e, entry in s._derived.get("quads", {}).items():
-        assert entry == _quad_entry(fresh, e)
+    # the quadrilaterals kept so far, before the loop below builds the rest
+    for e, q in s._derived.get("quads", {}).items():
+        assert q == build_quad(fresh, e)
     assert s.vertex_classes() == fresh.vertex_classes()
     for e in s.edges:
-        assert quad(s, e) == build_quad(fresh, e)
-        assert _diagonal(s, e) == _diagonal(fresh, e)
+        assert _outcome(quad, s, e) == _outcome(build_quad, fresh, e)
     if "height_directions" in s._derived:
         edges, basis, tol, grad = s._derived["height_directions"]
         edges2, basis2, tol2, grad2 = lab._height_directions(fresh)
@@ -88,7 +88,7 @@ def test_flow_word_states_are_coherent(monkeypatch):
 def _warm(s: Surface) -> Surface:
     s.vertex_classes()
     for e in s.edges:
-        other_diagonal(s, e)
+        quad(s, e)
     return s
 
 
@@ -164,16 +164,17 @@ def test_axis_parallel_diagonal_raises_on_its_own_edge_alone(first):
     s = _axis_parallel_diagonal()
     message = "edge e1: new diagonal is axis-parallel"
     # whichever edge is asked first, the error stays with e1
-    assert _diagonal(s, first) == _diagonal(Surface(s.triangles, s.periods, s.mode), first)
-    assert quad(s, "e1") == build_quad(s, "e1")
+    assert _outcome(quad, s, first) == _outcome(build_quad, Surface(s.triangles, s.periods, s.mode), first)
     for _ in range(2):
         with pytest.raises(DegeneracyError) as exc:
-            other_diagonal(s, "e1")
+            quad(s, "e1")
         assert str(exc.value) == message
+    # an edge whose build raised is not kept, so quad raises again
+    assert "e1" not in s._derived["quads"]
     for e in ("e2", "e3"):
         fresh = Surface(s.triangles, s.periods, s.mode)
-        assert other_diagonal(s, e) == other_diagonal(fresh, e)
-        assert other_diagonal(s, e)[1]
+        assert quad(s, e) == build_quad(fresh, e)
+        assert quad(s, e).flippable
     with pytest.raises(DegeneracyError, match=message):
         delaunay_violations(s)
     assert_coherent(s)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from util import sheared_surface
 
+from veertrack import cli, surface
 from veertrack.cli import main
 from veertrack.delaunay import delaunay_violations, greedy_delaunay
 from veertrack.fixtures import GOLD_PERIOD_T, gold, octagon, pillow, t2
@@ -72,6 +73,23 @@ class TestExitCodes:
         assert main(["report", "--input", str(path)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [v[0] for v in report["violations"]] == ["area", "area"]
+
+    @pytest.mark.parametrize("build", [t2, gold], ids=["t2", "gold"])
+    def test_validate_and_report_read_the_area_validate_summed(self, tmp_path, capsys, monkeypatch, build):
+        s = build()
+        expected = float(surface.area(s))
+
+        def refused(_):
+            raise AssertionError("area computed again")
+
+        monkeypatch.setattr(surface, "area", refused)
+        assert "area" not in vars(cli)  # the CLI holds no area of its own
+        path = tmp_path / "s.json"
+        path.write_text(serialize_surface(s))
+        assert main(["validate", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.endswith(f", area {expected:.6g}\n")
+        assert main(["report", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["area"] == expected
 
     @pytest.mark.parametrize(
         "text",

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from util import exact_trajectory_prefix
+from util import exact_trajectory_prefix, mat_det, nonneg_shift, reconstruct_from_words, tangential_equivalent
 
 from veertrack.cones import (
     analyze_periodic_word,
@@ -19,8 +19,6 @@ from veertrack.cones import (
     first_positive_power,
     hilbert_distance,
     image_diameter,
-    reconstruct_from_words,
-    tangential_equivalent,
 )
 from veertrack.delaunay import greedy_delaunay
 from veertrack.errors import VeertrackError
@@ -49,8 +47,8 @@ class TestTransitions:
         # the losing branch sits on both sides of the splitting one
         assert pair.transverse == ((1, 2, 0), (0, 1, 0), (0, 0, 1))
         assert pair.tangential == ((1, 0, 0), (2, 1, 0), (0, 0, 1))
-        assert pair.det() == 1
-        assert pair.nonneg_shift()
+        assert mat_det(pair.transverse) == 1
+        assert nonneg_shift(pair.transverse)
 
     def test_compose_equals_manual_product(self):
         events, _ = exact_trajectory_prefix(t2(), max_events=3)

@@ -1,6 +1,6 @@
-"""Source guards: every top-level function and class of the package, and
-every method of its classes other than the dunder ones, is named somewhere
-besides its own definition; every top-level import of a package module is
+"""Source guards: every top-level function and class of the package is
+named somewhere besides its own definition, and every method of its classes
+other than the dunder ones is read as an attribute or imported somewhere; every top-level import of a package module is
 read there or exported; every import names the standard library, numpy or
 the package itself; only surface.py (with the fixtures that build
 surfaces) decides by the number mode's name; only cones.eigenpairs runs a
@@ -19,25 +19,33 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "scripts", "tests")
 
 
-def _names_used(tree: ast.AST) -> set[str]:
-    """Every identifier a module reads, imports or looks up as an attribute;
-    a definition's own name is none of these."""
-    used = set()
+def _names_used(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(every identifier a module reads, imports or looks up as an
+    attribute; the attributes it reads and the names it imports alone).  A
+    definition's own name is none of these, and a method or property counts
+    as used only by the second set: a bare name like n is a local variable,
+    not a read of a property n."""
+    used, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                members.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-    return used
+            members.add(node.name)
+    return used, members
 
 
 def unused_definitions(root: Path = ROOT) -> list[str]:
-    used = set()
+    used, members = set(), set()
     for top in SEARCHED:
         for path in sorted((root / top).rglob("*.py")):
-            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+            names, attributes = _names_used(ast.parse(path.read_text(encoding="utf-8")))
+            used |= names
+            members |= attributes
     unused = []
     for path in sorted((root / "src" / "veertrack").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -49,7 +57,7 @@ def unused_definitions(root: Path = ROOT) -> list[str]:
                     if (
                         isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__") and item.name.endswith("__"))
-                        and item.name not in used
+                        and item.name not in members
                     ):
                         unused.append(f"{path.stem}.{node.name}.{item.name}")
     return unused
@@ -75,6 +83,16 @@ def test_guard_sees_an_unused_method(tmp_path):
         "    def orphan(self):\n        pass\n\n\nBox()\n"
     )
     assert unused_definitions(tmp_path) == ["mod.Box.orphan"]
+
+
+def test_guard_sees_a_property_named_like_a_local(tmp_path):
+    (tmp_path / "src" / "veertrack").mkdir(parents=True)
+    (tmp_path / "src" / "veertrack" / "mod.py").write_text(
+        "class Box:\n    @property\n    def n(self):\n        return 1\n\n"
+        "    @property\n    def size(self):\n        return 2\n\n\n"
+        "def count(box):\n    n = box.size\n    box.n = n\n    return n\n\n\ncount(Box())\n"
+    )
+    assert unused_definitions(tmp_path) == ["mod.Box.n"]
 
 
 def unused_imports(root: Path = ROOT) -> list[str]:

@@ -17,7 +17,7 @@ from veertrack.delaunay import (
     flip,
     greedy_delaunay,
     is_veering,
-    other_diagonal,
+    quad,
     slope_sign,
 )
 from veertrack.errors import DegeneracyError, NotFlippableError
@@ -84,8 +84,7 @@ class TestFlip:
 
     def test_flat_cylinder_edge_not_flippable(self):
         s = pillow()
-        _, flippable = other_diagonal(s, "b")
-        assert not flippable
+        assert not quad(s, "b").flippable
         with pytest.raises(NotFlippableError):
             flip(s, "b")
 
@@ -107,10 +106,10 @@ class TestCertificate:
             "e3": (Fraction(13, 10), Fraction(7, 5)),
         }
         for e, (edge_len, diag_len) in expected.items():
-            diag, flippable = other_diagonal(s, e)
-            assert flippable
+            q = quad(s, e)
+            assert q.flippable
             assert linf_length(s.periods[e]) == edge_len
-            assert linf_length(diag) == diag_len
+            assert linf_length(q.diagonal) == diag_len
             assert edge_len < diag_len
         assert is_delaunay(s)
 
@@ -120,10 +119,11 @@ class TestCertificate:
             delaunay_violations(s)
 
     def test_comparison_is_flow_aware(self):
-        num = t2().num
-        u, v = (Fraction(2), Fraction(1)), (Fraction(1), Fraction(3))
-        assert certificate_fails(num, (1, 1), "e1", u, v)
-        assert not certificate_fails(num, (4, 1), "e1", u, v)
+        s = t2()
+        q = build_quad(s, "e1")._replace(diagonal=(Fraction(2), Fraction(1)))
+        v = (Fraction(1), Fraction(3))
+        assert certificate_fails(s.num, (1, 1), q, v)
+        assert not certificate_fails(s.num, (4, 1), q, v)
 
 
 class TestGreedy:
@@ -191,9 +191,18 @@ def outcome(reduce, s: Surface):
     return serialize_surface(result), [tuple(r) for r in records]
 
 
+def developed(build):
+    """build(), or the message of the DegeneracyError it raised."""
+    try:
+        return build()
+    except DegeneracyError as exc:
+        return str(exc)
+
+
 TIE = ("octagon", [(False, 2, 1), (True, -3, 1), (False, -2, 2)])  # after 15 flips
 AXIS = ("octagon", [(True, 1, 2), (True, -3, 1), (False, -2, 1)])  # after 27 flips
 MANY_FLIPS = ("octagon", [(False, 2, 2), (False, 2, 1), (False, -2, 2)])  # 6 flips
+AXIS_AT_START = ("t2", [(True, -3, 1), (True, -3, 1), (False, -3, 3)])  # e2's diagonal
 
 
 class TestGreedyAgainstFullPass:
@@ -213,6 +222,28 @@ class TestGreedyAgainstFullPass:
         s = sheared(name, shears, exact)
         assume(s is not None)
         assert outcome(greedy_delaunay, s) == outcome(full_pass_greedy, sheared(name, shears, exact))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(["t2", "pillow", "octagon"]),
+        shears=st.lists(
+            st.tuples(st.booleans(), st.integers(-3, 3), st.integers(1, 3)), min_size=3, max_size=3
+        ),
+    )
+    @example(name=AXIS_AT_START[0], shears=AXIS_AT_START[1])
+    def test_the_integer_view_develops_the_same_quad(self, name, shears):
+        s = sheared(name, shears, True)
+        assume(s is not None)
+        scale, view = s.num.scaled(s.periods)
+        occ = s.occurrences()
+        for e in s.edges:
+            on_view = developed(lambda: delaunay.develop(s.num, s.triangles, occ, view, e))
+            true = developed(lambda: build_quad(s, e))
+            if isinstance(true, str):
+                assert on_view == true
+                continue
+            assert (on_view.flippable, on_view.sides) == (true.flippable, true.sides)
+            assert on_view.diagonal == (scale * true.diagonal[0], scale * true.diagonal[1])
 
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize(

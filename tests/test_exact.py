@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veertrack._exact import in_span, mat_det, rank
+from util import in_span, mat_det
+
+from veertrack._exact import rank
 
 sympy = pytest.importorskip("sympy")
 

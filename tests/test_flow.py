@@ -22,7 +22,7 @@ from veertrack.fixtures import (
     slope_torus,
     t2,
 )
-from veertrack.delaunay import greedy_delaunay, other_diagonal
+from veertrack.delaunay import greedy_delaunay, quad
 from veertrack.flow import (
     PeriodicMatch,
     _may_match,
@@ -50,9 +50,9 @@ class TestNextSplit:
         # equals the flowed width of the splitting edge
         s = t2()
         ev = next_split(s)
-        diag, flippable = other_diagonal(s, ev.edge)
-        assert flippable
-        assert ev.threshold == abs(diag[1]) / abs(s.periods[ev.edge].w)
+        q = quad(s, ev.edge)
+        assert q.flippable
+        assert ev.threshold == abs(q.diagonal[1]) / abs(s.periods[ev.edge].w)
 
     def test_event_is_deterministic(self):
         a, b = next_split(t2()), next_split(t2())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import brute_force_rays, scramble, sheared_surface, sorted_large_slots
+from util import brute_force_rays, scramble, sheared_surface, sorted_large_slots, split_with_direction
 
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
@@ -21,7 +21,6 @@ from veertrack.traintrack import (
     extreme_rays_nonneg,
     is_filling_subtrack,
     large_slots,
-    split_with_direction,
     vertex_curves,
 )
 

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: random suited surfaces, scrambles,
-exact trajectory prefixes, and brute-force oracles."""
+exact trajectory prefixes, and oracles: brute-force ones, exact algebra on
+veertrack._exact's elimination, and a combinatorial split path beside the
+flow's."""
 
 from __future__ import annotations
 
@@ -8,6 +10,8 @@ import math
 import random
 from fractions import Fraction
 
+from veertrack._exact import _eliminate, rank
+from veertrack.cones import TransitionPair, compose_word
 from veertrack.delaunay import (
     MAX_FLIPS,
     build_quad,
@@ -15,12 +19,13 @@ from veertrack.delaunay import (
     flip,
     greedy_delaunay,
     linf_scaled,
-    other_diagonal,
+    quad,
 )
 from veertrack.errors import DegeneracyError, NotFlippableError, VeertrackError
 from veertrack.fixtures import octagon, t2
-from veertrack.flow import next_split
-from veertrack.surface import Surface, validate
+from veertrack.flow import SplitEvent, next_split
+from veertrack.surface import Surface, edge_occurrences, exchange_diagonal, quad_sides, validate
+from veertrack.traintrack import TrainTrack, split_roles
 
 
 def linf_length(p) -> object:
@@ -125,7 +130,7 @@ def scramble(s: Surface, rng: random.Random, flips: int = 8) -> Surface:
         candidates = []
         for e in cur.edges:
             try:
-                _, ok = other_diagonal(cur, e)
+                ok = quad(cur, e).flippable
             except DegeneracyError:
                 ok = False
             if ok:
@@ -242,3 +247,119 @@ def brute_force_rays(rows, n):
             full[j] = x
         rays.append(tuple(scale_to_integers(full)))
     return sorted(set(rays))
+
+
+def mat_det(a) -> int:
+    """Determinant of a square integer matrix."""
+    pivots, sign, last = _eliminate(a)
+    return sign * last if len(pivots) == len(a) else 0
+
+
+def in_span(vectors, target) -> bool:
+    """Whether a rational target lies in the linear span of the given
+    integer vectors (exact)."""
+    if not any(target):
+        return True
+    if not vectors:
+        return False
+    den = math.lcm(*(x.denominator for x in target))
+    scaled = [x.numerator * (den // x.denominator) for x in target]
+    return rank(vectors) == rank([*vectors, scaled])
+
+
+def nonneg_shift(m) -> bool:
+    """Whether M - I is entrywise nonnegative."""
+    return all(x - (i == j) >= 0 for i, row in enumerate(m) for j, x in enumerate(row))
+
+
+def tangential_equivalent(track: TrainTrack, r1, r2) -> bool:
+    """Whether two tangential vectors (branch order = track.branches) differ
+    by an element of V(tau), the span of the switch rows
+    1_large - 1_small - 1_small."""
+    diff = [Fraction(a) - Fraction(b) for a, b in zip(r1, r2)]
+    return in_span(track.switch_matrix(), diff)
+
+
+def split_with_direction(track: TrainTrack, e: str, direction: str):
+    """Split the large branch e leftward or rightward, combinatorially.
+
+    Returns (track', losers, winners).
+    """
+    roles = track.branch_roles()
+    if roles.get(e) != "large":
+        raise VeertrackError(f"branch {e} is not large at both switches")
+    if direction not in ("L", "R"):
+        raise ValueError(f"bad direction {direction!r}")
+    t1, t2, sides = quad_sides(track.triangles, edge_occurrences(track.triangles), e)
+    losers, winners = split_roles(sides, direction)
+    triangles = exchange_diagonal(track.triangles, e, t1, t2, sides)
+    large = list(track.large_slots)
+    if direction == "L":
+        large[t1], large[t2] = 0, 0  # winners b and d head their triangles
+    else:
+        large[t1], large[t2] = 1, 1  # winners c and a sit second
+    return TrainTrack(track.direction, triangles, tuple(large)), losers, winners
+
+
+def reconstruct_from_words(
+    track0: TrainTrack,
+    track_end: TrainTrack,
+    words: dict[str, str],
+) -> tuple[list[tuple[str, str, tuple[str, str], tuple[str, str]]], TransitionPair]:
+    """Rebuild a splitting sequence from its per-branch direction words.
+
+    words maps each branch label to the string of directions ("L"/"R") of its
+    splits, in temporal order.  The search interleaves the words in every
+    admissible way (a branch may only split while it is large) by
+    backtracking, and accepts a linearization when the final track equals
+    track_end.  Returns the event list as (edge, direction, losers, winners)
+    tuples together with the composed transition pair.
+    """
+    branches = tuple(sorted(track0.branches))
+    remaining0 = {e: list(w) for e, w in words.items() if w}
+
+    def canon(track: TrainTrack):
+        out = []
+        for tri, slot in zip(track.triangles, track.large_slots):
+            best = min(
+                (tuple(tri[(r + k) % 3] for k in range(3)), (slot - r) % 3)
+                for r in range(3)
+            )
+            out.append(best)
+        return frozenset(out)
+
+    target = canon(track_end)
+    seen: set = set()
+
+    def search(track: TrainTrack, remaining: dict, trail: list):
+        key = (canon(track), tuple(sorted((e, len(w)) for e, w in remaining.items())))
+        if key in seen:
+            return None
+        seen.add(key)
+        if not remaining:
+            return list(trail) if canon(track) == target else None
+        roles = track.branch_roles()
+        for e in sorted(remaining):
+            if roles.get(e) != "large":
+                continue
+            direction = remaining[e][0]
+            try:
+                nxt, losers, winners = split_with_direction(track, e, direction)
+            except VeertrackError:
+                continue
+            new_remaining = {k: v[1:] if k == e else v for k, v in remaining.items()}
+            new_remaining = {k: v for k, v in new_remaining.items() if v}
+            trail.append((e, direction, tuple(sorted(losers)), tuple(sorted(winners))))
+            hit = search(nxt, new_remaining, trail)
+            if hit is not None:
+                return hit
+            trail.pop()
+        return None
+
+    events = search(track0, remaining0, [])
+    if events is None:
+        raise VeertrackError("no interleaving of the direction words joins the two tracks")
+    pseudo = [
+        SplitEvent(1, e, d, losers, winners) for (e, d, losers, winners) in events
+    ]
+    return events, compose_word(pseudo, branches)
