@@ -2,7 +2,9 @@
 """Fingerprint a fixed list of CLI invocations on the built-in surfaces.
 
 Each invocation runs in-process through ``veertrack.cli.main``, in a fresh
-temporary directory holding the fixture documents, and prints one line: the
+temporary directory holding the fixture documents and a few invalid ones
+(run through validate and report only, to pin their violation messages),
+and prints one line: the
 argv, the exit code, and the sha256 (first 16 hex digits) of stdout, stderr
 and the output file ("-" when the invocation writes none).  Two checkouts
 that print the same lines gave byte-identical results:
@@ -49,6 +51,27 @@ def _t2_shear():
     return t2().replace(periods=periods)
 
 
+def _t2_zero_sum(mode: str):
+    s = t2(mode)
+    return s.replace(periods={**s.periods, "e1": (1, 1)})
+
+
+def _t2_reversed(mode: str):
+    s = t2(mode)
+    return s.replace(triangles=[tuple(reversed(tri)) for tri in s.triangles])
+
+
+def _t2_axis(mode: str):
+    return t2(mode).replace(periods={"e1": (1, 0), "e2": (Fraction(-2, 5), 1), "e3": (Fraction(-3, 5), -1)})
+
+
+def _t2_area_gap():
+    """Float t2 whose e3 closes its triangles to within validate's 1e-9 but
+    puts their shoelace and trapezoid areas 3e-10 apart."""
+    s = t2("float")
+    return s.replace(periods={**s.periods, "e3": (-0.6 + 5e-10, -1.3)})
+
+
 DOCUMENTS = {
     "t2": t2,
     "t2f": lambda: t2("float"),
@@ -62,6 +85,15 @@ DOCUMENTS = {
     "x3": lambda: _slope(3),
     **{f"x{n}": (lambda n=n: _slope(n)) for n in range(5, 9)},
     "t2shear": _t2_shear,
+}
+INVALID = {
+    "t2sum": lambda: _t2_zero_sum("exact"),
+    "t2fsum": lambda: _t2_zero_sum("float"),
+    "t2rev": lambda: _t2_reversed("exact"),
+    "t2frev": lambda: _t2_reversed("float"),
+    "t2axis": lambda: _t2_axis("exact"),
+    "t2faxis": lambda: _t2_axis("float"),
+    "t2farea": _t2_area_gap,
 }
 FLOWING = ("t2", "t2f", "gold", "goldx", "pillow", "x2", "x3")
 # long words LⁿRⁿ: many mirror-image state pairs precede the match
@@ -104,6 +136,9 @@ def invocations() -> list[tuple[list[str], str | None]]:
                          "--csv", "decay.csv"], "decay.csv"))
             out.append((["close", "--input", doc, "--delta", "1e-3", "--seed", seed, "--output", "close.json"],
                         "close.json"))
+    for name in INVALID:
+        out.append((["validate", "--input", f"{name}.json"], None))
+        out.append((["report", "--input", f"{name}.json"], None))
     return out
 
 
@@ -113,7 +148,7 @@ def _digest(data: bytes) -> str:
 
 def run_one(argv: list[str], output: str | None) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        for name, build in DOCUMENTS.items():
+        for name, build in {**DOCUMENTS, **INVALID}.items():
             pathlib.Path(tmp, f"{name}.json").write_text(serialize_surface(build()) + "\n", encoding="utf-8")
         cwd = os.getcwd()
         out, err = io.StringIO(), io.StringIO()

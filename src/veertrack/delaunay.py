@@ -171,7 +171,7 @@ def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
         q = bad.pop(e)[1]
         diag = q.diagonal
         old = periods[e]
-        periods[e] = Period(num.coerce(diag[0]) / scale, num.coerce(diag[1]) / scale)
+        periods[e] = Period(num.unscaled(diag[0], scale), num.unscaled(diag[1], scale))
         records.append(FlipRecord(e, (old.w, old.h), tuple(periods[e])))
         view[e] = diag
         triangles = exchange_diagonal(triangles, e, q.t1, q.t2, q.sides)

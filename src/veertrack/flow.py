@@ -54,7 +54,8 @@ class ThickStats(NamedTuple):
 def _large_edges(s: Surface) -> list[str]:
     """The sorted edges of s that are the large side of both their
     triangles in the vertical track."""
-    sides = sorted(tri[ls][0] for tri, ls in zip(s.triangles, large_slots(s, "vertical")))
+    slots = large_slots(s.num, s.triangles, s.periods, "vertical")
+    sides = sorted(tri[ls][0] for tri, ls in zip(s.triangles, slots))
     return [e for e, f in zip(sides, sides[1:]) if e == f]
 
 

@@ -90,6 +90,11 @@ class NumberMode(NamedTuple):
             for e, (w, h) in periods.items()
         }
 
+    def unscaled(self, x, k):
+        """x / k, undoing scaled (k a power of D, times an integer):
+        Fraction(x, k) in exact mode, x / k in float mode."""
+        return Fraction(x, k) if self.exact else x / k
+
     def from_float(self, x: float):
         """x in this mode; exact mode limits the denominator to 10^12."""
         return Fraction(x).limit_denominator(10**12) if self.exact else x
@@ -170,11 +175,6 @@ class Surface:
         """e^t as a float (exact value is sqrt(lam), kept symbolic elsewhere)."""
         return math.sqrt(float(self.lam))
 
-    def signed(self, tri_idx: int, slot: int) -> tuple:
-        e, s = self.triangles[tri_idx][slot % 3]
-        p = self.periods[e]
-        return (p.w, p.h) if s > 0 else (-p.w, -p.h)
-
     def effective_period(self, e: str) -> tuple[float, float]:
         """Flowed period as floats; for display and float-mode geometry."""
         p = self.periods[e]
@@ -212,23 +212,11 @@ class Surface:
         """Corners grouped by the vertex of the glued cell complex."""
         return self.cached("vertex_classes", lambda s: corner_classes(s.triangles))
 
-    def corner_angle(self, t: int, i: int) -> float:
-        """Interior angle at corner (t, i), in radians, from base periods.
-
-        Corner angles are flow dependent; the census k (total angle / pi) is
-        not, so the base chart is the right place to measure it.
-        """
-        uw, uh = self.signed(t, i)
-        vw, vh = self.signed(t, (i - 1) % 3)
-        uw, uh, vw, vh = float(uw), float(uh), float(-vw), float(-vh)
-        return math.atan2(uw * vh - uh * vw, uw * vw + uh * vh) % (2 * math.pi)
-
     def vertex_angle_multiples(self) -> list[int]:
         """For each vertex, the integer k with cone angle k*pi (unrounded check
         is the caller's business; see validate)."""
         out = []
-        for idx, cls in enumerate(self.vertex_classes()):
-            total = sum(self.corner_angle(t, i) for t, i in cls)
+        for idx, total in enumerate(_cone_totals(self, *self.num.scaled(self.periods))):
             if not math.isfinite(total):
                 raise DocumentError(f"vertex {idx}: cone angle overflows the float range")
             out.append(round(total / math.pi))
@@ -315,6 +303,26 @@ def corner_classes(triangles) -> list[frozenset[Corner]]:
     return out
 
 
+def _cone_totals(s: Surface, d, view) -> list[float]:
+    """The total angle in radians at each vertex of s.vertex_classes(), in
+    the base chart (the census k = total / pi does not depend on the flow);
+    (d, view) is s.num.scaled(s.periods).  Each edge's period and its
+    negation become floats once: view / d is float(x) and float(-x) for a
+    Fraction x, x and -x for a float."""
+    floats = {e: {1: (w / d, h / d), -1: (-w / d, -h / d)} for e, (w, h) in view.items()}
+    totals = []
+    for cls in s.vertex_classes():
+        total = 0
+        for t, i in cls:
+            # corner (t, i) lies between side i and side i - 1 reversed
+            (e, sg), (f, sf) = s.triangles[t][i], s.triangles[t][i - 1]
+            uw, uh = floats[e][sg]
+            vw, vh = floats[f][-sf]
+            total += math.atan2(uw * vh - uh * vw, uw * vw + uh * vh) % (2 * math.pi)
+        totals.append(total)
+    return totals
+
+
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
@@ -341,7 +349,7 @@ def parse_surface(document: str) -> Surface:
     for label, pair in doc["edges"].items():
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise DocumentError(f"edge {label}: period must be [w, h]")
-        periods[label] = (num.parse(pair[0]), num.parse(pair[1]))
+        periods[label] = Period(num.parse(pair[0]), num.parse(pair[1]))
     triangles = []
     for t, tri in enumerate(doc["triangles"]):
         if not (isinstance(tri, list) and len(tri) == 3):
@@ -351,13 +359,13 @@ def parse_surface(document: str) -> Surface:
             if not (isinstance(slot, dict) and "edge" in slot and "sign" in slot):
                 raise DocumentError(f"triangle {t}: a side must be an object with edge and sign")
             e, s = slot["edge"], slot["sign"]
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):  # bool and float are not signs
                 raise DocumentError(f"triangle {t}: sign must be +-1")
             if not isinstance(e, str) or e not in periods:
                 raise DocumentError(f"triangle {t}: unknown edge {e!r}")
             sides.append((e, s))
         triangles.append(tuple(sides))
-    lam = None
+    lam = num.coerce(1)
     if "flow" in doc:
         lam = num.parse(doc["flow"])
         if not lam > 0:
@@ -368,7 +376,7 @@ def parse_surface(document: str) -> Surface:
     for e in periods:
         if len(occ.get(e, ())) != 2:
             raise DocumentError(f"edge {e} appears {len(occ.get(e, ()))} times, expected 2")
-    surf = Surface(triangles, periods, num.name, lam)
+    surf = Surface._normalised(tuple(triangles), periods, num, lam, {"occurrences": occ})
     if "marked_vertices" in doc:
         if not isinstance(doc["marked_vertices"], list):
             raise DocumentError("marked_vertices must be a list")
@@ -400,12 +408,41 @@ def cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _area_scale(num: NumberMode, d) -> tuple:
+    """(half, unit): half times a cross product of the view (D = d) counts a
+    triangle's area, and num.unscaled(count, unit) is that area.  Exact
+    mode counts in units of 1/(2D^2), so counts stay integers; float mode
+    counts the areas themselves, as tie's max(1, |a|, |b|) does not scale."""
+    return (1, 2 * d * d) if num.exact else (0.5, 1)
+
+
+def _view_sides(view, tri) -> list:
+    """The signed period vectors of a triangle's sides, read from a view."""
+    return [view[e] if sg > 0 else (-view[e][0], -view[e][1]) for e, sg in tri]
+
+
+def _disagreeing_trapezoid(sides, a1, half, num: NumberMode):
+    """The trapezoid area of a triangle (largest width times largest height,
+    minus half the sum of the per-side width-height products), counted as
+    a1 is, when the triangle carries both slope signs and the two areas
+    disagree; else None."""
+    (uw, uh), (vw, vh), (ww, wh) = sides
+    if ((uw > 0) == (uh > 0)) == ((vw > 0) == (vh > 0)) == ((ww > 0) == (wh > 0)):
+        return None  # one slope sign throughout
+    uw, uh, vw, vh, ww, wh = abs(uw), abs(uh), abs(vw), abs(vh), abs(ww), abs(wh)
+    a2 = max(uw, vw, ww) * max(uh, vh, wh) * (2 * half) - (uw * uh + vw * vh + ww * wh) * half
+    return None if num.tie(a1, a2, 1e-12) else a2
+
+
 def validate(s: Surface) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions.
     The report of a surface that passes carries its area, the total that
-    area(s) gives."""
+    area(s) gives.
+
+    The checks read the view of NumberMode.scaled, integers in exact mode
+    and the periods themselves in float mode; a number is unscaled only for
+    a message or the area."""
     violations: list[tuple[str, str, str]] = []
-    slack = s.num.slack(1e-9)
     if not s.triangles:
         return ValidationReport(False, (("empty", "surface", "no triangles"),))
 
@@ -416,30 +453,44 @@ def validate(s: Surface) -> ValidationReport:
     if any(v[0] == "gluing" for v in violations):
         return ValidationReport(False, tuple(violations))
 
+    num = s.num
+    d, view = num.scaled(s.periods)
+    half, unit = _area_scale(num, d)
+    slack = num.slack(1e-9)
     disagreements = []
-    shoelace = s.num.coerce(0)
-    for t in range(len(s.triangles)):
-        sides = [s.signed(t, i) for i in range(3)]
-        sw = sum(p[0] for p in sides)
-        sh = sum(p[1] for p in sides)
+    shoelace = 0
+    for t, tri in enumerate(s.triangles):
+        sides = _view_sides(view, tri)
+        (uw, uh), (vw, vh), (ww, wh) = sides
+        # summed from 0 as sum() does, so a float zero sum reads 0.0, not -0.0
+        sw = 0 + uw + vw + ww
+        sh = 0 + uh + vh + wh
         if abs(sw) > slack or abs(sh) > slack:
-            violations.append(("zero-sum", f"triangle {t}", f"signed periods sum to ({sw}, {sh})"))
-        cr = cross(sides[0], sides[1])
+            violations.append(
+                ("zero-sum", f"triangle {t}",
+                 f"signed periods sum to ({num.unscaled(sw, d)}, {num.unscaled(sh, d)})")
+            )
+        cr = uw * vh - uh * vw
         if not cr > slack:
-            violations.append(("orientation", f"triangle {t}", f"cross product {cr} not positive"))
-        a1 = cr / 2
+            violations.append(
+                ("orientation", f"triangle {t}", f"cross product {num.unscaled(cr, d * d)} not positive")
+            )
+        a1 = cr * half
         shoelace += a1
-        a2 = _disagreeing_trapezoid(sides, a1, s.num)
+        a2 = _disagreeing_trapezoid(sides, a1, half, num)
         if a2 is not None:
-            disagreements.append(("area", f"triangle {t}", f"area formulas disagree ({a1} vs {a2})"))
+            disagreements.append(
+                ("area", f"triangle {t}",
+                 f"area formulas disagree ({num.unscaled(a1, unit)} vs {num.unscaled(a2, unit)})")
+            )
 
-    for e, p in s.periods.items():
-        if s.num.axis_parallel(p):
-            violations.append(("axis", e, f"axis-parallel period ({p.w}, {p.h})"))
+    for e, p in view.items():
+        if num.axis_parallel(p):
+            q = s.periods[e]
+            violations.append(("axis", e, f"axis-parallel period ({q.w}, {q.h})"))
 
     if not any(v[0] in ("zero-sum", "orientation") for v in violations):
-        for idx, cls in enumerate(s.vertex_classes()):
-            total = sum(s.corner_angle(t, i) for t, i in cls)
+        for idx, total in enumerate(_cone_totals(s, d, view)):
             k = total / math.pi
             if (
                 not math.isfinite(k)
@@ -453,50 +504,32 @@ def validate(s: Surface) -> ValidationReport:
     if not violations:
         violations = disagreements
 
-    return ValidationReport(not violations, tuple(violations), None if violations else shoelace)
+    area = None if violations else num.unscaled(shoelace, unit)
+    return ValidationReport(not violations, tuple(violations), area)
 
 
 # ---------------------------------------------------------------------------
 # area and flow
 
 
-def triangle_area_shoelace(sides) -> object:
-    """Half the cross product of the first two sides (positively oriented)."""
-    return cross(sides[0], sides[1]) / 2
-
-
-def triangle_area_trapezoid(sides) -> object:
-    """Largest width times largest height, minus half the sum of the per-edge
-    width-height products.  Valid for triangles carrying both slope signs."""
-    ws = [abs(p[0]) for p in sides]
-    hs = [abs(p[1]) for p in sides]
-    return max(ws) * max(hs) - sum(w * h for w, h in zip(ws, hs)) / 2
-
-
-def _disagreeing_trapezoid(sides, a1, num: NumberMode):
-    """The trapezoid area of a triangle when that formula applies and
-    disagrees with its shoelace area a1, else None."""
-    signs = {(p[0] > 0) == (p[1] > 0) for p in sides}
-    if len(signs) == 2:  # both slope signs present: trapezoid formula applies
-        a2 = triangle_area_trapezoid(sides)
-        if not num.tie(a1, a2, 1e-12):
-            return a2
-    return None
-
-
 def area(s: Surface) -> object:
-    """Total flat area; cross-checks the two per-triangle formulas."""
-    total = s.num.coerce(0)
-    for t in range(len(s.triangles)):
-        sides = [s.signed(t, i) for i in range(3)]
-        a1 = triangle_area_shoelace(sides)
-        a2 = _disagreeing_trapezoid(sides, a1, s.num)
+    """Total flat area; cross-checks the two per-triangle formulas on the
+    view of NumberMode.scaled, as validate does."""
+    num = s.num
+    d, view = num.scaled(s.periods)
+    half, unit = _area_scale(num, d)
+    total = 0
+    for t, tri in enumerate(s.triangles):
+        sides = _view_sides(view, tri)
+        a1 = cross(sides[0], sides[1]) * half
+        a2 = _disagreeing_trapezoid(sides, a1, half, num)
         if a2 is not None:
+            a1, a2 = num.unscaled(a1, unit), num.unscaled(a2, unit)
             raise ArithmeticError(f"triangle {t}: area formulas disagree ({a1} vs {a2})")
         if not a1 > 0:
-            raise ArithmeticError(f"triangle {t} has non-positive area {a1}")
+            raise ArithmeticError(f"triangle {t} has non-positive area {num.unscaled(a1, unit)}")
         total += a1
-    return total
+    return num.unscaled(total, unit)
 
 
 def rebase(s: Surface) -> Surface:

@@ -63,25 +63,17 @@ class MeasurePair(NamedTuple):
     tangential: dict
 
 
-def _abs_w(p):
-    return abs(p.w)
-
-
-def _abs_h(p):
-    return abs(p.h)
-
-
-def large_slots(s: Surface, direction: str) -> tuple[int, ...]:
+def large_slots(num, triangles, periods, direction: str) -> tuple[int, ...]:
     """Per triangle, the slot of its strictly widest (vertical track) or
-    tallest (horizontal track) side; DegeneracyError when a triangle has no
-    strictly largest side."""
+    tallest (horizontal track) side, read from periods, which map each edge
+    to a (w, h) pair (a surface's own or the view of NumberMode.scaled);
+    DegeneracyError when a triangle has no strictly largest side."""
     if direction not in ("vertical", "horizontal"):
         raise ValueError(f"bad direction {direction!r}")
     k = 0 if direction == "vertical" else 1
-    tie = s.num.tie
-    periods = s.periods
+    tie = num.tie
     out = []
-    for t, ((x, _), (y, _), (z, _)) in enumerate(s.triangles):
+    for t, ((x, _), (y, _), (z, _)) in enumerate(triangles):
         a, b, c = abs(periods[x][k]), abs(periods[y][k]), abs(periods[z][k])
         # the slot of a largest value, that value and the runner-up; which
         # of two equal leaders is taken does not matter, as they tie below
@@ -104,23 +96,24 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
 
     Measures are taken in the base chart (flow parameter factored out), so
     the inner product with the tangential heights equals the area for every
-    flow time.
+    flow time.  The track and the tangential sums read the view of
+    NumberMode.scaled, and each branch's sum is unscaled once.
     """
-    track = TrainTrack(direction, s.triangles, large_slots(s, direction))
-    size = _abs_w if direction == "vertical" else _abs_h
-    partner_size = _abs_h if direction == "vertical" else _abs_w
+    num = s.num
+    scale, view = num.scaled(s.periods)
+    track = TrainTrack(direction, s.triangles, large_slots(num, s.triangles, view, direction))
+    k = 0 if direction == "vertical" else 1
 
-    transverse = {e: size(p) for e, p in s.periods.items()}
-    zero = s.num.coerce(0)
-    tangential = {e: zero for e in s.periods}
-    roles = track.branch_roles()
+    transverse = {e: abs(p[k]) for e, p in s.periods.items()}
+    sums = dict.fromkeys(view, 0)
     for lg, s1, s2 in track.switches():
-        # at this switch, each small contributes half its partner's height
-        tangential[s1] += partner_size(s.periods[s2]) / 2
-        tangential[s2] += partner_size(s.periods[s1]) / 2
-    for e, role in roles.items():
+        # at this switch, each small carries half its partner's other coordinate
+        sums[s1] += abs(view[s2][1 - k])
+        sums[s2] += abs(view[s1][1 - k])
+    for e, role in track.branch_roles().items():
         if role == "large":
-            tangential[e] = zero
+            sums[e] = 0
+    tangential = {e: num.unscaled(x, 2 * scale) for e, x in sums.items()}
     return track, MeasurePair(transverse, tangential)
 
 

@@ -19,11 +19,13 @@ from util import (
     linf_length,
     mat_det,
     nonneg_shift,
+    one_triangle,
     random_suited_surface,
     random_veering_triangle,
     reconstruct_from_words,
     scramble,
     tangential_equivalent,
+    trapezoid_area,
 )
 
 from veertrack.cones import (
@@ -58,8 +60,6 @@ from veertrack.lab import (
 )
 from veertrack.surface import (
     area,
-    triangle_area_shoelace,
-    triangle_area_trapezoid,
     validate,
 )
 from veertrack.traintrack import dual_track, is_filling_subtrack, vertex_curves
@@ -106,14 +106,14 @@ class TestCriterion02AreaFormulas:
         rng = random.Random(100)
         for _ in range(1000):
             sides = random_veering_triangle(rng, exact=True)
-            assert triangle_area_trapezoid(sides) == triangle_area_shoelace(sides)
+            assert area(one_triangle(sides, "exact")) == trapezoid_area(sides)
 
     def test_float_agreement(self):
         rng = random.Random(200)
         for _ in range(1000):
             sides = random_veering_triangle(rng, exact=False)
-            a1 = triangle_area_trapezoid(sides)
-            a2 = triangle_area_shoelace(sides)
+            a1 = trapezoid_area(sides)
+            a2 = area(one_triangle(sides, "float"))
             assert abs(a1 - a2) <= 1e-12 * max(1.0, abs(a2))
 
 

@@ -67,7 +67,7 @@ class TestNextSplit:
 
 
 def _track_large_edges(s):
-    track = TrainTrack("vertical", s.triangles, large_slots(s, "vertical"))
+    track = TrainTrack("vertical", s.triangles, large_slots(s.num, s.triangles, s.periods, "vertical"))
     return sorted(e for e, role in track.branch_roles().items() if role == "large")
 
 

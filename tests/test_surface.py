@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import random_veering_triangle
+from util import (
+    count_fraction_work,
+    one_triangle,
+    random_veering_triangle,
+    reference_validate,
+    sheared_surface,
+    trapezoid_area,
+)
 
 from veertrack.errors import DocumentError
 from veertrack.fixtures import gold, octagon, pillow, t2
@@ -19,8 +26,6 @@ from veertrack.surface import (
     parse_surface,
     rebase,
     serialize_surface,
-    triangle_area_shoelace,
-    triangle_area_trapezoid,
     validate,
 )
 
@@ -87,12 +92,14 @@ class TestMalformedDocuments:
             lambda d: d.update(triangles={"abc": []}),
             lambda d: d.update(flow="-1"),
             lambda d: d.update(marked_vertices=3),
+            lambda d: d["triangles"][0][0].__setitem__("sign", True),
+            lambda d: d["triangles"][0][0].__setitem__("sign", 1.0),
         ],
         ids=[
             "edges-list", "exact-word-period", "float-word-period", "zero-denominator",
             "exact-overflow", "float-list-period", "float-infinity", "triangle-int", "slot-string",
             "slot-without-sign", "edge-list", "triangles-object", "negative-flow",
-            "marked-int",
+            "marked-int", "sign-bool", "sign-float",
         ],
     )
     def test_rejected_as_document_error(self, change):
@@ -200,6 +207,87 @@ class TestExactDecisions:
         assert [v[:2] for v in report.violations] == [("axis", "e1")]
 
 
+def _mutated_surface(s: Surface, kind: str, e: str, t: int) -> Surface:
+    """s broken in one way, at edge e or triangle t where the way needs one."""
+    one = s.num.coerce(1)
+    w, h = s.periods[e]
+    if kind == "gluing":  # e's side of t names another edge instead
+        tri = s.triangles[t]
+        other = next(f for f in s.edges if f != tri[0][0])
+        return s.replace(triangles=[*s.triangles[:t], ((other, tri[0][1]), *tri[1:]), *s.triangles[t + 1:]])
+    if kind == "empty":
+        return s.replace(triangles=())
+    if kind == "zero-sum":
+        return s.replace(periods={**s.periods, e: (w + one / 7, h)})
+    if kind == "orientation":
+        return s.replace(triangles=[tuple(reversed(tri)) if u == t else tri for u, tri in enumerate(s.triangles)])
+    if kind == "axis":  # the shear that lays e flat keeps every triangle closed
+        k = h / w
+        return s.replace(periods={f: (p.w, p.h - k * p.w) for f, p in s.periods.items()})
+    if kind == "cone-angle":  # the corner products overflow the float range
+        return s.replace(periods={f: (p.w * 2**1000, p.h * 2**1000) for f, p in s.periods.items()})
+    if kind in SMALL_DEFECTS:
+        return s.replace(periods={**s.periods, e: (w + SMALL_DEFECTS[kind] * one, h)})
+    return s
+
+
+# closure defects that float mode's slack of 1e-9 lets through: on t2 the
+# first puts the two area formulas 3e-10 apart, the second 8e-13 apart,
+# inside the 1e-12 tie of the areas but outside that of their doubles
+SMALL_DEFECTS = {"area": Fraction(5, 10**10), "area-tie": Fraction(12, 10**13), "sub-float": Fraction(1, 10**400)}
+MUTATIONS = ("none", "gluing", "empty", "zero-sum", "orientation", "axis", "cone-angle", *SMALL_DEFECTS)
+
+# the first violation each mutation of t2 gives, in exact and in float
+# mode; exact mode sees every small closure defect as zero-sum
+FIRST_VIOLATION = {
+    **{kind: (kind, kind) for kind in MUTATIONS},
+    "none": (None, None),
+    "area": ("zero-sum", "area"),
+    "area-tie": ("zero-sum", None),
+    "sub-float": ("zero-sum", None),
+}
+
+
+class TestScaledView:
+    """validate reads the integer view of NumberMode.scaled and reports what
+    the corner-by-corner reference on the surface's own numbers reports."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_each_violation_matches_the_reference(self, kind, mode):
+        s = _mutated_surface(t2(mode), kind, "e3", 0)
+        report, expected = validate(s), reference_validate(s)
+        assert report == expected
+        assert type(report.area) is type(expected.area)
+        first = FIRST_VIOLATION[kind][mode == "float"]
+        assert [v[0] for v in report.violations[:1]] == ([first] if first else [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        build=st.sampled_from([t2, pillow, octagon]),
+        mode=st.sampled_from(["exact", "float"]),
+        seed=st.integers(0, 2**32),
+        kind=st.sampled_from(MUTATIONS),
+        data=st.data(),
+    )
+    def test_sheared_surfaces_match_the_reference(self, build, mode, seed, kind, data):
+        s = sheared_surface(build(mode), random.Random(seed))
+        e = data.draw(st.sampled_from(s.edges))
+        t = data.draw(st.integers(0, len(s.triangles) - 1))
+        s = _mutated_surface(s, kind, e, t)
+        report, expected = validate(s), reference_validate(s)
+        assert report == expected
+        assert type(report.area) is type(expected.area)
+
+    def test_exact_validate_does_no_fraction_work_per_triangle(self, monkeypatch):
+        s = octagon()
+        calls = count_fraction_work(monkeypatch)
+        report = validate(s)
+        monkeypatch.undo()
+        assert report.passed
+        assert calls == {"__new__": 1}  # the area, built once from the integer total
+
+
 class TestVertices:
     def test_torus_single_vertex_angle_2pi(self):
         s = t2()
@@ -229,14 +317,14 @@ class TestArea:
         rng = random.Random(2026)
         for _ in range(200):
             sides = random_veering_triangle(rng, exact=True)
-            assert triangle_area_trapezoid(sides) == triangle_area_shoelace(sides)
+            assert area(one_triangle(sides, "exact")) == trapezoid_area(sides)
 
     def test_trapezoid_matches_shoelace_float(self):
         rng = random.Random(4052)
         for _ in range(200):
             sides = random_veering_triangle(rng, exact=False)
-            a1 = triangle_area_trapezoid(sides)
-            a2 = triangle_area_shoelace(sides)
+            a1 = trapezoid_area(sides)
+            a2 = area(one_triangle(sides, "float"))
             assert abs(a1 - a2) <= 1e-12 * max(1.0, abs(a2))
 
 

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import brute_force_rays, scramble, sheared_surface, sorted_large_slots, split_with_direction
+from util import (
+    brute_force_rays,
+    count_fraction_work,
+    reference_measures,
+    scramble,
+    sheared_surface,
+    sorted_large_slots,
+    split_with_direction,
+)
 
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
@@ -75,6 +83,36 @@ class TestDualTrack:
         paired = sum(mu.transverse[b] * mu.tangential[b] for b in track.branches)
         assert paired == area(s)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        build=st.sampled_from([t2, pillow, octagon]),
+        mode=st.sampled_from(["exact", "float"]),
+        seed=st.integers(0, 2**32),
+        direction=st.sampled_from(["vertical", "horizontal"]),
+    )
+    def test_measures_match_the_reference(self, build, mode, seed, direction):
+        s = sheared_surface(build(mode), random.Random(seed))
+
+        def outcome(measures):
+            try:
+                mp = measures(s, direction)
+            except DegeneracyError as exc:
+                return str(exc)
+            return [{e: (x, type(x)) for e, x in part.items()} for part in mp]
+
+        assert outcome(lambda s, d: dual_track(s, d)[1]) == outcome(reference_measures)
+
+    @pytest.mark.parametrize("direction", ["vertical", "horizontal"])
+    def test_exact_measures_do_no_fraction_work_per_triangle(self, monkeypatch, direction):
+        s = octagon()
+        calls = count_fraction_work(monkeypatch)
+        dual_track(s, direction)
+        monkeypatch.undo()
+        # per branch: abs of its period for the transverse measure, and one
+        # Fraction from its integer tangential sum
+        assert set(calls) <= {"__abs__", "__new__"}
+        assert sum(calls.values()) <= 3 * len(s.periods)
+
 
 def _sized_triangles(rows, mode: str, direction: str) -> Surface:
     """One triangle per row of three side sizes, each side its own edge: the
@@ -89,6 +127,15 @@ def _sized_triangles(rows, mode: str, direction: str) -> Surface:
             tri.append((e, 1))
         triangles.append(tri)
     return Surface(triangles, periods, mode)
+
+
+def _slots(s: Surface, direction: str) -> tuple[int, ...]:
+    return large_slots(s.num, s.triangles, s.periods, direction)
+
+
+def _view_slots(s: Surface, direction: str) -> tuple[int, ...]:
+    """large_slots on the view of NumberMode.scaled, as dual_track reads it."""
+    return large_slots(s.num, s.triangles, s.num.scaled(s.periods)[1], direction)
 
 
 def _large_slots_or_error(s: Surface, direction: str, slots) -> object:
@@ -126,7 +173,7 @@ class TestLargeSlots:
         s = _sized_triangles([(Fraction(1), Fraction(2), Fraction(-3)), row], mode, direction)
         message = f"triangle 1: no strictly largest side for the {direction} track"
         with pytest.raises(DegeneracyError) as exc:
-            large_slots(s, direction)
+            _slots(s, direction)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("direction", ["vertical", "horizontal"])
@@ -139,9 +186,9 @@ class TestLargeSlots:
         s = _sized_triangles([row], "float", direction)
         if ties:
             with pytest.raises(DegeneracyError, match="no strictly largest side"):
-                large_slots(s, direction)
+                _slots(s, direction)
         else:
-            assert large_slots(s, direction) == (order.index(0),)
+            assert _slots(s, direction) == (order.index(0),)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -160,9 +207,9 @@ class TestLargeSlots:
                 sizes = data.draw(st.tuples(_FLOAT_SIZE, _FLOAT_SIZE, _FLOAT_SIZE))
                 rows.append(tuple(scale * v for v in sizes))
         s = _sized_triangles(rows, mode, direction)
-        assert _large_slots_or_error(s, direction, large_slots) == _large_slots_or_error(
-            s, direction, sorted_large_slots
-        )
+        expected = _large_slots_or_error(s, direction, sorted_large_slots)
+        assert _large_slots_or_error(s, direction, _slots) == expected
+        assert _large_slots_or_error(s, direction, _view_slots) == expected
 
 
 class TestRegions:

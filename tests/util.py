@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from veertrack._exact import _eliminate, rank
@@ -24,8 +25,16 @@ from veertrack.delaunay import (
 from veertrack.errors import DegeneracyError, NotFlippableError, VeertrackError
 from veertrack.fixtures import octagon, t2
 from veertrack.flow import SplitEvent, next_split
-from veertrack.surface import Surface, edge_occurrences, exchange_diagonal, quad_sides, validate
-from veertrack.traintrack import TrainTrack, split_roles
+from veertrack.surface import (
+    EPS_ANGLE,
+    Surface,
+    ValidationReport,
+    edge_occurrences,
+    exchange_diagonal,
+    quad_sides,
+    validate,
+)
+from veertrack.traintrack import MeasurePair, TrainTrack, split_roles
 
 
 def linf_length(p) -> object:
@@ -55,6 +64,121 @@ def full_pass_greedy(s: Surface):
         cur, rec = flip(cur, bad[0])
         records.append(rec)
     raise VeertrackError(f"greedy did not terminate within {MAX_FLIPS} flips")
+
+
+def _signed(s: Surface, t: int, slot: int) -> tuple:
+    e, sg = s.triangles[t][slot % 3]
+    p = s.periods[e]
+    return (p.w, p.h) if sg > 0 else (-p.w, -p.h)
+
+
+def trapezoid_area(sides) -> object:
+    """Largest width times largest height, minus half the sum of the per-edge
+    width-height products.  Valid for triangles carrying both slope signs."""
+    ws = [abs(p[0]) for p in sides]
+    hs = [abs(p[1]) for p in sides]
+    return max(ws) * max(hs) - sum(w * h for w, h in zip(ws, hs)) / 2
+
+
+def one_triangle(sides, mode: str) -> Surface:
+    """A surface of the one triangle with the given sides, each its own edge;
+    area reads nothing else."""
+    return Surface([(("a", 1), ("b", 1), ("c", 1))], dict(zip("abc", sides)), mode)
+
+
+def _reference_corner_angle(s: Surface, t: int, i: int) -> float:
+    uw, uh = _signed(s, t, i)
+    vw, vh = _signed(s, t, (i - 1) % 3)
+    uw, uh, vw, vh = float(uw), float(uh), float(-vw), float(-vh)
+    return math.atan2(uw * vh - uh * vw, uw * vw + uh * vh) % (2 * math.pi)
+
+
+def reference_validate(s: Surface) -> ValidationReport:
+    """The reference for validate: every test on the surface's own numbers
+    (Fractions in exact mode), corner by corner."""
+    violations = []
+    slack = s.num.slack(1e-9)
+    if not s.triangles:
+        return ValidationReport(False, (("empty", "surface", "no triangles"),))
+    for e, occs in edge_occurrences(s.triangles).items():
+        if len(occs) != 2:
+            violations.append(("gluing", e, f"edge used {len(occs)} times"))
+    if violations:
+        return ValidationReport(False, tuple(violations))
+
+    disagreements = []
+    shoelace = s.num.coerce(0)
+    for t in range(len(s.triangles)):
+        sides = [_signed(s, t, i) for i in range(3)]
+        sw = sum(p[0] for p in sides)
+        sh = sum(p[1] for p in sides)
+        if abs(sw) > slack or abs(sh) > slack:
+            violations.append(("zero-sum", f"triangle {t}", f"signed periods sum to ({sw}, {sh})"))
+        cr = sides[0][0] * sides[1][1] - sides[0][1] * sides[1][0]
+        if not cr > slack:
+            violations.append(("orientation", f"triangle {t}", f"cross product {cr} not positive"))
+        a1 = cr / 2
+        shoelace += a1
+        if len({(p[0] > 0) == (p[1] > 0) for p in sides}) == 2:
+            a2 = trapezoid_area(sides)
+            if not s.num.tie(a1, a2, 1e-12):
+                disagreements.append(("area", f"triangle {t}", f"area formulas disagree ({a1} vs {a2})"))
+
+    for e, p in s.periods.items():
+        if s.num.axis_parallel(p):
+            violations.append(("axis", e, f"axis-parallel period ({p.w}, {p.h})"))
+
+    if not any(v[0] in ("zero-sum", "orientation") for v in violations):
+        for idx, cls in enumerate(s.vertex_classes()):
+            total = sum(_reference_corner_angle(s, t, i) for t, i in cls)
+            k = total / math.pi
+            if not math.isfinite(k) or abs(k - round(k)) > EPS_ANGLE * max(1.0, abs(k)) or round(k) < 1:
+                violations.append(("cone-angle", f"vertex {idx}", f"total angle {total} is not a multiple of pi"))
+
+    if not violations:
+        violations = disagreements
+    return ValidationReport(not violations, tuple(violations), None if violations else shoelace)
+
+
+def reference_measures(s: Surface, direction: str) -> MeasurePair:
+    """The reference for dual_track's measures: the tangential sums added
+    up switch by switch on the surface's own numbers, halving each term."""
+    k = 0 if direction == "vertical" else 1
+    track = TrainTrack(direction, s.triangles, sorted_large_slots(s, direction))
+    transverse = {e: abs(p[k]) for e, p in s.periods.items()}
+    zero = s.num.coerce(0)
+    tangential = {e: zero for e in s.periods}
+    for _, s1, s2 in track.switches():
+        tangential[s1] += abs(s.periods[s2][1 - k]) / 2
+        tangential[s2] += abs(s.periods[s1][1 - k]) / 2
+    for e, role in track.branch_roles().items():
+        if role == "large":
+            tangential[e] = zero
+    return MeasurePair(transverse, tangential)
+
+
+# the methods of Fraction that build one (arithmetic builds its result
+# through __new__) or compare two numbers
+FRACTION_WORK = (
+    "__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__pow__",
+    "__neg__", "__pos__", "__abs__", "__eq__", "__lt__", "__gt__", "__le__", "__ge__", "__bool__",
+)
+
+
+def count_fraction_work(monkeypatch) -> Counter:
+    """Wrap each FRACTION_WORK method of the Fraction class to count its
+    calls, by name, in the returned Counter until monkeypatch undoes it."""
+    calls: Counter = Counter()
+    for name in FRACTION_WORK:
+        original = vars(Fraction)[name]
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, name, staticmethod(counted) if name == "__new__" else counted)
+    return calls
 
 
 def random_veering_triangle(rng: random.Random, exact: bool):
