@@ -31,13 +31,15 @@ def t2(mode: str = "exact") -> Surface:
     return Surface(tris, periods, mode)
 
 
-def slope_torus(x: float, offset_t: float = -0.1) -> Surface:
-    """Torus spanned by (x, 1) and (1, -x), flowed by offset_t.
+# The flow time at which slope_torus stores its torus: for quadratic
+# irrationals x the torus sits on a periodic flow orbit, and its symmetric
+# point t = 0 is a split moment (a certificate tie), so it is stored off it.
+SLOPE_TORUS_OFFSET_T = -0.1
 
-    For quadratic irrationals x this sits on a periodic flow orbit; the
-    symmetric point offset_t = 0 is a split moment, so keep offset_t != 0.
-    """
-    s = math.exp(offset_t)
+
+def slope_torus(x: float) -> Surface:
+    """Torus spanned by (x, 1) and (1, -x), flowed by SLOPE_TORUS_OFFSET_T."""
+    s = math.exp(SLOPE_TORUS_OFFSET_T)
     v1 = (x * s, 1.0 / s)
     v2 = (1.0 * s, -x / s)
     v3 = (-v1[0] - v2[0], -v1[1] - v2[1])

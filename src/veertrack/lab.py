@@ -56,25 +56,23 @@ def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float]:
 
 
 def _height_directions(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float, np.ndarray]:
-    """(edges, closure basis, its tolerance, numeric gradient of the area
-    along each basis direction) for perturb_heights; pure in the triangles
-    and periods of s."""
+    """(edges, closure basis, its tolerance, gradient of the area along each
+    basis direction) for perturb_heights; pure in the triangles and periods
+    of s.
+
+    Area is bilinear in (w, h): a triangle with first sides (e, s_e) and
+    (f, s_f) has twice its area s_e*s_f*(w_e*h_f - h_e*w_f), so the height
+    gradient is an exact linear map of the widths.  Along closed directions
+    any two sides of a triangle give the same area."""
     edges, closure_null, tol = _closure_basis(s)
     idx = {e: i for i, e in enumerate(edges)}
-    h0 = np.array([float(s.periods[e].h) for e in edges])
-    step = 1e-7 * max(1.0, float(np.abs(h0).max()))
-
-    def area_at(h):
-        periods = {e: (s.periods[e].w, h[idx[e]]) for e in edges}
-        return float(area(s.replace(periods=periods)))
-
-    grad = np.array(
-        [
-            (area_at(h0 + step * d) - area_at(h0 - step * d)) / (2 * step)
-            for d in closure_null
-        ]
-    )
-    return edges, closure_null, tol, grad
+    dh = np.zeros(len(edges))
+    for tri in s.triangles:
+        (e, s_e), (f, s_f) = tri[0], tri[1]
+        sg = s_e * s_f / 2
+        dh[idx[e]] -= sg * float(s.periods[f].w)
+        dh[idx[f]] += sg * float(s.periods[e].w)
+    return edges, closure_null, tol, closure_null @ dh
 
 
 def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:

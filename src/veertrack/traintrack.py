@@ -158,10 +158,11 @@ def is_filling_subtrack(track: TrainTrack, branches) -> bool:
     """The subtrack on the given branch labels fills iff every complementary
     component of it is a disk or once-punctured disk.
 
-    Deleting a branch merges the regions on its two sides across a rectangle;
-    a component with k regions and d deleted branches has Euler number k - d,
-    so it is a disk iff the component is a tree, and the punctures it holds
-    are the marked points of its regions.
+    Deleting a branch merges the regions on its two sides across a rectangle,
+    so a component with k regions and d deleted branches has Euler number
+    k - d: every component is a disk iff no deletion joins a component to
+    itself (the regions form a forest), and the punctures a component holds
+    are the marked regions (at most two cusps) in it.
     """
     support = frozenset(branches)
     if not support:
@@ -170,28 +171,17 @@ def is_filling_subtrack(track: TrainTrack, branches) -> bool:
     if unknown:
         raise VeertrackError(f"support contains unknown branches {sorted(unknown)}")
     sizes, corner_region = _region_data(track)
-    marked = [n <= 2 for n in sizes]
     sides = _branch_region_edges(track, corner_region)
-
-    nreg = len(marked)
-    parent = list(range(nreg))
-    deleted = [e for e in track.branches if e not in support]
-    for e in deleted:
-        r1, r2 = sides[e]
-        parent[find_root(parent, r1)] = find_root(parent, r2)
-    comp_regions: dict[int, int] = {}
-    comp_marked: dict[int, int] = {}
-    for r in range(nreg):
-        c = find_root(parent, r)
-        comp_regions[c] = comp_regions.get(c, 0) + 1
-        comp_marked[c] = comp_marked.get(c, 0) + int(marked[r])
-    comp_deleted: dict[int, int] = {c: 0 for c in comp_regions}
-    for e in deleted:
-        comp_deleted[find_root(parent, sides[e][0])] += 1
-    for c in comp_regions:
-        euler = comp_regions[c] - comp_deleted[c]
-        if euler != 1 or comp_marked[c] > 1:
+    parent = list(range(len(sizes)))
+    marked = [n <= 2 for n in sizes]  # per root: its component holds a puncture
+    for e in track.branches:
+        if e in support:
+            continue
+        r1, r2 = (find_root(parent, r) for r in sides[e])
+        if r1 == r2 or (marked[r1] and marked[r2]):
             return False
+        parent[r1] = r2
+        marked[r2] |= marked[r1]
     return True
 
 

@@ -21,7 +21,8 @@ from veertrack.delaunay import (
     slope_sign,
 )
 from veertrack.errors import DegeneracyError, NotFlippableError
-from veertrack.fixtures import BUILDERS, gold, octagon, pillow, slope_torus, t2
+from veertrack.fixtures import BUILDERS, SLOPE_TORUS_OFFSET_T, gold, octagon, pillow, t2
+from veertrack.flow import lam_after
 from veertrack.surface import Surface, area, serialize_surface, validate
 
 
@@ -114,7 +115,8 @@ class TestCertificate:
         assert is_delaunay(s)
 
     def test_certificate_tie_is_an_error(self):
-        s = slope_torus(1.6180339887498949, offset_t=0.0)
+        # gold flowed back to its symmetric point, a split moment
+        s = gold().replace(lam=lam_after(1.0, -SLOPE_TORUS_OFFSET_T))
         with pytest.raises(DegeneracyError):
             delaunay_violations(s)
 

@@ -309,6 +309,60 @@ REFERENCE_TRAJECTORIES = {
 }
 
 
+def _relabelled(s: Surface, rng: random.Random):
+    """A copy of s under a random signed relabelling: new edge names in a
+    shuffled order, some edges reversed (period negated, triangle signs
+    flipped), each triangle rotated and the triangles reordered; with the
+    relabelling (e -> (name, sign)) that carries s to it."""
+    names = [f"x{i}" for i in range(len(s.edges))]
+    rng.shuffle(names)
+    relabel = {e: (name, rng.choice((1, -1))) for e, name in zip(s.edges, names)}
+    tris = []
+    for tri in s.triangles:
+        r = rng.randrange(3)
+        tris.append(tuple((relabel[e][0], sg * relabel[e][1]) for e, sg in tri[r:] + tri[:r]))
+    rng.shuffle(tris)
+    periods = {}
+    for e, (name, sg) in relabel.items():
+        periods[name] = (sg * s.periods[e].w, sg * s.periods[e].h)
+    return Surface(tris, periods, s.mode), relabel
+
+
+def _rotations(tri) -> frozenset:
+    return frozenset(tri[r:] + tri[:r] for r in range(3))
+
+
+def _carries(sigma: dict, s1: Surface, s2: Surface) -> bool:
+    """sigma maps every triangle of s1 onto one of s2, up to rotation."""
+    image = {_rotations(tuple((sigma[e][0], sg * sigma[e][1]) for e, sg in tri)) for tri in s1.triangles}
+    return image == {_rotations(tri) for tri in s2.triangles}
+
+
+class TestTriangleIsomorphisms:
+    """Every state of a one-vertex torus matches every other, so the search
+    is checked here on the four-vertex pillow and the nine-edge octagon."""
+
+    @pytest.mark.parametrize("build, count", [(pillow, 2), (octagon, 1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_relabelled_copy_yields_its_relabelling(self, build, count, seed):
+        s = build()
+        copy, relabel = _relabelled(s, random.Random(seed))
+        found = list(_triangle_isomorphisms(s, copy))
+        assert relabel in found
+        # one match per automorphism of the triangulation, each a true one
+        assert len(found) == count == len(list(_triangle_isomorphisms(s, s)))
+        assert all(_carries(sigma, s, copy) for sigma in found)
+
+    @pytest.mark.parametrize("build, edge", [(pillow, "dF"), (pillow, "dB"), (octagon, "g3")])
+    def test_a_flipped_copy_yields_none(self, build, edge):
+        s = build()
+        flipped, _ = delaunay.flip(s, edge)
+        copy, _ = _relabelled(flipped, random.Random(1))
+        assert next(_triangle_isomorphisms(s, flipped), None) is None
+        assert next(_triangle_isomorphisms(s, copy), None) is None
+        assert next(_triangle_isomorphisms(flipped, copy), None) is not None
+
+
 class TestPeriodicityAgainstReference:
     # 1e-5 and 1e-4 sit just past the tolerances at which the perturbed
     # orbit first recurs, where a rejection test that is too strict shows

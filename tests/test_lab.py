@@ -10,7 +10,7 @@ import veertrack.flow as flow
 import veertrack.lab as lab
 from veertrack.cones import compose_word, eigenpairs, image_diameter
 from veertrack.errors import VeertrackError
-from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, slope_torus
+from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
 from veertrack.lab import (
     closing_search,
@@ -61,6 +61,47 @@ class TestStableContraction:
         # trials below one are refused the same way (see test_cli.py)
         with pytest.raises(VeertrackError, match=f"checkpoints must be at least 1, not {checkpoints}"):
             contraction_experiment(gold(), 2.0, checkpoints=checkpoints)
+
+
+AREA_SURFACES = {
+    "gold": gold,
+    "x_3.3": lambda: slope_torus(3.3),
+    "t2": lambda: t2("float"),
+    "pillow": lambda: pillow("float"),
+    "octagon": lambda: octagon("float"),
+}
+
+
+class TestAreaGradient:
+    """The area gradient along the closure basis, which perturb_heights
+    projects out, is the exact one."""
+
+    @staticmethod
+    def _heights(s, edges):
+        return np.array([float(s.periods[e].h) for e in edges])
+
+    @pytest.mark.parametrize("name", list(AREA_SURFACES))
+    def test_eulers_identity(self, name):
+        # area is linear in the heights, and the heights of a surface are a
+        # closed direction, so the gradient applied to them gives the area
+        s = AREA_SURFACES[name]()
+        edges, basis, _, grad = lab._height_directions(s)
+        a = float(area(s))
+        assert abs(grad @ (basis @ self._heights(s, edges)) - a) <= 1e-12 * a
+
+    @pytest.mark.parametrize("name", list(AREA_SURFACES))
+    def test_central_difference_along_each_basis_row(self, name):
+        s = AREA_SURFACES[name]()
+        edges, basis, _, grad = lab._height_directions(s)
+        h0 = self._heights(s, edges)
+        step = 1e-6
+
+        def area_at(h):
+            return float(area(s.replace(periods={e: (s.periods[e].w, x) for e, x in zip(edges, h)})))
+
+        assert len(grad) == len(basis) > 0
+        for d, g in zip(basis, grad):
+            assert abs((area_at(h0 + step * d) - area_at(h0 - step * d)) / (2 * step) - g) <= 1e-7
 
 
 class TestHilbertDecay:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from util import (
     brute_force_rays,
     count_fraction_work,
+    reference_is_filling,
     reference_measures,
     scramble,
     sheared_surface,
@@ -22,8 +24,9 @@ from util import (
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
-from veertrack.surface import Surface, area
+from veertrack.surface import Surface, area, validate
 from veertrack.traintrack import (
+    TrainTrack,
     complementary_regions,
     dual_track,
     extreme_rays_nonneg,
@@ -282,6 +285,41 @@ class TestFilling:
     def test_single_branch_does_not_fill(self):
         track, _ = dual_track(octagon())
         assert not is_filling_subtrack(track, (track.branches[0],))
+
+    @staticmethod
+    def _check_every_support(track, outcomes: Counter):
+        """is_filling_subtrack agrees with the Euler-count reference on every
+        nonempty support of track; outcomes counts (fills, support is full)."""
+        for k in range(1, len(track.branches) + 1):
+            for support in itertools.combinations(track.branches, k):
+                fills = is_filling_subtrack(track, support)
+                assert fills == reference_is_filling(track, support), (track, support)
+                outcomes[fills, k == len(track.branches)] += 1
+
+    def test_every_support_agrees_with_the_euler_count(self):
+        # both tracks of each fixture and of a valid sheared and a scrambled
+        # copy
+        rng = random.Random(23)
+        outcomes = Counter()
+        for build in (t2, gold, pillow, octagon):
+            base = build()
+            sheared = sheared_surface(base, rng)
+            while not validate(sheared).passed:
+                sheared = sheared_surface(base, rng)
+            for s in (base, sheared, scramble(base, rng)):
+                for direction in ("vertical", "horizontal"):
+                    self._check_every_support(dual_track(s, direction)[0], outcomes)
+        assert outcomes[True, True] == 24 and outcomes[False, False]
+
+    def test_every_slot_choice_on_the_pillow_agrees_with_the_euler_count(self):
+        # a geometric track above fills only on its full support; the
+        # pillow's four regions under every choice of large slots also hold
+        # unmarked ones, so proper supports fill as well
+        triangles = pillow().triangles
+        outcomes = Counter()
+        for slots in itertools.product(range(3), repeat=len(triangles)):
+            self._check_every_support(TrainTrack("vertical", triangles, slots), outcomes)
+        assert outcomes[True, False] and outcomes[False, False]
 
 
 class TestSplit:

@@ -31,10 +31,17 @@ from veertrack.surface import (
     ValidationReport,
     edge_occurrences,
     exchange_diagonal,
+    find_root,
     quad_sides,
     validate,
 )
-from veertrack.traintrack import MeasurePair, TrainTrack, split_roles
+from veertrack.traintrack import (
+    MeasurePair,
+    TrainTrack,
+    _branch_region_edges,
+    _region_data,
+    split_roles,
+)
 
 
 def linf_length(p) -> object:
@@ -155,6 +162,31 @@ def reference_measures(s: Surface, direction: str) -> MeasurePair:
         if role == "large":
             tangential[e] = zero
     return MeasurePair(transverse, tangential)
+
+
+def reference_is_filling(track: TrainTrack, branches) -> bool:
+    """The reference for traintrack.is_filling_subtrack: union the regions
+    across every deleted branch, then count per component its regions k,
+    deleted branches d and marked regions; it fills iff every component has
+    Euler number k - d = 1 and at most one marked region."""
+    support = frozenset(branches)
+    sizes, corner_region = _region_data(track)
+    sides = _branch_region_edges(track, corner_region)
+    parent = list(range(len(sizes)))
+    deleted = [e for e in track.branches if e not in support]
+    for e in deleted:
+        r1, r2 = sides[e]
+        parent[find_root(parent, r1)] = find_root(parent, r2)
+    comp_regions: Counter = Counter()
+    comp_marked: Counter = Counter()
+    comp_deleted: Counter = Counter()
+    for r, n in enumerate(sizes):
+        c = find_root(parent, r)
+        comp_regions[c] += 1
+        comp_marked[c] += n <= 2
+    for e in deleted:
+        comp_deleted[find_root(parent, sides[e][0])] += 1
+    return all(comp_regions[c] - comp_deleted[c] == 1 and comp_marked[c] <= 1 for c in comp_regions)
 
 
 # the methods of Fraction that build one (arithmetic builds its result
