@@ -72,6 +72,14 @@ def _t2_area_gap():
     return s.replace(periods={**s.periods, "e3": (-0.6 + 5e-10, -1.3)})
 
 
+def _t2_twice():
+    """Two disjoint copies of t2 in one document, the second's labels
+    suffixed by b: valid but for the connected rule."""
+    s = t2()
+    copy = [tuple((e + "b", sg) for e, sg in tri) for tri in s.triangles]
+    return Surface([*s.triangles, *copy], {**s.periods, **{e + "b": p for e, p in s.periods.items()}}, "exact")
+
+
 DOCUMENTS = {
     "t2": t2,
     "t2f": lambda: t2("float"),
@@ -94,6 +102,7 @@ INVALID = {
     "t2axis": lambda: _t2_axis("exact"),
     "t2faxis": lambda: _t2_axis("float"),
     "t2farea": _t2_area_gap,
+    "t2twice": _t2_twice,
 }
 FLOWING = ("t2", "t2f", "gold", "goldx", "pillow", "x2", "x3")
 # long words LⁿRⁿ: many mirror-image state pairs precede the match
@@ -136,6 +145,8 @@ def invocations() -> list[tuple[list[str], str | None]]:
                          "--csv", "decay.csv"], "decay.csv"))
             out.append((["close", "--input", doc, "--delta", "1e-3", "--seed", seed, "--output", "close.json"],
                         "close.json"))
+    # a trial with the base's word that leaves its chart at a checkpoint
+    out.append((["contract", "--input", "x3.json", "--time", "4", "--delta", "1.2", "--seed", "1"], None))
     for name in INVALID:
         out.append((["validate", "--input", f"{name}.json"], None))
         out.append((["report", "--input", f"{name}.json"], None))

@@ -218,49 +218,43 @@ class PeriodicMatch(NamedTuple):
 
 
 def _triangle_isomorphisms(s1: Surface, s2: Surface):
-    """Label bijections with signs carrying the triangulation of s1 to s2."""
+    """Signed label bijections carrying the triangulation of s1 to s2, both
+    valid (surface.validate), each read by a walk across edges from triangle
+    0.  Only its tests on sigma can fail: s1 is connected, so the walk reaches
+    every triangle and edge, and two triangles with one image would share all
+    three edges, glued with equal signs: a two-triangle sphere whose three
+    cone angles, each at least pi, sum to 2 pi, which validate rejects."""
     tris1, tris2 = s1.triangles, s2.triangles
     if len(tris1) != len(tris2):
         return
     occ1, occ2 = s1.occurrences(), s2.occurrences()
     for t0 in range(len(tris2)):
         for rot in range(3):
-            sigma: dict[str, tuple[str, int]] = {}
+            sigma: dict[str, tuple[str, int]] | None = {}
             used: set[str] = set()
             tri_map = {0: (t0, rot)}
             stack = [0]
-            ok = True
-            while stack and ok:
+            while stack and sigma is not None:
                 t = stack.pop()
                 tt, rr = tri_map[t]
-                for i in range(3):
-                    e, sg = tris1[t][i]
-                    e2, sg2 = tris2[tt][(i + rr) % 3]
-                    f = sg * sg2
-                    if e in sigma:
-                        if sigma[e] != (e2, f):
-                            ok = False
+                for i, (e, sg) in enumerate(tris1[t]):
+                    j = (i + rr) % 3
+                    e2, sg2 = tris2[tt][j]
+                    if e in sigma or e2 in used:  # e met before, or e2 taken
+                        if sigma.get(e) != (e2, sg * sg2):
+                            sigma = None
                             break
-                    else:
-                        if e2 in used:
-                            ok = False
-                            break
-                        sigma[e] = (e2, f)
-                        used.add(e2)
-                    # propagate to the neighbor triangle across e
-                    for tn, jn, _ in occ1[e]:
-                        if tn == t and jn == i:
-                            continue
-                        for tn2, jn2, _ in occ2[e2]:
-                            if tn2 == tt and jn2 == (i + rr) % 3:
-                                continue
-                            if tn in tri_map:
-                                if tri_map[tn] != (tn2, (jn2 - jn) % 3):
-                                    ok = False
-                            else:
-                                tri_map[tn] = (tn2, (jn2 - jn) % 3)
-                                stack.append(tn)
-            if ok and len(tri_map) == len(tris1) and len(sigma) == len(s1.periods):
+                        continue
+                    sigma[e] = (e2, sg * sg2)
+                    used.add(e2)
+                    # the neighbours across e and e2: their other occurrences
+                    o1, o2 = occ1[e], occ2[e2]
+                    tn, jn, _ = o1[o1[0][:2] == (t, i)]
+                    tn2, jn2, _ = o2[o2[0][:2] == (tt, j)]
+                    if tn not in tri_map:
+                        tri_map[tn] = (tn2, (jn2 - jn) % 3)
+                        stack.append(tn)
+            if sigma is not None:
                 yield sigma
 
 
@@ -357,22 +351,17 @@ def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch
             if not lam_w > 1 + 1e-9:
                 continue
             for sigma in _triangle_isomorphisms(states[m], states[m2]):
-                glob = None
-                good = True
+                glob = None  # the global sign, read off the first edge
                 for e, (e2, f) in sigma.items():
                     w1, h1 = a.eff[e]
                     w2, h2 = f * b.eff[e2][0], f * b.eff[e2][1]
                     scale = max(abs(w1), abs(h1), 1e-15)
                     if glob is None:
-                        if abs(abs(w1) - abs(w2)) > rel_tol * scale:
-                            good = False
-                            break
                         glob = 1 if w1 * w2 > 0 else -1
                     w2, h2 = glob * w2, glob * h2
                     if abs(w2 - w1) > rel_tol * scale or abs(h2 - h1) > rel_tol * scale:
-                        good = False
                         break
-                if good and glob is not None:
+                else:  # every edge matched
                     relabel = {e: (e2, glob * f) for e, (e2, f) in sigma.items()}
                     word = tuple(traj.events[m:m2])
                     return PeriodicMatch(m, m2, relabel, lam_w, word)

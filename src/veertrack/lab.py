@@ -21,7 +21,7 @@ from .cones import compose_word, eigenpairs, image_diameter
 from .delaunay import greedy_delaunay, quad
 from .errors import DegeneracyError, VeertrackError
 from .flow import Trajectory, detect_periodicity, lam_after, next_split, run_flow
-from .surface import Surface, area, edge_occurrences, exchange_diagonal, quad_sides, rebase
+from .surface import Surface, area, rebase
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +164,15 @@ def contraction_experiment(
         except (DegeneracyError, VeertrackError):
             return None
         sig_b = [(ev.edge, ev.direction) for ev in pert_traj.events]
-        if sig_a != sig_b:
+        # the same word can still put an event on the other side of a
+        # checkpoint, which then sits in another chart
+        pert_states = [_state_at(pert_traj, t) for t in times]
+        if sig_a != sig_b or any(b.triangles != p.triangles for b, p in zip(base_states, pert_states)):
             return None
         d0 = _stable_distance(s, sp)
         if d0 == 0:
             raise VeertrackError(f"delta {delta} does not move the heights at float precision")
-        dists = [_stable_distance(b, _state_at(pert_traj, t)) for b, t in zip(base_states, times)]
+        dists = [_stable_distance(b, p) for b, p in zip(base_states, pert_states)]
         k = min(range(checkpoints), key=lambda k: dists[k] / units[k])
         if dists[k] == 0:
             raise VeertrackError(f"delta {delta} is too small: the distance at time {times[k]} rounds to 0")
@@ -254,23 +257,20 @@ class ClosingResult(NamedTuple):
     converged: bool
 
 
-def period_matrix(triangles, flips, relabel: dict) -> tuple[tuple[int, ...], ...]:
+def period_matrix(quads, relabel: dict) -> tuple[tuple[int, ...], ...]:
     """The signed period matrix R of a periodic word, rows and columns over
-    the sorted edges.
-
-    Flipping e gives it the period b + c of the sides quad_sides names, so
-    along the flips every period is a fixed integer combination of the
-    periods on triangles; relabel (e -> (e', sign), as detect_periodicity
-    gives it) reads the last chart in the first.  R applied to the widths,
-    or to the heights, of a surface on triangles gives those of its return
-    along the word, before the flow scales them."""
+    the sorted edges, read from the word's Quads, each on the surface before
+    its flip: flipping e gives it the period b + c of its sides, so every
+    period is a fixed integer combination of the first surface's.  relabel
+    (e -> (e', sign), as detect_periodicity gives it) reads the last chart
+    in the first.  R applied to the widths, or to the heights, of the first
+    surface gives those of its return along the word, before the flow
+    scales them."""
     edges = sorted(relabel)
     rows = {e: tuple(int(e == f) for f in edges) for e in edges}
-    for e in flips:
-        t1, t2, sides = quad_sides(triangles, edge_occurrences(triangles), e)
-        (b, sg_b), (c, sg_c) = sides[1], sides[2]
-        rows[e] = tuple(sg_b * x + sg_c * y for x, y in zip(rows[b], rows[c]))
-        triangles = exchange_diagonal(triangles, e, t1, t2, sides)
+    for q in quads:
+        (b, sg_b), (c, sg_c) = q.sides[1], q.sides[2]
+        rows[q.edge] = tuple(sg_b * x + sg_c * y for x, y in zip(rows[b], rows[c]))
     return tuple(tuple(relabel[e][1] * x for x in rows[relabel[e][0]]) for e in edges)
 
 
@@ -325,7 +325,8 @@ def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:
     word_sig = [(ev.edge, ev.direction) for ev in match.word]
     near = rebase(traj.states()[match.m])
     edges = near.edges
-    r = period_matrix(near.triangles, [e for e, _ in word_sig], match.relabel)
+    quads = [quad(x, ev.edge) for x, ev in zip(traj.states()[match.m:match.m2], match.word)]
+    r = period_matrix(quads, match.relabel)
     (_, w), (_, h) = eigenpairs(r, 1 / match.lam_w, match.lam_w)
     # each scaled onto the near point's widths or heights by least squares
     w0 = np.array([near.periods[e].w for e in edges])

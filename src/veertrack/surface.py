@@ -437,7 +437,8 @@ def _disagreeing_trapezoid(sides, a1, half, num: NumberMode):
 def validate(s: Surface) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions.
     The report of a surface that passes carries its area, the total that
-    area(s) gives.
+    area(s) gives.  The gluing rules state what the combinatorial code
+    assumes: each period glues two triangle sides into one connected surface.
 
     The checks read the view of NumberMode.scaled, integers in exact mode
     and the periods themselves in float mode; a number is unscaled only for
@@ -447,11 +448,20 @@ def validate(s: Surface) -> ValidationReport:
         return ValidationReport(False, (("empty", "surface", "no triangles"),))
 
     occ = s.occurrences()
+    parent = list(range(len(s.triangles)))  # union-find of the glued triangles
     for e, occs in occ.items():
-        if len(occs) != 2:
+        if e not in s.periods:
+            violations.append(("gluing", e, "edge has no period"))
+        elif len(occs) != 2:
             violations.append(("gluing", e, f"edge used {len(occs)} times"))
-    if any(v[0] == "gluing" for v in violations):
+        else:
+            parent[find_root(parent, occs[0][0])] = find_root(parent, occs[1][0])
+    violations += [("gluing", e, "edge used 0 times") for e in s.periods if e not in occ]
+    if violations:
         return ValidationReport(False, tuple(violations))
+    components = sum(1 for t, r in enumerate(parent) if r == t)
+    if components > 1:
+        violations.append(("connected", "surface", f"the triangles form {components} components"))
 
     num = s.num
     d, view = num.scaled(s.periods)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from util import sheared_surface
+from util import disjoint_copies, sheared_surface
 
 from veertrack import cli, surface
 from veertrack.cli import main
 from veertrack.delaunay import delaunay_violations, greedy_delaunay
-from veertrack.fixtures import GOLD_PERIOD_T, gold, octagon, pillow, t2
+from veertrack.fixtures import GOLD_PERIOD_T, gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import next_split, run_flow
 from veertrack.surface import Surface, serialize_surface
 
@@ -254,6 +255,43 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: violation [zero-sum] triangle 0: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["flow", "--time", "3"], ["analyze", "--time", "8"], ["contract", "--time", "2"], ["close"]],
+        ids=["flow", "analyze", "contract", "close"],
+    )
+    def test_flow_commands_refuse_a_disconnected_surface(self, capsys, tmp_path, argv):
+        # the two copies of gold would split on e3 and e3b at once, a tie
+        # that is not a degeneracy of either surface
+        path = tmp_path / "two-gold.json"
+        path.write_text(serialize_surface(disjoint_copies(gold())))
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: violation [connected] surface: the triangles form 2 components\n"
+
+    def test_validate_and_report_refuse_a_disconnected_surface(self, capsys, tmp_path):
+        path = tmp_path / "two-t2.json"
+        path.write_text(serialize_surface(disjoint_copies(t2())))
+        assert main(["validate", "--input", str(path)]) == 1
+        assert capsys.readouterr().out == "violation [connected] surface: the triangles form 2 components\n"
+        assert main(["report", "--input", str(path), "--time", "1"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["valid"], doc["triangles"], doc["edges"]) == (False, 4, 6)
+        assert doc["violations"] == [["connected", "surface", "the triangles form 2 components"]]
+
+    def test_contract_drops_a_trial_that_leaves_the_chart_at_a_checkpoint(self, capsys, tmp_path):
+        # a trial with the base's word whose event falls on the other side of
+        # a checkpoint time is in another chart there
+        path = tmp_path / "x3.json"
+        path.write_text(serialize_surface(slope_torus((3 + math.sqrt(13)) / 2)))
+        for delta in ("1.2", "1.5"):
+            argv = ["contract", "--input", str(path), "--time", "4", "--delta", delta, "--seed", "1"]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("alpha_hat 2.000000, ")
+            assert out.endswith(", dropped 1\n")
 
     def test_flow_refuses_an_empty_surface(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

@@ -66,6 +66,14 @@ class TestSlopes:
     def test_fixtures_veering(self, build):
         assert is_veering(build())
 
+    def test_a_triangle_of_one_slope_sign_is_not_veering(self):
+        s = t2().replace(periods={
+            "e1": (1, Fraction(1, 2)), "e2": (1, 2), "e3": (-2, Fraction(-5, 2)),
+        })
+        assert validate(s) == (True, (), Fraction(3, 2))
+        assert {slope_sign(s, p) for p in s.periods.values()} == {1}
+        assert not is_veering(s)
+
 
 class TestFlip:
     def test_flip_preserves_surface_invariants(self):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import exact_trajectory_prefix, sheared_surface
+from util import (
+    exact_trajectory_prefix,
+    reference_triangle_isomorphisms,
+    sampled_thick_fraction,
+    sheared_surface,
+)
 
 import veertrack.delaunay as delaunay
 import veertrack.flow as flow
@@ -123,6 +128,19 @@ class TestRunFlow:
         assert len(traj.events) == 43
         assert traj.events[-1].t > 19.5
 
+    def test_start_surface_must_be_delaunay(self):
+        # t2 sheared by (w, h) -> (w + 11h/100, 9w/100 + h): valid, but e3
+        # violates the certificate at lam = 1
+        s = t2().replace(periods={
+            "e1": (Fraction(1033, 1000), Fraction(39, 100)),
+            "e2": (Fraction(-29, 100), Fraction(241, 250)),
+            "e3": (Fraction(-743, 1000), Fraction(-677, 500)),
+        })
+        assert validate(s).passed
+        assert delaunay.delaunay_violations(s) == ["e3"]
+        with pytest.raises(VeertrackError, match="needs a certified Delaunay start surface"):
+            run_flow(s, 1.0)
+
     def test_max_events_cap(self):
         traj = run_flow(gold(), 50.0, max_events=7)
         assert len(traj.events) == 7
@@ -229,6 +247,24 @@ class TestThickness:
         traj = run_flow(gold(), 2.0)
         stats = thick_fraction(traj, eps=1e-9)
         assert stats.theta == pytest.approx(1.0)
+
+    # eps where the proxy systole dips below eps on part of [0, 4], so thin
+    # intervals are cut out and united; at gold's 2.7 the thin intervals of
+    # two curves overlap for 0.55 of the 4 time units; theta as measured
+    @pytest.mark.parametrize(
+        "name, eps, theta",
+        [("gold", 2.5, 0.516), ("gold", 2.7, 0.208), ("x2", 3.0, 0.891), ("x2", 3.5, 0.485)],
+    )
+    def test_thin_part_matches_a_sampled_oracle(self, name, eps, theta):
+        s = gold() if name == "gold" else slope_torus(_slope(2))
+        traj = run_flow(s, 4.0)
+        stats = thick_fraction(traj, eps)
+        assert stats.theta == pytest.approx(theta, abs=1e-3)
+        assert stats.thick_time == pytest.approx(4.0 * stats.theta)
+        # the midpoint share lands within one grid step of the measure on
+        # these flows (measured); two steps leave room for rounding
+        step = 2e-3
+        assert abs(sampled_thick_fraction(traj, eps, step) - stats.theta) * 4.0 <= 2 * step
 
 
 class TestPeriodicity:
@@ -361,6 +397,41 @@ class TestTriangleIsomorphisms:
         assert next(_triangle_isomorphisms(s, flipped), None) is None
         assert next(_triangle_isomorphisms(s, copy), None) is None
         assert next(_triangle_isomorphisms(flipped, copy), None) is not None
+
+
+def _isomorphism_pairs():
+    """(name, s1, s2): every pair of states of short flows on gold, x_2 and
+    t2, and relabelled and flipped copies of the pillow and the octagon."""
+    flows = {
+        "gold": run_flow(gold(), 8.0).states(),
+        "x2": run_flow(slope_torus(_slope(2)), 8.0).states(),
+        # exact t2 stops on an axis-parallel diagonal within its first events
+        "t2": exact_trajectory_prefix(t2())[1],
+    }
+    for name, states in flows.items():
+        for m, a in enumerate(states):
+            for m2, b in enumerate(states):
+                yield f"{name}[{m}, {m2}]", a, b
+    for build, edge in ((pillow, "dF"), (pillow, "dB"), (octagon, "g3")):
+        s = build()
+        flipped, _ = delaunay.flip(s, edge)
+        copies = [s, flipped, *(_relabelled(x, random.Random(seed))[0] for x in (s, flipped) for seed in range(3))]
+        for i, a in enumerate(copies):
+            for j, b in enumerate(copies):
+                yield f"{build.__name__}-{edge}[{i}, {j}]", a, b
+
+
+class TestIsomorphismsAgainstReference:
+    def test_same_sigmas_in_the_same_order(self):
+        pairs = matched = 0
+        for name, s1, s2 in _isomorphism_pairs():
+            got = [list(sigma.items()) for sigma in _triangle_isomorphisms(s1, s2)]
+            expected = [list(sigma.items()) for sigma in reference_triangle_isomorphisms(s1, s2)]
+            assert got == expected, name
+            pairs += 1
+            matched += bool(got)
+        # the flipped copies of pillow and octagon match nothing
+        assert 0 < matched < pairs
 
 
 class TestPeriodicityAgainstReference:

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import veertrack.delaunay as delaunay
 import veertrack.flow as flow
 import veertrack.lab as lab
 from veertrack.cones import compose_word, eigenpairs, image_diameter
@@ -193,6 +194,24 @@ class TestPeriodMatrix:
         lam = result.lam_w
         assert np.abs(r @ w - w / lam).max() <= 1e-9 * np.abs(w).max()
         assert np.abs(r @ h - lam * h).max() <= 1e-9 * np.abs(h).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_word_quads_carry_the_periods_across_the_return(self, monkeypatch, n):
+        traj = run_flow(slope_torus(_slope(n)), 16.0, verify="off")
+        match = flow.detect_periodicity(traj, rel_tol=0.1)
+        states = traj.states()
+        built = []
+        monkeypatch.setattr(delaunay, "build_quad", lambda s, e: built.append(e))
+        # next_split built each Quad on the state before its event
+        quads = [delaunay.quad(x, ev.edge) for x, ev in zip(states[match.m:match.m2], match.word)]
+        monkeypatch.undo()
+        assert built == []
+        r = np.array(lab.period_matrix(quads, match.relabel), dtype=float)
+        edges = sorted(match.relabel)
+        for k in (0, 1):  # widths, then heights, in the base chart
+            before = np.array([states[match.m].periods[e][k] for e in edges])
+            after = np.array([sg * states[match.m2].periods[e2][k] for e2, sg in map(match.relabel.get, edges)])
+            assert np.abs(r @ before - after).max() <= 1e-9 * np.abs(after).max()
 
 
 class TestReplayCheck:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from util import (
     count_fraction_work,
+    disjoint_copies,
     one_triangle,
     random_veering_triangle,
     reference_validate,
@@ -217,6 +218,12 @@ def _mutated_surface(s: Surface, kind: str, e: str, t: int) -> Surface:
         return s.replace(triangles=[*s.triangles[:t], ((other, tri[0][1]), *tri[1:]), *s.triangles[t + 1:]])
     if kind == "empty":
         return s.replace(triangles=())
+    if kind == "unused":  # a period that no triangle names
+        return s.replace(periods={**s.periods, "zz": (w, h)})
+    if kind == "no-period":  # e's sides name a label without a period
+        return s.replace(periods={f: p for f, p in s.periods.items() if f != e})
+    if kind == "connected":
+        return disjoint_copies(s)
     if kind == "zero-sum":
         return s.replace(periods={**s.periods, e: (w + one / 7, h)})
     if kind == "orientation":
@@ -235,17 +242,58 @@ def _mutated_surface(s: Surface, kind: str, e: str, t: int) -> Surface:
 # first puts the two area formulas 3e-10 apart, the second 8e-13 apart,
 # inside the 1e-12 tie of the areas but outside that of their doubles
 SMALL_DEFECTS = {"area": Fraction(5, 10**10), "area-tie": Fraction(12, 10**13), "sub-float": Fraction(1, 10**400)}
-MUTATIONS = ("none", "gluing", "empty", "zero-sum", "orientation", "axis", "cone-angle", *SMALL_DEFECTS)
+MUTATIONS = (
+    "none", "gluing", "unused", "no-period", "empty", "connected", "zero-sum", "orientation", "axis",
+    "cone-angle", *SMALL_DEFECTS,
+)
 
 # the first violation each mutation of t2 gives, in exact and in float
 # mode; exact mode sees every small closure defect as zero-sum
 FIRST_VIOLATION = {
     **{kind: (kind, kind) for kind in MUTATIONS},
     "none": (None, None),
+    "unused": ("gluing", "gluing"),
+    "no-period": ("gluing", "gluing"),
     "area": ("zero-sum", "area"),
     "area-tie": ("zero-sum", None),
     "sub-float": ("zero-sum", None),
 }
+
+
+class TestGluingRules:
+    """validate states the gluing that the combinatorial code assumes: each
+    period glues two triangle sides, into one connected surface."""
+
+    @pytest.mark.parametrize("build", [t2, lambda: t2("float"), gold, pillow, octagon])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_disjoint_copies_are_not_connected(self, build, count):
+        s = build()
+        assert validate(s).passed
+        expected = ("connected", "surface", f"the triangles form {count} components")
+        assert validate(disjoint_copies(s, count)) == (False, (expected,), None)
+
+    def test_an_unused_period_is_a_gluing_violation(self):
+        s = t2()
+        report = validate(s.replace(periods={**s.periods, "zz": (1, 1)}))
+        assert report == (False, (("gluing", "zz", "edge used 0 times"),), None)
+
+    def test_a_side_without_a_period_is_a_gluing_violation(self):
+        s = t2()
+        report = validate(s.replace(periods={e: p for e, p in s.periods.items() if e != "e3"}))
+        assert report == (False, (("gluing", "e3", "edge has no period"),), None)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [({"zz": ["1", "1"]}, "edge zz appears 0 times, expected 2"), ({}, "unknown edge 'e3'")],
+        ids=["unused", "no-period"],
+    )
+    def test_documents_refuse_both_when_parsed(self, edges, message):
+        doc = json.loads(serialize_surface(t2()))
+        if not edges:
+            del doc["edges"]["e3"]
+        doc["edges"].update(edges)
+        with pytest.raises(DocumentError, match=message):
+            parse_surface(json.dumps(doc))
 
 
 class TestScaledView:

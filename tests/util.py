@@ -33,6 +33,7 @@ from veertrack.surface import (
     exchange_diagonal,
     find_root,
     quad_sides,
+    rebase,
     validate,
 )
 from veertrack.traintrack import (
@@ -40,7 +41,9 @@ from veertrack.traintrack import (
     TrainTrack,
     _branch_region_edges,
     _region_data,
+    dual_track,
     split_roles,
+    vertex_curves,
 )
 
 
@@ -107,11 +110,20 @@ def reference_validate(s: Surface) -> ValidationReport:
     slack = s.num.slack(1e-9)
     if not s.triangles:
         return ValidationReport(False, (("empty", "surface", "no triangles"),))
-    for e, occs in edge_occurrences(s.triangles).items():
-        if len(occs) != 2:
+    occ = edge_occurrences(s.triangles)
+    for e, occs in occ.items():
+        if e not in s.periods:
+            violations.append(("gluing", e, "edge has no period"))
+        elif len(occs) != 2:
             violations.append(("gluing", e, f"edge used {len(occs)} times"))
+    for e in s.periods:
+        if e not in occ:
+            violations.append(("gluing", e, "edge used 0 times"))
     if violations:
         return ValidationReport(False, tuple(violations))
+    components = len(glued_components(s))
+    if components > 1:
+        violations.append(("connected", "surface", f"the triangles form {components} components"))
 
     disagreements = []
     shoelace = s.num.coerce(0)
@@ -145,6 +157,115 @@ def reference_validate(s: Surface) -> ValidationReport:
     if not violations:
         violations = disagreements
     return ValidationReport(not violations, tuple(violations), None if violations else shoelace)
+
+
+def glued_components(s: Surface) -> list[set[int]]:
+    """The triangle indices of each connected component of s, found by a
+    flood fill across edges from the lowest unreached triangle."""
+    occ = edge_occurrences(s.triangles)
+    unreached = set(range(len(s.triangles)))
+    components = []
+    while unreached:
+        stack = [min(unreached)]
+        component = set(stack)
+        while stack:
+            for e, _ in s.triangles[stack.pop()]:
+                for u, _, _ in occ[e]:
+                    if u not in component:
+                        component.add(u)
+                        stack.append(u)
+        unreached -= component
+        components.append(component)
+    return components
+
+
+def disjoint_copies(s: Surface, count: int = 2) -> Surface:
+    """One surface of count disjoint copies of s: s itself, then s with
+    every label suffixed by b, c, ..."""
+    suffixes = ["", *"bcdefgh"[: count - 1]]
+    triangles = [tuple((e + x, sg) for e, sg in tri) for x in suffixes for tri in s.triangles]
+    periods = {e + x: p for x in suffixes for e, p in s.periods.items()}
+    return Surface(triangles, periods, s.mode)
+
+
+def reference_triangle_isomorphisms(s1: Surface, s2: Surface):
+    """The reference for flow._triangle_isomorphisms: the walk that also
+    checks each neighbour's image against the one it was given first, scans
+    both occurrence lists for the neighbours, and keeps a candidate only if
+    it reached every triangle and every edge."""
+    tris1, tris2 = s1.triangles, s2.triangles
+    if len(tris1) != len(tris2):
+        return
+    occ1, occ2 = s1.occurrences(), s2.occurrences()
+    for t0 in range(len(tris2)):
+        for rot in range(3):
+            sigma: dict[str, tuple[str, int]] = {}
+            used: set[str] = set()
+            tri_map = {0: (t0, rot)}
+            stack = [0]
+            ok = True
+            while stack and ok:
+                t = stack.pop()
+                tt, rr = tri_map[t]
+                for i in range(3):
+                    e, sg = tris1[t][i]
+                    e2, sg2 = tris2[tt][(i + rr) % 3]
+                    f = sg * sg2
+                    if e in sigma:
+                        if sigma[e] != (e2, f):
+                            ok = False
+                            break
+                    else:
+                        if e2 in used:
+                            ok = False
+                            break
+                        sigma[e] = (e2, f)
+                        used.add(e2)
+                    for tn, jn, _ in occ1[e]:
+                        if tn == t and jn == i:
+                            continue
+                        for tn2, jn2, _ in occ2[e2]:
+                            if tn2 == tt and jn2 == (i + rr) % 3:
+                                continue
+                            if tn in tri_map:
+                                if tri_map[tn] != (tn2, (jn2 - jn) % 3):
+                                    ok = False
+                            else:
+                                tri_map[tn] = (tn2, (jn2 - jn) % 3)
+                                stack.append(tn)
+            if ok and len(tri_map) == len(tris1) and len(sigma) == len(s1.periods):
+                yield sigma
+
+
+def sampled_thick_fraction(traj, eps: float, step: float) -> float:
+    """The reference for flow.thick_fraction: the share of the midpoints of
+    a grid of about the given step on the trajectory's time span at which
+    the proxy systole is at least eps.  At each midpoint the chart current
+    there is rebased to that time, and the systole is the least, over the
+    vertex curves of both its dual tracks, of the larger of a curve's
+    transverse and tangential lengths."""
+    t0 = 0.5 * math.log(float(traj.start.lam))
+    n = max(1, round(traj.t_end / step))
+    states = traj.states()
+    curves: dict = {}  # (state index, direction) -> vertex curves
+    thick = 0
+    for k in range(n):
+        t = t0 + (k + 0.5) * traj.t_end / n
+        idx = sum(1 for ev in traj.events if ev.t <= t)
+        s = rebase(states[idx].replace(lam=math.exp(2 * t)))
+        systole = math.inf
+        for direction in ("vertical", "horizontal"):
+            track, mp = dual_track(s, direction)
+            if (idx, direction) not in curves:
+                curves[idx, direction] = vertex_curves(track)
+            for curve in curves[idx, direction]:
+                lengths = [
+                    sum(c * float(m[b]) for c, b in zip(curve, track.branches))
+                    for m in (mp.transverse, mp.tangential)
+                ]
+                systole = min(systole, max(lengths))
+        thick += systole >= eps
+    return thick / n
 
 
 def reference_measures(s: Surface, direction: str) -> MeasurePair:
