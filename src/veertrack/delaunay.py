@@ -107,7 +107,9 @@ def build_quad(s: Surface, e: str) -> Quad:
 def quad(s: Surface, e: str) -> Quad:
     """build_quad(s, e), built once for s and its lam-only copies; an edge
     whose build raises is not kept, so it raises on every call."""
-    quads = s.cached("quads", lambda _: {})
+    quads = s._derived.get("quads")
+    if quads is None:
+        quads = s._derived["quads"] = {}
     q = quads.get(e)
     if q is None:
         q = quads[e] = build_quad(s, e)
@@ -133,7 +135,8 @@ def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
     if not q.flippable:
         raise NotFlippableError(f"edge {e}: quadrilateral is not convex")
     old = s.periods[e]
-    periods = {**s.periods, e: Period(*q.diagonal)}
+    periods = dict(s.periods)
+    periods[e] = Period._make(q.diagonal)
     triangles = exchange_diagonal(s.triangles, e, q.t1, q.t2, q.sides)
     rec = FlipRecord(e, (old.w, old.h), q.diagonal)
     return Surface._normalised(triangles, periods, s.num, s.lam, {}), rec

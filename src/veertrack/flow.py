@@ -10,7 +10,7 @@ a sequence of exact rational comparisons.
 import math
 from typing import NamedTuple
 
-from .delaunay import delaunay_violations, flip, quad, slope_sign
+from .delaunay import delaunay_violations, flip, quad
 from .errors import DegeneracyError, VeertrackError
 from .surface import Surface
 from .traintrack import dual_track, large_slots, split_roles, vertex_curves
@@ -51,30 +51,22 @@ class ThickStats(NamedTuple):
     theta: float
 
 
-def _large_edges(s: Surface) -> list[str]:
-    """The sorted edges of s that are the large side of both their
-    triangles in the vertical track."""
-    slots = large_slots(s.num, s.triangles, s.periods, "vertical")
-    sides = sorted(tri[ls][0] for tri, ls in zip(s.triangles, slots))
-    return [e for e, f in zip(sides, sides[1:]) if e == f]
-
-
-def _split_candidates(s: Surface):
-    out = []
-    for e in _large_edges(s):
-        q = quad(s, e)
-        if not q.flippable:
-            continue
-        w_e, h_e = abs(s.periods[e].w), abs(s.periods[e].h)
-        w_d, h_d = abs(q.diagonal[0]), abs(q.diagonal[1])
-        if w_d < w_e and h_d > h_e:
-            out.append((h_d / w_e, e, q))
-    return out
-
-
 def next_split(s: Surface) -> SplitEvent | None:
-    """Earliest future split of a certified Delaunay surface, or None."""
-    cands = [c for c in _split_candidates(s) if c[0] > s.lam]
+    """Earliest future split of a certified Delaunay surface, or None, in one
+    pass over the vertical track's large slots: an edge met twice is the
+    large side of both its triangles."""
+    cands, seen, periods = [], set(), s.periods
+    for tri, ls in zip(s.triangles, large_slots(s.num, s.triangles, periods, "vertical")):
+        e = tri[ls][0]
+        if e not in seen:
+            seen.add(e)
+            continue
+        q = quad(s, e)
+        d, p = q.diagonal, periods[e]
+        w_e, h_d = abs(p.w), abs(d[1])
+        # the other diagonal d is narrower and taller, and squares past lam
+        if q.flippable and abs(d[0]) < w_e and h_d > abs(p.h) and (thr := h_d / w_e) > s.lam:
+            cands.append((thr, e, q))
     if not cands:
         return None
     if len(cands) > 1:
@@ -82,7 +74,10 @@ def next_split(s: Surface) -> SplitEvent | None:
         if s.num.tie(cands[1][0], cands[0][0], FLOAT_EVENT_TIE):
             raise DegeneracyError(f"simultaneous split events on {cands[0][1]} and {cands[1][1]}")
     thr, e, q = cands[0]
-    direction = "L" if slope_sign(s, q.diagonal) > 0 else "R"
+    # slope_sign's axis test cannot fire here: q is flippable, develop raises
+    # when a flippable q's diagonal is axis-parallel, and quad keeps no such q
+    d = q.diagonal
+    direction = "L" if (d[0] > 0) == (d[1] > 0) else "R"
     losers, winners = split_roles(q.sides, direction)
     # cross-check with the width comparison that defines the track split
     wb = abs(q.vectors[1][0]) + abs(q.vectors[3][0])
@@ -337,10 +332,7 @@ def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch
     alone.
     """
     states = traj.states()
-    sigs = [
-        _signature({e: s.effective_period(e) for e in s.periods}, float(s.lam), rel_tol)
-        for s in states
-    ]
+    sigs = [_signature(s.flowed_periods(), float(s.lam), rel_tol) for s in states]
     for span in range(1, len(sigs)):
         for m in range(0, len(sigs) - span):
             m2 = m + span

@@ -111,10 +111,10 @@ def _stable_distance(s1: Surface, s2: Surface) -> float:
     if s1.triangles != s2.triangles:
         raise VeertrackError("surfaces are in different charts")
     dh, wn = 0.0, 0.0
-    for e in s1.edges:
-        w1, h1 = s1.effective_period(e)
-        _, h2 = s2.effective_period(e)
-        dh += (h1 - h2) ** 2
+    f1, f2 = s1.flowed_periods(), s2.flowed_periods()
+    for e in s1.edges:  # summed in label order
+        w1, h1 = f1[e]
+        dh += (h1 - f2[e][1]) ** 2
         wn += w1**2
     return math.sqrt(dh) / math.sqrt(wn)
 
@@ -123,7 +123,8 @@ def _roundoff_unit(s: Surface) -> float:
     """The separation _stable_distance reads from s when one height moves by
     one unit in the last place of the largest flowed height:
     eps * max |h_eff| / ||w_eff||."""
-    flowed = [s.effective_period(e) for e in s.edges]
+    f = s.flowed_periods()
+    flowed = [f[e] for e in s.edges]
     top = max(abs(h) for _, h in flowed)
     return sys.float_info.epsilon * top / math.sqrt(sum(w * w for w, _ in flowed))
 
@@ -154,7 +155,7 @@ def contraction_experiment(
     times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
     base_traj = run_flow(s, total_t, verify="off")
     sig_a = [(ev.edge, ev.direction) for ev in base_traj.events]
-    base_states = [_state_at(base_traj, t) for t in times]
+    base_states = _states_at(base_traj, times)
     units = [_roundoff_unit(b) for b in base_states]
 
     def one_trial(i: int):
@@ -166,7 +167,7 @@ def contraction_experiment(
         sig_b = [(ev.edge, ev.direction) for ev in pert_traj.events]
         # the same word can still put an event on the other side of a
         # checkpoint, which then sits in another chart
-        pert_states = [_state_at(pert_traj, t) for t in times]
+        pert_states = _states_at(pert_traj, times)
         if sig_a != sig_b or any(b.triangles != p.triangles for b, p in zip(base_states, pert_states)):
             return None
         d0 = _stable_distance(s, sp)
@@ -202,17 +203,19 @@ def contraction_experiment(
     return ContractionFit(times, tuple(kept), -float(slope), math.exp(float(intercept)), r2, dropped)
 
 
-def _state_at(traj: Trajectory, t: float) -> Surface:
-    """The surface of traj at time t past its start, in the chart current
-    there."""
-    lam = lam_after(float(traj.start.lam), t)
-    state = traj.start
-    for ev, srf in zip(traj.events, traj.surfaces):
-        if float(ev.threshold) <= lam:
-            state = srf
-        else:
-            break
-    return state.replace(lam=lam)
+def _states_at(traj: Trajectory, times) -> list[Surface]:
+    """The surfaces of traj at the nondecreasing times past its start, each
+    in the chart current there, from one walk over the events."""
+    lam0 = float(traj.start.lam)
+    out, state, k = [], traj.start, 0
+    events, surfaces = traj.events, traj.surfaces
+    for t in times:
+        lam = lam_after(lam0, t)
+        while k < len(events) and float(events[k].threshold) <= lam:
+            state = surfaces[k]
+            k += 1
+        out.append(state.replace(lam=lam))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,10 @@ class Surface:
         """e^t as a float (exact value is sqrt(lam), kept symbolic elsewhere)."""
         return math.sqrt(float(self.lam))
 
-    def effective_period(self, e: str) -> tuple[float, float]:
-        """Flowed period as floats; for display and float-mode geometry."""
-        p = self.periods[e]
+    def flowed_periods(self) -> dict[str, tuple[float, float]]:
+        """edge -> flowed period (e^t w, e^-t h) as floats, in periods order."""
         sig = self.sigma
-        return (float(p.w) * sig, float(p.h) / sig)
+        return {e: (float(p.w) * sig, float(p.h) / sig) for e, p in self.periods.items()}
 
     def replace(self, triangles=None, periods=None, lam=None) -> "Surface":
         """A copy with the given fields replaced; a copy with a new lam alone
@@ -204,7 +203,10 @@ class Surface:
 
     def occurrences(self) -> dict[str, list[tuple[int, int, int]]]:
         """edge -> list of (triangle index, slot, sign); see edge_occurrences."""
-        return self.cached("occurrences", lambda s: edge_occurrences(s.triangles))
+        occ = self._derived.get("occurrences")
+        if occ is None:
+            occ = self._derived["occurrences"] = edge_occurrences(self.triangles)
+        return occ
 
     # -- vertices ----------------------------------------------------------
 
@@ -545,5 +547,4 @@ def area(s: Surface) -> object:
 def rebase(s: Surface) -> Surface:
     """Fold the flow parameter into the stored periods of a float-mode copy;
     the one place a surface leaves exact mode on purpose."""
-    periods = {e: s.effective_period(e) for e in s.periods}
-    return Surface(s.triangles, periods, "float")
+    return Surface(s.triangles, s.flowed_periods(), "float")

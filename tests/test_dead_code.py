@@ -7,7 +7,8 @@ surfaces) decides by the number mode's name; only cones.eigenpairs runs a
 float eigensolve; only cones and lab import numpy, and nothing that
 importing cli loads imports cones, lab or numpy at top level, so the CLI
 starts without numpy, or postpones its annotations; and every function
-the benchmark's span tracer names still exists."""
+the benchmark's span tracer names still exists and is called by its name
+in the package."""
 
 import ast
 import importlib
@@ -386,17 +387,21 @@ def test_guard_sees_postponed_annotations(tmp_path):
     assert future_annotations_at_cli_startup(tmp_path) == ["errors", "flow"]
 
 
-def untraceable(spans: Path = ROOT / "perfbench" / "spans.py") -> list[str]:
-    """module.name of every entry of the span tracer's TRACED table that is
-    not a function of its veertrack module; spans.py is read, not imported."""
+def _traced_table(spans: Path) -> dict:
+    """The span tracer's TRACED table, read from spans.py, not imported."""
     tree = ast.parse(spans.read_text(encoding="utf-8"))
-    traced = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
     )
+
+
+def untraceable(spans: Path = ROOT / "perfbench" / "spans.py") -> list[str]:
+    """module.name of every entry of the span tracer's TRACED table that is
+    not a function of its veertrack module."""
     found = []
-    for mod, names in traced.items():
+    for mod, names in _traced_table(spans).items():
         module = importlib.import_module(f"veertrack.{mod}")
         for name in names:
             if not isinstance(getattr(module, name, None), types.FunctionType):
@@ -404,8 +409,32 @@ def untraceable(spans: Path = ROOT / "perfbench" / "spans.py") -> list[str]:
     return found
 
 
+def uncalled_traced(root: Path = ROOT, spans: Path = ROOT / "perfbench" / "spans.py") -> list[str]:
+    """module.name of every entry of the TRACED table that no package module
+    calls by that name, as a bare name or an attribute, outside the
+    function's own top-level definition.  The tracer rebinds the names that
+    modules hold, so a function that is only inlined, or called through
+    another name, would show 0 calls in its per-layer metrics."""
+    calls = set()  # (module stem, enclosing top-level definition or None, called name)
+    for path in sorted((root / "src" / "veertrack").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.add((path.stem, where, name))
+    return [
+        f"{mod}.{name}"
+        for mod, names in _traced_table(spans).items()
+        for name in names
+        if not any(n == name and (stem, where) != (mod, name) for stem, where, n in calls)
+    ]
+
+
 def test_traced_functions_exist():
     assert untraceable() == []
+    assert uncalled_traced() == []
 
 
 def test_trace_guard_sees_a_missing_function(tmp_path):
@@ -415,3 +444,25 @@ def test_trace_guard_sees_a_missing_function(tmp_path):
         '    "flow": ("run_flow", "FLOAT_EVENT_TIE", "SplitEvent"),\n}\n'
     )
     assert untraceable(spans) == ["delaunay.build_quads", "flow.FLOAT_EVENT_TIE", "flow.SplitEvent"]
+
+
+def test_trace_guard_sees_an_uncalled_function(tmp_path):
+    package = tmp_path / "src" / "veertrack"
+    package.mkdir(parents=True)
+    (package / "delaunay.py").write_text(
+        "def build_quad(s, e):\n    return build_quad(s, e)\n\n\n"
+        "def flip(s, e):\n    return s\n\n\n"
+        "def quad(s, e):\n    build = flip\n    return build(s, e)\n"
+    )
+    (package / "flow.py").write_text(
+        "from . import delaunay\nfrom .delaunay import quad\n\n\n"
+        "def next_split(s):\n    return quad(s, 'e1')\n\n\n"
+        "def run_flow(s):\n    return delaunay.next_split(s)\n"
+    )
+    (package / "cli.py").write_text("from .flow import run_flow\n\nrun_flow(None)\n")
+    spans = tmp_path / "spans.py"
+    spans.write_text(
+        'TRACED = {\n    "flow": ("run_flow", "next_split"),\n'
+        '    "delaunay": ("build_quad", "flip", "quad"),\n}\n'
+    )
+    assert uncalled_traced(tmp_path, spans) == ["delaunay.build_quad", "delaunay.flip"]

@@ -9,14 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from util import (
+    count_sigma_reads,
     exact_trajectory_prefix,
+    reference_large_edges,
+    reference_next_split,
     reference_triangle_isomorphisms,
     sampled_thick_fraction,
+    scramble,
     sheared_surface,
 )
 
 import veertrack.delaunay as delaunay
 import veertrack.flow as flow
+import veertrack.lab as lab
 from veertrack.errors import DegeneracyError, VeertrackError
 from veertrack.fixtures import (
     GOLD_DILATATION,
@@ -38,7 +43,7 @@ from veertrack.flow import (
     run_flow,
     thick_fraction,
 )
-from veertrack.surface import Surface, validate
+from veertrack.surface import Surface, edge_occurrences, validate
 from veertrack.traintrack import TrainTrack, large_slots
 
 
@@ -89,12 +94,102 @@ LARGE_EDGE_STATES = {
 
 
 class TestLargeEdges:
+    """reference_large_edges, the large-edge pass of reference_next_split,
+    against the track's branch roles."""
+
     @pytest.mark.parametrize("name", list(LARGE_EDGE_STATES))
     def test_count_matches_the_track_roles(self, name):
         states = LARGE_EDGE_STATES[name]()
         for s in states:
-            assert flow._large_edges(s) == _track_large_edges(s)
-        assert any(flow._large_edges(s) for s in states)
+            assert reference_large_edges(s) == _track_large_edges(s)
+        assert any(reference_large_edges(s) for s in states)
+
+
+def _other_mode(s: Surface) -> Surface:
+    """s in the other number mode: a float surface's periods and lam as the
+    Fractions they are, an exact one's rounded to floats."""
+    if s.num.exact:
+        return Surface(s.triangles, s.periods, "float", float(s.lam))
+    return Surface(s.triangles, s.periods, "exact", Fraction(s.lam))
+
+
+def _perturbed_flow(n: int) -> list[Surface]:
+    """The states of a verify="off" flow over 4 periods from x_n with its
+    heights perturbed, as contract's trials flow."""
+    s, _ = greedy_delaunay(slope_torus(_slope(n)))
+    sp = lab.perturb_heights(s, random.Random(n), 1e-3)
+    return run_flow(sp, 4 * math.log(_slope(n) ** 2), verify="off").states()
+
+
+def _exact_gold():
+    g = gold()
+    return Surface(g.triangles, g.periods, "exact")
+
+
+def _scrambled_shears() -> list[Surface]:
+    """Sheared octagons and pillows after up to 10 random flips: two or
+    three large edges, some of them tied."""
+    out = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        sheared = sheared_surface((octagon, pillow)[seed % 2](), rng)
+        out.append(scramble(sheared, rng, flips=rng.randint(0, 10)))
+    return out
+
+
+SPLIT_STATES = {
+    **{name: (lambda start=start: run_flow(start(), 16.0).states()) for name, start in FLOW_STARTS.items()},
+    # exact t2 stops on an axis-parallel diagonal, and the pillow ties
+    "t2-exact": lambda: exact_trajectory_prefix(t2())[1],
+    "gold-exact": lambda: run_flow(_exact_gold(), 8.0).states(),
+    **{f"x_{n}-perturbed": (lambda n=n: _perturbed_flow(n)) for n in range(1, 4)},
+    "pillow": lambda: [greedy_delaunay(pillow())[0]],
+    "scrambles": _scrambled_shears,
+}
+
+
+def _split_outcome(split, s: Surface):
+    """split(s), or the type and message of what it raises."""
+    try:
+        return split(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _split_probes(s: Surface) -> list[Surface]:
+    """s at its own lam and, when a split follows, at that split's threshold
+    and halfway to it."""
+    probes = [s]
+    ev = _split_outcome(reference_next_split, s)
+    if isinstance(ev, flow.SplitEvent):
+        probes += [s.replace(lam=ev.threshold), s.replace(lam=(s.lam + ev.threshold) / 2)]
+    return probes
+
+
+class TestNextSplitAgainstReference:
+    """next_split's one pass against reference_next_split, which sorts the
+    large edges first and tests the winner's slope with slope_sign."""
+
+    @pytest.mark.parametrize("name", list(SPLIT_STATES))
+    def test_same_event_or_same_error(self, name):
+        outcomes = []
+        for state in SPLIT_STATES[name]():
+            for s in (state, _other_mode(state)):
+                for probe in _split_probes(s):
+                    expected = _split_outcome(reference_next_split, probe)
+                    assert _split_outcome(next_split, probe) == expected
+                    outcomes.append(expected)
+        assert any(x is not None for x in outcomes)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("t2-exact", "edge e2: new diagonal is axis-parallel"),
+         ("pillow", "simultaneous split events on b and t")],
+    )
+    def test_the_raising_cases_raise_alike(self, name, message):
+        s = SPLIT_STATES[name]()[-1]
+        assert _split_outcome(reference_next_split, s) == (DegeneracyError, message)
+        assert _split_outcome(next_split, s) == (DegeneracyError, message)
 
 
 class TestRunFlow:
@@ -293,7 +388,7 @@ def _reference_detect_periodicity(traj, rel_tol):
     """detect_periodicity without the sorted-period rejection test: the
     isomorphism search runs on every pair of states."""
     states = traj.states()
-    eff = [{e: s.effective_period(e) for e in s.edges} for s in states]
+    eff = [s.flowed_periods() for s in states]
     for span in range(1, len(states)):
         for m in range(0, len(states) - span):
             m2 = m + span
@@ -399,6 +494,33 @@ class TestTriangleIsomorphisms:
         assert next(_triangle_isomorphisms(flipped, copy), None) is not None
 
 
+class _CountingIndex(dict):
+    """An occurrence index that counts its item reads."""
+
+    def __init__(self, occ, reads: list):
+        super().__init__(occ)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads[0] += 1
+        return super().__getitem__(key)
+
+
+class TestIsomorphismWalkCost:
+    def test_a_taken_image_ends_the_walk_early(self):
+        # every ordered pair of the pillow or the octagon and its one-flip
+        # copies; without the e2-in-used exit the walk reads the index
+        # 11736 times for the same 33 isomorphisms
+        reads, found = [0], 0
+        for build in (pillow, octagon):
+            s = build()
+            states = [s] + [delaunay.flip(s, e)[0] for e in s.edges if quad(s, e).flippable]
+            for x in states:
+                x._derived["occurrences"] = _CountingIndex(edge_occurrences(x.triangles), reads)
+            found += sum(1 for a in states for b in states for _ in _triangle_isomorphisms(a, b))
+        assert (reads[0], found) == (9432, 33)
+
+
 def _isomorphism_pairs():
     """(name, s1, s2): every pair of states of short flows on gold, x_2 and
     t2, and relabelled and flipped copies of the pillow and the octagon."""
@@ -454,15 +576,27 @@ class TestPeriodicityAgainstReference:
         traj = REFERENCE_TRAJECTORIES["gold-perturbed"]()
         match = _reference_detect_periodicity(traj, 1e-4)
         states = traj.states()
+        f1, f2 = states[match.m].flowed_periods(), states[match.m2].flowed_periods()
         tightest = 0.0
         for e, (e2, sg) in match.relabel.items():
-            w1, h1 = states[match.m].effective_period(e)
-            w2, h2 = states[match.m2].effective_period(e2)
+            w1, h1 = f1[e]
+            w2, h2 = f2[e2]
             dev = max(abs(sg * w2 - w1), abs(sg * h2 - h1)) / max(abs(w1), abs(h1), 1e-15)
             tightest = max(tightest, dev)
         rel_tol = tightest * (1 + 1e-9)
         assert _reference_detect_periodicity(traj, rel_tol) == match
         assert detect_periodicity(traj, rel_tol=rel_tol) == match
+
+
+class TestSignatureReads:
+    @pytest.mark.parametrize("name", ["gold", "x4", "gold-perturbed"])
+    def test_sigma_is_read_once_per_state(self, monkeypatch, name):
+        traj = REFERENCE_TRAJECTORIES[name]()
+        expected = detect_periodicity(traj)
+        reads = count_sigma_reads(monkeypatch)
+        assert detect_periodicity(traj) == expected
+        assert sorted(reads) == sorted(id(s) for s in traj.states())
+        assert set(reads.values()) == {1}
 
 
 class TestPeriodicitySearchCount:

@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+from util import count_sigma_reads, reference_state_at
+
 import veertrack.delaunay as delaunay
 import veertrack.flow as flow
 import veertrack.lab as lab
@@ -18,7 +20,7 @@ from veertrack.lab import (
     contraction_experiment,
     hilbert_contraction_experiment,
 )
-from veertrack.surface import area
+from veertrack.surface import Surface, area
 
 
 def _slope(n: int) -> float:
@@ -62,6 +64,73 @@ class TestStableContraction:
         # trials below one are refused the same way (see test_cli.py)
         with pytest.raises(VeertrackError, match=f"checkpoints must be at least 1, not {checkpoints}"):
             contraction_experiment(gold(), 2.0, checkpoints=checkpoints)
+
+
+CHECKPOINT_FLOWS = {
+    "gold": lambda: run_flow(gold(), 4 * GOLD_PERIOD_T, verify="off"),
+    **{
+        f"x_{n}-perturbed": (
+            lambda n=n: run_flow(_perturbed(slope_torus(_slope(n)), n), 8.0, verify="off")
+        )
+        for n in (1, 2, 3)
+    },
+}
+
+
+def _same_chart(a: Surface, b: Surface) -> bool:
+    """a and b are one surface at one lam: the same triangles, periods and
+    derived-data cache."""
+    return (a.triangles, a.periods, a.lam) == (b.triangles, b.periods, b.lam) and a._derived is b._derived
+
+
+def _threshold_times(traj) -> list[float]:
+    """Times past the start of traj whose lam is exactly an event's
+    threshold, found by stepping a float time by ulps around the event time."""
+    lam0 = float(traj.start.lam)
+    found = []
+    for ev in traj.events:
+        t = 0.5 * math.log(float(ev.threshold) / lam0)
+        for _ in range(4):
+            lam = flow.lam_after(lam0, t)
+            if lam == float(ev.threshold):
+                found.append(t)
+                break
+            t = math.nextafter(t, math.inf if lam < float(ev.threshold) else -math.inf)
+    return found
+
+
+class TestCheckpointReads:
+    @pytest.mark.parametrize("name", list(CHECKPOINT_FLOWS))
+    def test_one_walk_matches_a_walk_per_checkpoint(self, name):
+        traj = CHECKPOINT_FLOWS[name]()
+        on_events = _threshold_times(traj)
+        assert on_events  # a checkpoint sits exactly on an event threshold
+        times = sorted([0.0, *(traj.t_end * (k + 1) / 8 for k in range(8)), *on_events, 2 * traj.t_end])
+        got = lab._states_at(traj, times)
+        assert len(got) == len(times)
+        for s, t in zip(got, times):
+            assert _same_chart(s, reference_state_at(traj, t))
+
+    @pytest.mark.parametrize(
+        "build", [gold, lambda: octagon("float").replace(lam=2.5)], ids=["gold", "octagon"]
+    )
+    def test_sigma_is_read_once_per_surface(self, monkeypatch, build):
+        s1 = build()
+        s2 = s1.replace(periods={e: (p.w, 1.001 * p.h) for e, p in s1.periods.items()})
+        expected = (lab._roundoff_unit(s1), lab._stable_distance(s1, s2))
+        reads = count_sigma_reads(monkeypatch)
+        assert lab._roundoff_unit(s1) == expected[0]
+        assert dict(reads) == {id(s1): 1}
+        assert lab._stable_distance(s1, s2) == expected[1]
+        assert dict(reads) == {id(s1): 2, id(s2): 1}
+
+    def test_contract_reads_sigma_once_per_checkpoint_surface(self, monkeypatch):
+        reads = count_sigma_reads(monkeypatch)
+        fit = contraction_experiment(gold(), 2 * GOLD_PERIOD_T, checkpoints=4, trials=3, seed=3)
+        # rebase, each base checkpoint's roundoff unit, and per kept trial
+        # the start pair and every checkpoint pair
+        assert len(fit.log_ratios) == 3
+        assert sum(reads.values()) == 1 + 4 + 3 * (2 + 2 * 4)
 
 
 AREA_SURFACES = {

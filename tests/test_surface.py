@@ -398,8 +398,8 @@ class TestFlow:
     def test_lazy_scale_matches_effective_periods(self):
         s = t2()
         flowed = s.replace(lam=Fraction(9, 4))
-        for e in s.edges:
-            w_eff, h_eff = flowed.effective_period(e)
+        assert list(flowed.flowed_periods()) == list(s.periods)
+        for e, (w_eff, h_eff) in flowed.flowed_periods().items():
             assert w_eff == pytest.approx(float(s.periods[e].w) * 1.5)
             assert h_eff == pytest.approx(float(s.periods[e].h) / 1.5)
 
@@ -407,6 +407,7 @@ class TestFlow:
         s = gold().replace(lam=math.exp(0.82))
         r = rebase(s)
         assert float(r.lam) == 1.0
-        for e in s.edges:
-            assert float(r.periods[e].w) == pytest.approx(s.effective_period(e)[0])
-            assert float(r.periods[e].h) == pytest.approx(s.effective_period(e)[1])
+        assert list(r.periods) == list(s.periods)
+        for e, (w_eff, h_eff) in s.flowed_periods().items():
+            assert float(r.periods[e].w) == pytest.approx(w_eff)
+            assert float(r.periods[e].h) == pytest.approx(h_eff)

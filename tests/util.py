@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: random suited surfaces, scrambles,
 exact trajectory prefixes, and oracles: brute-force ones, exact algebra on
-veertrack._exact's elimination, and a combinatorial split path beside the
-flow's."""
+veertrack._exact's elimination, a combinatorial split path beside the
+flow's, and the split event and checkpoint reads in their earlier,
+several-pass forms."""
 
 from __future__ import annotations
 
@@ -21,10 +22,11 @@ from veertrack.delaunay import (
     greedy_delaunay,
     linf_scaled,
     quad,
+    slope_sign,
 )
 from veertrack.errors import DegeneracyError, NotFlippableError, VeertrackError
 from veertrack.fixtures import octagon, t2
-from veertrack.flow import SplitEvent, next_split
+from veertrack.flow import FLOAT_EVENT_TIE, SplitEvent, Trajectory, lam_after, next_split
 from veertrack.surface import (
     EPS_ANGLE,
     Surface,
@@ -42,6 +44,7 @@ from veertrack.traintrack import (
     _branch_region_edges,
     _region_data,
     dual_track,
+    large_slots,
     split_roles,
     vertex_curves,
 )
@@ -332,6 +335,20 @@ def count_fraction_work(monkeypatch) -> Counter:
 
         monkeypatch.setattr(Fraction, name, staticmethod(counted) if name == "__new__" else counted)
     return calls
+
+
+def count_sigma_reads(monkeypatch) -> Counter:
+    """Count the reads of Surface.sigma, by the id of the surface read, in
+    the returned Counter until monkeypatch undoes it."""
+    reads: Counter = Counter()
+    sigma = vars(Surface)["sigma"]
+
+    def counted(s):
+        reads[id(s)] += 1
+        return sigma.fget(s)
+
+    monkeypatch.setattr(Surface, "sigma", property(counted))
+    return reads
 
 
 def random_veering_triangle(rng: random.Random, exact: bool):
@@ -640,3 +657,63 @@ def reconstruct_from_words(
         SplitEvent(1, e, d, losers, winners) for (e, d, losers, winners) in events
     ]
     return events, compose_word(pseudo, branches)
+
+
+# ---------------------------------------------------------------------------
+# the split event and the checkpoint reads in several passes: the large
+# edges sorted first, then each one's candidate test, then the threshold
+# filter; and one walk over the events per checkpoint
+
+
+def reference_large_edges(s: Surface) -> list[str]:
+    """The sorted edges of s that are the large side of both their
+    triangles in the vertical track."""
+    slots = large_slots(s.num, s.triangles, s.periods, "vertical")
+    sides = sorted(tri[ls][0] for tri, ls in zip(s.triangles, slots))
+    return [e for e, f in zip(sides, sides[1:]) if e == f]
+
+
+def _reference_split_candidates(s: Surface):
+    out = []
+    for e in reference_large_edges(s):
+        q = quad(s, e)
+        if not q.flippable:
+            continue
+        w_e, h_e = abs(s.periods[e].w), abs(s.periods[e].h)
+        w_d, h_d = abs(q.diagonal[0]), abs(q.diagonal[1])
+        if w_d < w_e and h_d > h_e:
+            out.append((h_d / w_e, e, q))
+    return out
+
+
+def reference_next_split(s: Surface) -> SplitEvent | None:
+    """flow.next_split from the sorted large edges, with slope_sign's axis
+    test on the winning diagonal."""
+    cands = [c for c in _reference_split_candidates(s) if c[0] > s.lam]
+    if not cands:
+        return None
+    if len(cands) > 1:
+        cands.sort()
+        if s.num.tie(cands[1][0], cands[0][0], FLOAT_EVENT_TIE):
+            raise DegeneracyError(f"simultaneous split events on {cands[0][1]} and {cands[1][1]}")
+    thr, e, q = cands[0]
+    direction = "L" if slope_sign(s, q.diagonal) > 0 else "R"
+    losers, winners = split_roles(q.sides, direction)
+    wb = abs(q.vectors[1][0]) + abs(q.vectors[3][0])
+    wa = abs(q.vectors[0][0]) + abs(q.vectors[2][0])
+    if ("L" if wb > wa else "R") != direction:
+        raise VeertrackError(f"edge {e}: slope direction {direction} disagrees with width comparison")
+    return SplitEvent(thr, e, direction, tuple(sorted(losers)), tuple(sorted(winners)))
+
+
+def reference_state_at(traj: Trajectory, t: float) -> Surface:
+    """The surface of traj at time t past its start, in the chart current
+    there."""
+    lam = lam_after(float(traj.start.lam), t)
+    state = traj.start
+    for ev, srf in zip(traj.events, traj.surfaces):
+        if float(ev.threshold) <= lam:
+            state = srf
+        else:
+            break
+    return state.replace(lam=lam)
