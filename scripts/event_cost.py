@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Per-event cost of the split-event loop, and the cost of a contraction fit.
+
+For the golden torus and the slope tori x_1..x_8, flowed to T = 16, prints
+the best of --repeat timings of --flows flows, in microseconds per event,
+for both verify modes and for a cold and a warm combinatorial cache:
+
+- cold: each flow starts from a new surface, whose Triangulation starts a
+  new table of triangulations;
+- warm: each flow starts from a period copy of one start surface, which
+  shares that surface's Triangulation and so every triangulation the
+  earlier flows reached, as the trial flows of a contraction fit do.
+
+Then prints the best of --repeat timings, in milliseconds per call, of
+contraction_experiment on x_1..x_3 over four periods with 6 trials (the
+`veertrack contract --trials 6` of the benchmark's lab workload).
+
+    python3 scripts/event_cost.py
+    python3 scripts/event_cost.py --repeat 2 --flows 1   # a quick smoke run
+"""
+
+import argparse
+import math
+import pathlib
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from veertrack.fixtures import gold, slope_torus
+from veertrack.flow import run_flow
+from veertrack.lab import contraction_experiment
+from veertrack.surface import Surface
+
+FLOW_T = 16.0
+
+
+def slope(n: int) -> float:
+    return (n + math.sqrt(n * n + 4)) / 2
+
+
+STARTS = {"gold": gold, **{f"x_{n}": (lambda n=n: slope_torus(slope(n))) for n in range(1, 9)}}
+
+
+def fresh(s: Surface) -> Surface:
+    """A new surface equal to s, with caches of its own."""
+    return Surface(s.triangles, s.periods, s.mode, s.lam)
+
+
+def us_per_event(build, verify: str, warm: bool, flows: int, repeat: int) -> float:
+    base = build()
+    if warm:
+        run_flow(base, FLOW_T, verify=verify)
+    best = math.inf
+    for _ in range(repeat):
+        starts = [base.replace(periods=base.periods) if warm else fresh(base) for _ in range(flows)]
+        events = 0
+        t0 = time.perf_counter()
+        for s in starts:
+            events += len(run_flow(s, FLOW_T, verify=verify).events)
+        best = min(best, (time.perf_counter() - t0) / events)
+    return best * 1e6
+
+
+def ms_per_fit(n: int, repeat: int) -> float:
+    best = math.inf
+    for k in range(repeat):
+        s = slope_torus(slope(n))
+        t0 = time.perf_counter()
+        contraction_experiment(s, 4 * 2 * math.log(slope(n)), trials=6, seed=k)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeat", type=int, default=7, help="timings per figure; the best is printed")
+    ap.add_argument("--flows", type=int, default=20, help="flows per timing")
+    args = ap.parse_args()
+    print(f"run_flow to T = {FLOW_T:g}, us per event, best of {args.repeat} x {args.flows} flows")
+    print(f"{'start':8}{'off cold':>10}{'off warm':>10}{'debug cold':>12}{'debug warm':>12}")
+    for name, build in STARTS.items():
+        cells = [
+            us_per_event(build, verify, warm, args.flows, args.repeat)
+            for verify in ("off", "debug")
+            for warm in (False, True)
+        ]
+        print(f"{name:8}{cells[0]:10.2f}{cells[1]:10.2f}{cells[2]:12.2f}{cells[3]:12.2f}")
+    print(f"contraction_experiment, 4 periods, 6 trials, ms per call, best of {args.repeat}")
+    for n in (1, 2, 3):
+        print(f"x_{n:<6}{ms_per_fit(n, args.repeat):10.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

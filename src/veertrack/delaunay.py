@@ -12,7 +12,7 @@ lcm of their denominators (NumberMode.scaled).
 from typing import NamedTuple
 
 from .errors import DegeneracyError, NotFlippableError, VeertrackError
-from .surface import Period, Surface, cross, edge_occurrences, exchange_diagonal, quad_sides
+from .surface import Period, Surface, Triangulation, cross, edge_occurrences, exchange_diagonal, quad_sides
 
 FLOAT_TIE = 1e-9
 MAX_FLIPS = 10000
@@ -77,12 +77,11 @@ class FlipRecord(NamedTuple):
     new_period: tuple
 
 
-def develop(num, triangles, occ, periods, e: str) -> Quad:
-    """The quadrilateral of e on triangles (occ their edge_occurrences
-    index), its vectors read from periods, which map each edge to a (w, h)
-    pair; DegeneracyError when e is flippable and the other diagonal is
+def develop(num, periods, e: str, t1: int, t2: int, sides) -> Quad:
+    """The quadrilateral of e with the triangles and sides quad_sides gives,
+    its vectors read from periods, which map each edge to a (w, h) pair;
+    DegeneracyError when e is flippable and the other diagonal is
     axis-parallel."""
-    t1, t2, sides = quad_sides(triangles, occ, e)
     vectors = []
     for x, sg in sides:
         w, h = periods[x]
@@ -101,7 +100,7 @@ def develop(num, triangles, occ, periods, e: str) -> Quad:
 
 
 def build_quad(s: Surface, e: str) -> Quad:
-    return develop(s.num, s.triangles, s.occurrences(), s.periods, e)
+    return develop(s.num, s.periods, e, *s.comb.sides(e))
 
 
 def quad(s: Surface, e: str) -> Quad:
@@ -137,9 +136,8 @@ def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
     old = s.periods[e]
     periods = dict(s.periods)
     periods[e] = Period._make(q.diagonal)
-    triangles = exchange_diagonal(s.triangles, e, q.t1, q.t2, q.sides)
     rec = FlipRecord(e, (old.w, old.h), q.diagonal)
-    return Surface._normalised(triangles, periods, s.num, s.lam, {}), rec
+    return Surface._normalised(s.comb.flipped(e), periods, s.num, s.lam, {}), rec
 
 
 def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
@@ -160,7 +158,7 @@ def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
     touched = s.edges
     for _ in range(MAX_FLIPS):
         for f in sorted(touched):
-            q = develop(num, triangles, occ, view, f)
+            q = develop(num, view, f, *quad_sides(triangles, occ, f))
             if q.flippable and certificate_fails(num, lam, q, view[f]):
                 w, h = view[f]
                 bad[f] = (-linf_scaled(s, (w / scale, h / scale)), q)
@@ -169,7 +167,9 @@ def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:
         if not bad:
             if not records:
                 return s, records
-            return Surface._normalised(triangles, periods, num, s.lam, {}), records
+            # a new Triangulation: keeping each flip's, as flip does, made the
+            # greedy a fifth slower on the census shears, with nothing reused
+            return Surface._normalised(Triangulation(triangles), periods, num, s.lam, {}), records
         e = min(bad, key=lambda f: (bad[f][0], f))
         q = bad.pop(e)[1]
         diag = q.diagonal

@@ -78,7 +78,6 @@ def next_split(s: Surface) -> SplitEvent | None:
     # when a flippable q's diagonal is axis-parallel, and quad keeps no such q
     d = q.diagonal
     direction = "L" if (d[0] > 0) == (d[1] > 0) else "R"
-    losers, winners = split_roles(q.sides, direction)
     # cross-check with the width comparison that defines the track split
     wb = abs(q.vectors[1][0]) + abs(q.vectors[3][0])
     wa = abs(q.vectors[0][0]) + abs(q.vectors[2][0])
@@ -87,7 +86,14 @@ def next_split(s: Surface) -> SplitEvent | None:
         raise VeertrackError(
             f"edge {e}: slope direction {direction} disagrees with width comparison"
         )
-    return SplitEvent(thr, e, direction, _ordered(*losers), _ordered(*winners))
+    losers, winners = s.comb.cached((e, direction), _split_roles, e, direction)
+    return SplitEvent(thr, e, direction, losers, winners)
+
+
+def _split_roles(comb, e: str, direction: str) -> tuple[tuple[str, str], tuple[str, str]]:
+    """split_roles of e on the triangulation comb, each pair in label order."""
+    losers, winners = split_roles(comb.sides(e)[2], direction)
+    return _ordered(*losers), _ordered(*winners)
 
 
 def _ordered(x: str, y: str) -> tuple[str, str]:

@@ -105,26 +105,23 @@ def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
 ROUNDOFF_FLOOR = 4.0
 
 
-def _stable_distance(s1: Surface, s2: Surface) -> float:
-    """Relative height separation of two surfaces sharing widths and
-    combinatorics: ||delta h_eff|| / ||w_eff||."""
-    if s1.triangles != s2.triangles:
-        raise VeertrackError("surfaces are in different charts")
+def _stable_distance(f1: dict, f2: dict) -> float:
+    """Relative height separation ||delta h_eff|| / ||w_eff|| of two
+    surfaces sharing widths and combinatorics, given as their
+    Surface.flowed_periods."""
     dh, wn = 0.0, 0.0
-    f1, f2 = s1.flowed_periods(), s2.flowed_periods()
-    for e in s1.edges:  # summed in label order
+    for e in sorted(f1):  # summed in label order
         w1, h1 = f1[e]
         dh += (h1 - f2[e][1]) ** 2
         wn += w1**2
     return math.sqrt(dh) / math.sqrt(wn)
 
 
-def _roundoff_unit(s: Surface) -> float:
-    """The separation _stable_distance reads from s when one height moves by
-    one unit in the last place of the largest flowed height:
-    eps * max |h_eff| / ||w_eff||."""
-    f = s.flowed_periods()
-    flowed = [f[e] for e in s.edges]
+def _roundoff_unit(f: dict) -> float:
+    """The separation _stable_distance reads from the flowed periods f when
+    one height moves by one unit in the last place of the largest flowed
+    height: eps * max |h_eff| / ||w_eff||."""
+    flowed = [f[e] for e in sorted(f)]
     top = max(abs(h) for _, h in flowed)
     return sys.float_info.epsilon * top / math.sqrt(sum(w * w for w, _ in flowed))
 
@@ -156,7 +153,10 @@ def contraction_experiment(
     base_traj = run_flow(s, total_t, verify="off")
     sig_a = [(ev.edge, ev.direction) for ev in base_traj.events]
     base_states = _states_at(base_traj, times)
-    units = [_roundoff_unit(b) for b in base_states]
+    # each flowed once: every kept trial compares its own flow with these
+    start_flowed = s.flowed_periods()
+    base_flowed = [b.flowed_periods() for b in base_states]
+    units = [_roundoff_unit(f) for f in base_flowed]
 
     def one_trial(i: int):
         sp = perturb_heights(s, random.Random(f"{seed}:{i}"), delta)
@@ -170,10 +170,10 @@ def contraction_experiment(
         pert_states = _states_at(pert_traj, times)
         if sig_a != sig_b or any(b.triangles != p.triangles for b, p in zip(base_states, pert_states)):
             return None
-        d0 = _stable_distance(s, sp)
+        d0 = _stable_distance(start_flowed, sp.flowed_periods())
         if d0 == 0:
             raise VeertrackError(f"delta {delta} does not move the heights at float precision")
-        dists = [_stable_distance(b, p) for b, p in zip(base_states, pert_states)]
+        dists = [_stable_distance(f, p.flowed_periods()) for f, p in zip(base_flowed, pert_states)]
         k = min(range(checkpoints), key=lambda k: dists[k] / units[k])
         if dists[k] == 0:
             raise VeertrackError(f"delta {delta} is too small: the distance at time {times[k]} rounds to 0")

@@ -135,29 +135,80 @@ def number_mode(name) -> NumberMode:
     return NUMBER_MODES[name]
 
 
+class Triangulation:
+    """The combinatorics of one labelled triangulation, each piece built on
+    first use by the pure builders below.  Flip successors are interned by
+    their triangles in one table shared by every triangulation reached from
+    the same start, so a triangulation that flips revisit is one object."""
+
+    __slots__ = ("triangles", "_occ", "_sides", "_flips", "_derived", "_table", "__weakref__")
+
+    def __init__(self, triangles: tuple, table: dict | None = None):
+        self.triangles = triangles
+        self._occ, self._sides, self._flips, self._derived = None, {}, {}, {}
+        self._table = table  # the intern table; a start makes it at its first flip
+
+    def occurrences(self) -> dict[str, list[tuple[int, int, int]]]:
+        """edge_occurrences(self.triangles)."""
+        if self._occ is None:
+            self._occ = edge_occurrences(self.triangles)
+        return self._occ
+
+    def sides(self, e: str):
+        """quad_sides of e; an edge whose sides raise is not kept."""
+        got = self._sides.get(e)
+        if got is None:
+            got = self._sides[e] = quad_sides(self.triangles, self.occurrences(), e)
+        return got
+
+    def flipped(self, e: str) -> "Triangulation":
+        """The triangulation after exchange_diagonal replaces e."""
+        nxt = self._flips.get(e)
+        if nxt is None:
+            if self._table is None:
+                self._table = {self.triangles: self}
+            triangles = exchange_diagonal(self.triangles, e, *self.sides(e))
+            # setdefault hashes the triangles once and keeps an interned one
+            nxt = self._flips[e] = self._table.setdefault(triangles, Triangulation(triangles, self._table))
+        return nxt
+
+    def cached(self, key, compute, *args):
+        """compute(self, *args), computed once; compute reads the triangles alone."""
+        if key not in self._derived:
+            self._derived[key] = compute(self, *args)
+        return self._derived[key]
+
+
+def _periods(num: NumberMode, periods) -> dict[str, Period]:
+    """periods keyed by str labels, each a Period of num's numbers."""
+    conv = num.coerce
+    return {str(e): Period(conv(p[0]), conv(p[1])) for e, p in periods.items()}
+
+
 class Surface:
     """Immutable triangulated surface; mode names its number mode, num is it.
     Use module functions to transform it.
 
-    Copies that differ in lam alone share one cache of derived data (see
-    cached), which holds only pure functions of (triangles, periods, mode).
+    comb, the Triangulation of the triangles, is shared by every copy with
+    the same triangles (replace, rebase).  The geometric cache (cached) is
+    shared by copies that differ in lam alone.
     """
 
-    __slots__ = ("triangles", "periods", "num", "lam", "_derived")
+    __slots__ = ("triangles", "periods", "num", "lam", "comb", "_derived")
 
     def __init__(self, triangles, periods, mode, lam=None):
         self.triangles = tuple(tuple((str(e), int(s)) for e, s in tri) for tri in triangles)
         self.num = num = number_mode(mode)
-        conv = num.coerce
-        self.periods = {str(e): Period(conv(p[0]), conv(p[1])) for e, p in periods.items()}
-        self.lam = conv(1) if lam is None else lam
+        self.periods = _periods(num, periods)
+        self.lam = num.coerce(1) if lam is None else lam
+        self.comb = Triangulation(self.triangles)
         self._derived = {}
 
     @classmethod
-    def _normalised(cls, triangles, periods, num, lam, derived) -> "Surface":
-        """A surface from data already in the form __init__ gives it."""
+    def _normalised(cls, comb, periods, num, lam, derived) -> "Surface":
+        """A surface on comb from data already in the form __init__ gives it."""
         s = object.__new__(cls)
-        s.triangles, s.periods, s.num, s.lam, s._derived = triangles, periods, num, lam, derived
+        s.triangles, s.periods, s.num, s.lam, s.comb, s._derived = comb.triangles, periods, num, lam, comb, derived
         return s
 
     @property
@@ -181,17 +232,14 @@ class Surface:
         return {e: (float(p.w) * sig, float(p.h) / sig) for e, p in self.periods.items()}
 
     def replace(self, triangles=None, periods=None, lam=None) -> "Surface":
-        """A copy with the given fields replaced; a copy with a new lam alone
-        shares this surface's triangles, periods and derived data."""
-        if triangles is None and periods is None:
-            lam = self.lam if lam is None else lam
-            return Surface._normalised(self.triangles, self.periods, self.num, lam, self._derived)
-        return Surface(
-            self.triangles if triangles is None else triangles,
-            self.periods if periods is None else periods,
-            self.mode,
-            self.lam if lam is None else lam,
-        )
+        """A copy with the given fields replaced; a copy with new periods or
+        lam alone shares comb, one with a new lam alone the cache too."""
+        lam = self.lam if lam is None else lam
+        if triangles is not None:
+            return Surface(triangles, self.periods if periods is None else periods, self.mode, lam)
+        if periods is None:
+            return Surface._normalised(self.comb, self.periods, self.num, lam, self._derived)
+        return Surface._normalised(self.comb, _periods(self.num, periods), self.num, lam, {})
 
     def cached(self, key, compute, *args):
         """compute(self, *args), computed once for this surface and every copy
@@ -203,16 +251,13 @@ class Surface:
 
     def occurrences(self) -> dict[str, list[tuple[int, int, int]]]:
         """edge -> list of (triangle index, slot, sign); see edge_occurrences."""
-        occ = self._derived.get("occurrences")
-        if occ is None:
-            occ = self._derived["occurrences"] = edge_occurrences(self.triangles)
-        return occ
+        return self.comb.occurrences()
 
     # -- vertices ----------------------------------------------------------
 
     def vertex_classes(self) -> list[frozenset[Corner]]:
         """Corners grouped by the vertex of the glued cell complex."""
-        return self.cached("vertex_classes", lambda s: corner_classes(s.triangles))
+        return self.comb.cached("vertex_classes", lambda c: corner_classes(c.triangles))
 
     def vertex_angle_multiples(self) -> list[int]:
         """For each vertex, the integer k with cone angle k*pi (unrounded check
@@ -374,11 +419,12 @@ def parse_surface(document: str) -> Surface:
             raise DocumentError(f"flow parameter must be positive, got {doc['flow']!r}")
         if float(lam) == 0:  # an exact lam below the float range: sigma would be 0
             raise DocumentError(f"flow parameter is not a number within the float range: {doc['flow']!r}")
-    occ = edge_occurrences(triangles)
+    comb = Triangulation(tuple(triangles))
+    occ = comb.occurrences()
     for e in periods:
         if len(occ.get(e, ())) != 2:
             raise DocumentError(f"edge {e} appears {len(occ.get(e, ()))} times, expected 2")
-    surf = Surface._normalised(tuple(triangles), periods, num, lam, {"occurrences": occ})
+    surf = Surface._normalised(comb, periods, num, lam, {})
     if "marked_vertices" in doc:
         if not isinstance(doc["marked_vertices"], list):
             raise DocumentError("marked_vertices must be a list")
@@ -546,5 +592,6 @@ def area(s: Surface) -> object:
 
 def rebase(s: Surface) -> Surface:
     """Fold the flow parameter into the stored periods of a float-mode copy;
-    the one place a surface leaves exact mode on purpose."""
-    return Surface(s.triangles, s.flowed_periods(), "float")
+    the one place a surface leaves exact mode on purpose; it shares s.comb."""
+    num = NUMBER_MODES["float"]
+    return Surface._normalised(s.comb, _periods(num, s.flowed_periods()), num, num.coerce(1), {})

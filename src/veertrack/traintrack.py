@@ -67,11 +67,12 @@ def large_slots(num, triangles, periods, direction: str) -> tuple[int, ...]:
     """Per triangle, the slot of its strictly widest (vertical track) or
     tallest (horizontal track) side, read from periods, which map each edge
     to a (w, h) pair (a surface's own or the view of NumberMode.scaled);
-    DegeneracyError when a triangle has no strictly largest side."""
+    DegeneracyError when a triangle has no strictly largest side, as
+    NumberMode.tie(second, top, 1e-9) decides, inline for 0 <= second <= top."""
     if direction not in ("vertical", "horizontal"):
         raise ValueError(f"bad direction {direction!r}")
     k = 0 if direction == "vertical" else 1
-    tie = num.tie
+    tol = num.slack(1e-9)
     out = []
     for t, ((x, _), (y, _), (z, _)) in enumerate(triangles):
         a, b, c = abs(periods[x][k]), abs(periods[y][k]), abs(periods[z][k])
@@ -85,7 +86,7 @@ def large_slots(num, triangles, periods, direction: str) -> tuple[int, ...]:
             largest, top, second = 2, c, (a if a > b else b)
         # the tie with the largest value loosens as a value grows, so a side
         # ties the largest only if the runner-up does
-        if tie(second, top, 1e-9):
+        if (top - second <= tol * (top if top > 1 else 1)) if tol else second == top:
             raise DegeneracyError(f"triangle {t}: no strictly largest side for the {direction} track")
         out.append(largest)
     return tuple(out)

@@ -1,8 +1,14 @@
-"""The derived-data cache of Surface: copies that differ in lam alone share
-it, and no cached value differs from one computed on a fresh surface."""
+"""The two derived-data caches of Surface: copies that differ in lam alone
+share the geometric one, copies with the same triangles share the
+combinatorial one (Surface.comb), every triangulation that flips reach from
+one start is one object per triangles tuple, and no cached value differs
+from one computed on a fresh surface or by the pure builders."""
 
+import gc
 import math
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +16,13 @@ import pytest
 
 import veertrack.flow as flow
 import veertrack.lab as lab
+import veertrack.surface as surface
 from veertrack.delaunay import build_quad, delaunay_violations, flip, quad
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, slope_torus, t2
 from veertrack.flow import run_flow
-from veertrack.surface import Surface, edge_occurrences
+from veertrack.surface import Surface, corner_classes, edge_occurrences, exchange_diagonal, quad_sides
+from veertrack.traintrack import split_roles
 
 
 def _slope(n):
@@ -32,9 +40,33 @@ def _outcome(get, s, e):
         return str(exc)
 
 
+def assert_comb_coherent(s: Surface):
+    """Every value that the combinatorial cache of s keeps equals the pure
+    builder's, and the cache is the one its table holds for its triangles."""
+    comb = s.comb
+    assert comb.triangles is s.triangles
+    # a triangulation that has not flipped yet may have no table
+    assert comb._table is None or comb._table[s.triangles] is comb
+    occ = edge_occurrences(s.triangles)
+    assert s.occurrences() == occ
+    for e, sides in comb._sides.items():
+        assert sides == quad_sides(s.triangles, occ, e)
+    for e, nxt in comb._flips.items():
+        t1, t2, sides = quad_sides(s.triangles, occ, e)
+        assert nxt.triangles == exchange_diagonal(s.triangles, e, t1, t2, sides)
+        assert nxt._table is comb._table
+    for key, value in comb._derived.items():
+        if key == "vertex_classes":
+            assert value == corner_classes(s.triangles)
+            continue
+        e, direction = key
+        losers, winners = split_roles(quad_sides(s.triangles, occ, e)[2], direction)
+        assert value == (tuple(sorted(losers)), tuple(sorted(winners)))
+
+
 def assert_coherent(s: Surface):
     """Every cached value of s equals one computed on a fresh surface."""
-    assert s.occurrences() == edge_occurrences(s.triangles)
+    assert_comb_coherent(s)
     fresh = Surface(s.triangles, s.periods, s.mode, s.lam)
     # the quadrilaterals kept so far, before the loop below builds the rest
     for e, q in s._derived.get("quads", {}).items():
@@ -119,7 +151,12 @@ def test_flip_leaves_its_parent_as_it_was():
 def test_new_triangles_or_periods_inherit_no_cache(change):
     s = _warm(gold())
     moved = s.replace(**change(s))
-    assert moved.occurrences() is not s.occurrences()
+    if moved.triangles == s.triangles:
+        # new periods on the same triangles: the combinatorial cache alone
+        assert moved.occurrences() is s.occurrences()
+        assert "quads" not in moved._derived
+    else:
+        assert moved.occurrences() is not s.occurrences()
     assert_coherent(moved)
 
 
@@ -178,3 +215,72 @@ def test_axis_parallel_diagonal_raises_on_its_own_edge_alone(first):
     with pytest.raises(DegeneracyError, match=message):
         delaunay_violations(s)
     assert_coherent(s)
+
+
+def _counting(monkeypatch, module, name, counts: Counter):
+    real = getattr(module, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _count_builders(monkeypatch) -> Counter:
+    """Count the calls of the pure combinatorial builders behind the
+    combinatorial cache until monkeypatch undoes it."""
+    counts = Counter()
+    for name in ("edge_occurrences", "quad_sides", "exchange_diagonal"):
+        _counting(monkeypatch, surface, name, counts)
+    _counting(monkeypatch, flow, "split_roles", counts)
+    return counts
+
+
+@pytest.mark.parametrize("verify", ["debug", "off"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flow_indexes_each_distinct_triangulation_once(monkeypatch, n, verify):
+    start = _slope(n)
+    counts = _count_builders(monkeypatch)
+    traj = run_flow(start, 16.0, verify=verify)
+    distinct = {x.triangles for x in traj.states()}
+    assert len(distinct) < len(traj.states())
+    assert counts["edge_occurrences"] == len(distinct)
+    # a recurring triangulation is one object
+    combs = {x.triangles: x.comb for x in traj.states()}
+    assert all(x.comb is combs[x.triangles] for x in traj.states())
+
+
+def test_contraction_trials_build_no_combinatorics(monkeypatch):
+    flows, counts = [], []
+    real = lab.run_flow
+
+    def recording(s, T, **kwargs):
+        with monkeypatch.context() as m:
+            counted = _count_builders(m)
+            flows.append(real(s, T, **kwargs))
+        counts.append(counted)
+        return flows[-1]
+
+    monkeypatch.setattr(lab, "run_flow", recording)
+    x = (2 + math.sqrt(8)) / 2
+    # four periods of x_2, whose period is 2 log x
+    fit = lab.contraction_experiment(_slope(2), 8 * math.log(x), checkpoints=4, trials=6, seed=1)
+    assert len(fit.log_ratios) == 6
+    # the base flow builds what its triangulations need, and the trials,
+    # which follow its word, find all of it kept
+    assert counts[0]["edge_occurrences"] > 0
+    assert counts[1:] == [Counter()] * 6
+    for traj in flows:
+        for s in traj.states():
+            assert_coherent(s)
+
+
+def test_tables_are_freed_with_their_surfaces():
+    traj = run_flow(_slope(3), 16.0)
+    table = traj.start.comb._table
+    assert len(table) > 1
+    refs = [weakref.ref(comb) for comb in table.values()]
+    del traj, table
+    gc.collect()
+    assert all(ref() is None for ref in refs)

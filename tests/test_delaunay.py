@@ -245,9 +245,8 @@ class TestGreedyAgainstFullPass:
         s = sheared(name, shears, True)
         assume(s is not None)
         scale, view = s.num.scaled(s.periods)
-        occ = s.occurrences()
         for e in s.edges:
-            on_view = developed(lambda: delaunay.develop(s.num, s.triangles, occ, view, e))
+            on_view = developed(lambda: delaunay.develop(s.num, view, e, *s.comb.sides(e)))
             true = developed(lambda: build_quad(s, e))
             if isinstance(true, str):
                 assert on_view == true

@@ -516,7 +516,7 @@ class TestIsomorphismWalkCost:
             s = build()
             states = [s] + [delaunay.flip(s, e)[0] for e in s.edges if quad(s, e).flippable]
             for x in states:
-                x._derived["occurrences"] = _CountingIndex(edge_occurrences(x.triangles), reads)
+                x.comb._occ = _CountingIndex(edge_occurrences(x.triangles), reads)
             found += sum(1 for a in states for b in states for _ in _triangle_isomorphisms(a, b))
         assert (reads[0], found) == (9432, 33)
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from util import count_sigma_reads, reference_state_at
+from util import count_sigma_reads, reference_roundoff_unit, reference_stable_distance, reference_state_at
 
 import veertrack.delaunay as delaunay
 import veertrack.flow as flow
@@ -114,23 +114,21 @@ class TestCheckpointReads:
     @pytest.mark.parametrize(
         "build", [gold, lambda: octagon("float").replace(lam=2.5)], ids=["gold", "octagon"]
     )
-    def test_sigma_is_read_once_per_surface(self, monkeypatch, build):
+    def test_flowed_maps_give_the_surface_reads_bitwise(self, build):
         s1 = build()
         s2 = s1.replace(periods={e: (p.w, 1.001 * p.h) for e, p in s1.periods.items()})
-        expected = (lab._roundoff_unit(s1), lab._stable_distance(s1, s2))
-        reads = count_sigma_reads(monkeypatch)
-        assert lab._roundoff_unit(s1) == expected[0]
-        assert dict(reads) == {id(s1): 1}
-        assert lab._stable_distance(s1, s2) == expected[1]
-        assert dict(reads) == {id(s1): 2, id(s2): 1}
+        f1, f2 = s1.flowed_periods(), s2.flowed_periods()
+        assert lab._roundoff_unit(f1) == reference_roundoff_unit(s1)
+        assert lab._stable_distance(f1, f2) == reference_stable_distance(s1, s2)
 
     def test_contract_reads_sigma_once_per_checkpoint_surface(self, monkeypatch):
         reads = count_sigma_reads(monkeypatch)
         fit = contraction_experiment(gold(), 2 * GOLD_PERIOD_T, checkpoints=4, trials=3, seed=3)
-        # rebase, each base checkpoint's roundoff unit, and per kept trial
-        # the start pair and every checkpoint pair
+        # rebase, each base checkpoint (its roundoff unit and every trial's
+        # distance), the start surface, and per kept trial its perturbed
+        # start and every checkpoint
         assert len(fit.log_ratios) == 3
-        assert sum(reads.values()) == 1 + 4 + 3 * (2 + 2 * 4)
+        assert sum(reads.values()) == 1 + 4 + 1 + 3 * (1 + 4)
 
 
 AREA_SURFACES = {

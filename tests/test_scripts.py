@@ -1,6 +1,7 @@
-"""Smoke test of the README experiments: each script runs to exit 0 in a
-fresh interpreter.  run_closing exits 1 when any closed orbit fails its
-checks; the other two exit 0 whenever they run through."""
+"""Smoke test of the README experiments and the event-cost timer: each
+script runs to exit 0 in a fresh interpreter.  run_closing exits 1 when any
+closed orbit fails its checks; the others exit 0 whenever they run
+through."""
 
 import subprocess
 import sys
@@ -13,7 +14,12 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.mark.parametrize(
     "argv",
-    [["run_contraction.py"], ["run_hilbert.py"], ["run_closing.py", "--seeds", "5"]],
+    [
+        ["run_contraction.py"],
+        ["run_hilbert.py"],
+        ["run_closing.py", "--seeds", "5"],
+        ["event_cost.py", "--repeat", "1", "--flows", "1"],
+    ],
     ids=lambda argv: argv[0],
 )
 def test_experiment_script_exits_0(argv):

@@ -24,7 +24,7 @@ from util import (
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
-from veertrack.surface import Surface, area, validate
+from veertrack.surface import NUMBER_MODES, Surface, area, validate
 from veertrack.traintrack import (
     TrainTrack,
     complementary_regions,
@@ -213,6 +213,49 @@ class TestLargeSlots:
         expected = _large_slots_or_error(s, direction, sorted_large_slots)
         assert _large_slots_or_error(s, direction, _slots) == expected
         assert _large_slots_or_error(s, direction, _view_slots) == expected
+
+
+def _tie_cases():
+    """(mode, top, second): float runner-ups 1e-9 * max(1, top) * (1 +- 1e-6)
+    below tops under and over 1, and exact equal and unequal pairs."""
+    for top in (1e-6, 0.25, 1.0, 3.0, 7e8):
+        for f in (1 - 1e-6, 1.0, 1 + 1e-6):
+            yield "float", top, top - 1e-9 * max(1.0, top) * f
+        yield "float", top, top
+    for top, second in (
+        (Fraction(7, 3), Fraction(7, 3)),
+        (Fraction(7, 3), Fraction(7, 3) - Fraction(1, 10**12)),
+        (Fraction(5), Fraction(5)),
+        (5, 5),
+        (5, 4),
+    ):
+        yield "exact", top, second
+
+
+class TestLargeSlotsTie:
+    @pytest.mark.parametrize("mode, top, second", list(_tie_cases()))
+    def test_raises_exactly_when_the_mode_ties(self, mode, top, second):
+        widths = (second, -top, 0 * top)
+        s = _sized_triangles([widths], mode, "vertical")
+        tie = s.num.tie(second, top, 1e-9)
+        # the surface's own periods, and the widths as given (ints stand
+        # for the integer view of NumberMode.scaled)
+        for periods in (s.periods, {e: (w, 1) for e, w in zip(s.periods, widths)}):
+            got = _large_slots_or_error(s, "vertical", lambda x, d: large_slots(x.num, x.triangles, periods, d))
+            assert got == ("triangle 0: no strictly largest side for the vertical track" if tie else (1,))
+
+    def test_both_outcomes_occur(self):
+        ties = {
+            NUMBER_MODES[mode].tie(second, top, 1e-9) for mode, top, second in _tie_cases() if mode == "float"
+        }
+        assert ties == {True, False}
+
+    def test_exact_mode_compares_alone(self, monkeypatch):
+        s = _sized_triangles([(Fraction(7, 3), Fraction(-5, 3), Fraction(1, 3))] * 3, "exact", "vertical")
+        calls = count_fraction_work(monkeypatch)
+        assert _slots(s, "vertical") == (0, 0, 0)
+        # abs makes a Fraction (__new__); no difference or product is taken
+        assert not {"__sub__", "__rsub__", "__mul__", "__rmul__"} & set(calls)
 
 
 class TestRegions:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -717,3 +718,23 @@ def reference_state_at(traj: Trajectory, t: float) -> Surface:
         else:
             break
     return state.replace(lam=lam)
+
+
+def reference_stable_distance(s1: Surface, s2: Surface) -> float:
+    """lab._stable_distance in its earlier form, which read both surfaces'
+    flowed periods itself."""
+    dh, wn = 0.0, 0.0
+    f1, f2 = s1.flowed_periods(), s2.flowed_periods()
+    for e in s1.edges:
+        w1, h1 = f1[e]
+        dh += (h1 - f2[e][1]) ** 2
+        wn += w1**2
+    return math.sqrt(dh) / math.sqrt(wn)
+
+
+def reference_roundoff_unit(s: Surface) -> float:
+    """lab._roundoff_unit in its earlier form, on a surface."""
+    f = s.flowed_periods()
+    flowed = [f[e] for e in s.edges]
+    top = max(abs(h) for _, h in flowed)
+    return sys.float_info.epsilon * top / math.sqrt(sum(w * w for w, _ in flowed))
