@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-event cost of the split-event loop, and the cost of a contraction fit.
+"""Per-event cost of the split-event loop, and the costs of analyze's
+pipeline and of a contraction fit.
 
 For the golden torus and the slope tori x_1..x_8, flowed to T = 16, prints
 the best of --repeat timings of --flows flows, in microseconds per event,
@@ -11,7 +12,13 @@ for both verify modes and for a cold and a warm combinatorial cache:
   shares that surface's Triangulation and so every triangulation the
   earlier flows reached, as the trial flows of a contraction fit do.
 
-Then prints the best of --repeat timings, in milliseconds per call, of
+Then prints, for x_1..x_8 and T = 16, the best of --repeat timings of
+--flows calls, in milliseconds per call, of `veertrack analyze`'s pipeline
+on a new surface: the flow stopped at the first return (run_flow with a
+PeriodicMatcher as its stop) and analyze_periodic_word, with the events
+that flow takes.
+
+Last, prints the best of --repeat timings, in milliseconds per call, of
 contraction_experiment on x_1..x_3 over four periods with 6 trials (the
 `veertrack contract --trials 6` of the benchmark's lab workload).
 
@@ -27,8 +34,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from veertrack.cones import analyze_periodic_word
 from veertrack.fixtures import gold, slope_torus
-from veertrack.flow import run_flow
+from veertrack.flow import PeriodicMatcher, run_flow
 from veertrack.lab import contraction_experiment
 from veertrack.surface import Surface
 
@@ -62,6 +70,21 @@ def us_per_event(build, verify: str, warm: bool, flows: int, repeat: int) -> flo
     return best * 1e6
 
 
+def analyze_cost(n: int, flows: int, repeat: int) -> tuple[float, int]:
+    """(ms per call, events flowed) of the analyze pipeline on x_n."""
+    base = slope_torus(slope(n))
+    best = math.inf
+    for _ in range(repeat):
+        starts = [fresh(base) for _ in range(flows)]
+        t0 = time.perf_counter()
+        for s in starts:
+            matcher = PeriodicMatcher(s)
+            traj = run_flow(s, FLOW_T, stop=matcher)
+            analyze_periodic_word(traj, matcher.match)
+        best = min(best, (time.perf_counter() - t0) / flows)
+    return best * 1e3, len(traj.events)
+
+
 def ms_per_fit(n: int, repeat: int) -> float:
     best = math.inf
     for k in range(repeat):
@@ -86,6 +109,12 @@ def main() -> int:
             for warm in (False, True)
         ]
         print(f"{name:8}{cells[0]:10.2f}{cells[1]:10.2f}{cells[2]:12.2f}{cells[3]:12.2f}")
+    print(f"analyze to T = {FLOW_T:g}: stopped flow and analyze_periodic_word, "
+          f"best of {args.repeat} x {args.flows} calls")
+    print(f"{'start':8}{'ms/call':>10}{'events':>8}")
+    for n in range(1, 9):
+        ms, events = analyze_cost(n, args.flows, args.repeat)
+        print(f"x_{n:<6}{ms:10.3f}{events:8d}")
     print(f"contraction_experiment, 4 periods, 6 trials, ms per call, best of {args.repeat}")
     for n in (1, 2, 3):
         print(f"x_{n:<6}{ms_per_fit(n, args.repeat):10.3f}")

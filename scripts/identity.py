@@ -104,6 +104,8 @@ INVALID = {
     "t2farea": _t2_area_gap,
     "t2twice": _t2_twice,
 }
+# the slope pi torus never returns: analyze flows its whole window
+NO_RETURN = {"pi": lambda: slope_torus(math.pi)}
 FLOWING = ("t2", "t2f", "gold", "goldx", "pillow", "x2", "x3")
 # long words LⁿRⁿ: many mirror-image state pairs precede the match
 MIRRORED = ("x5", "x6", "x7", "x8")
@@ -133,6 +135,11 @@ def invocations() -> list[tuple[list[str], str | None]]:
     for name in MIRRORED:
         out.append((["analyze", "--input", f"{name}.json", "--time", "16", "--report", "report.json"], "report.json"))
     out.append((["analyze", "--input", "gold.json", "--time", "0.5"], None))  # no return
+    # past the float range: analyze stops at gold's first return; pi flows
+    # on into its float degeneracy
+    out.append((["analyze", "--input", "gold.json", "--time", "400"], None))
+    out.append((["analyze", "--input", "pi.json", "--time", "16"], None))
+    out.append((["analyze", "--input", "pi.json", "--time", "400"], None))
     for name in LAB:
         doc = f"{name}.json"
         out.append((["contract", "--input", doc, "--time", "4", "--trials", "3", "--csv", "decay.csv"], "decay.csv"))
@@ -159,7 +166,7 @@ def _digest(data: bytes) -> str:
 
 def run_one(argv: list[str], output: str | None) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        for name, build in {**DOCUMENTS, **INVALID}.items():
+        for name, build in {**DOCUMENTS, **INVALID, **NO_RETURN}.items():
             pathlib.Path(tmp, f"{name}.json").write_text(serialize_surface(build()) + "\n", encoding="utf-8")
         cwd = os.getcwd()
         out, err = io.StringIO(), io.StringIO()

@@ -108,10 +108,14 @@ def lam_after(lam: float, t: float) -> float:
         return math.inf
 
 
-def run_flow(s: Surface, T: float, max_events: int = 10000, verify: str = "debug") -> Trajectory:
+def run_flow(
+    s: Surface, T: float, max_events: int = 10000, verify: str = "debug", stop=None
+) -> Trajectory:
     """Iterate next_split and flip until time T (from s) or max_events; an
     infinite T, or one whose end lam is past the float range, flows until
-    max_events."""
+    max_events.  stop, when given, is called with each event and the surface
+    after it, and a true result ends the flow there, with t_end that event's
+    time from s."""
     if verify not in ("debug", "off"):
         raise ValueError(f"bad verify mode {verify!r}")
     if not T >= 0:
@@ -141,6 +145,8 @@ def run_flow(s: Surface, T: float, max_events: int = 10000, verify: str = "debug
         events.append(ev)
         surfaces.append(flipped)
         cur = flipped
+        if stop is not None and stop(ev, flipped):
+            return Trajectory(s, events, surfaces, ev.t - 0.5 * math.log(float(s.lam)))
         if len(events) >= max_events:
             break
         ev = nxt if verify == "debug" else next_split(cur)
@@ -317,38 +323,35 @@ def _may_match(a: _Signature, b: _Signature) -> bool:
     )
 
 
-def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch | None:
-    """Find state indices m < m' whose surfaces recur as marked surfaces.
+class PeriodicMatcher:
+    """detect_periodicity fed one state at a time: called with each event
+    and the surface after it (run_flow's stop), it returns True once the new
+    state recurs, and match then holds the return."""
 
-    A periodic orbit returns to the same point of moduli space, so the
-    geometric (flow-applied) period vectors of the two states agree up to a
-    relabeling and a global sign.  The width expansion across the period is
-    then read off the flow parameters: lam_w = sqrt(lam_{m'} / lam_m).
+    def __init__(self, start: Surface, rel_tol: float = 1e-9):
+        self.rel_tol = rel_tol
+        self.states: list[Surface] = []
+        self.sigs: list[_Signature] = []
+        self.events: list[SplitEvent] = []
+        self.match: PeriodicMatch | None = None
+        self._add(start)
 
-    Pairs are tried by increasing span, then increasing m, and the first
-    match is returned.  Two periods match when they differ by at most
-    rel_tol times the larger of |w| and |h| of the edge of state m.  Each
-    state's signature (its sorted |w|, sorted |h| and sorted signed w * h)
-    is built once; the backtracking isomorphism search runs only on pairs
-    whose signatures agree entrywise within the tolerance that a match
-    implies (see _may_match), a test that never rejects a pair that matches.
-    On the slope torus x_n, whose word is LⁿRⁿ, the state n events on is
-    the mirror image of the current one, with the same sorted |w| and |h|;
-    its signed products differ, and the search runs on the matching pair
-    alone.
-    """
-    states = traj.states()
-    sigs = [_signature(s.flowed_periods(), float(s.lam), rel_tol) for s in states]
-    for span in range(1, len(sigs)):
-        for m in range(0, len(sigs) - span):
-            m2 = m + span
-            a, b = sigs[m], sigs[m2]
+    def _add(self, s: Surface) -> _Signature:
+        self.states.append(s)
+        self.sigs.append(_signature(s.flowed_periods(), float(s.lam), self.rel_tol))
+        return self.sigs[-1]
+
+    def __call__(self, ev: SplitEvent, s: Surface) -> bool:
+        self.events.append(ev)
+        b, m2, rel_tol = self._add(s), len(self.states) - 1, self.rel_tol
+        for m in range(m2 - 1, -1, -1):
+            a = self.sigs[m]
             if not _may_match(a, b):
                 continue
             lam_w = math.sqrt(b.lam / a.lam)
             if not lam_w > 1 + 1e-9:
                 continue
-            for sigma in _triangle_isomorphisms(states[m], states[m2]):
+            for sigma in _triangle_isomorphisms(self.states[m], s):
                 glob = None  # the global sign, read off the first edge
                 for e, (e2, f) in sigma.items():
                     w1, h1 = a.eff[e]
@@ -361,6 +364,35 @@ def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch
                         break
                 else:  # every edge matched
                     relabel = {e: (e2, glob * f) for e, (e2, f) in sigma.items()}
-                    word = tuple(traj.events[m:m2])
-                    return PeriodicMatch(m, m2, relabel, lam_w, word)
-    return None
+                    self.match = PeriodicMatch(m, m2, relabel, lam_w, tuple(self.events[m:]))
+                    return True
+        return False
+
+
+def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch | None:
+    """Find state indices m < m' whose surfaces recur as marked surfaces.
+
+    A periodic orbit returns to the same point of moduli space, so the
+    geometric (flow-applied) period vectors of the two states agree up to a
+    relabeling and a global sign.  The width expansion across the period is
+    then read off the flow parameters: lam_w = sqrt(lam_{m'} / lam_m).
+
+    The states are fed to a PeriodicMatcher in order, and each new state m'
+    is tried against the earlier states nearest first, m = m' - 1 down to 0:
+    the match returned is the first state that recurs, paired with its
+    nearest earlier match.  So the match found in any prefix of a trajectory
+    is the match of the whole trajectory, and a flow may stop at it (run_flow's
+    stop, as analyze does).  Two periods match when they differ by at most
+    rel_tol times the larger of |w| and |h| of the edge of state m.  Each
+    state's signature (its sorted |w|, sorted |h| and sorted signed w * h)
+    is built once; the backtracking isomorphism search runs only on pairs
+    whose signatures agree entrywise within the tolerance that a match
+    implies (see _may_match), a test that never rejects a pair that matches.
+    On the slope torus x_n, whose word is LⁿRⁿ, the state n events on is
+    the mirror image of the current one, with the same sorted |w| and |h|;
+    its signed products differ, and the search runs on the matching pair
+    alone.
+    """
+    matcher = PeriodicMatcher(traj.start, rel_tol)
+    any(map(matcher, traj.events, traj.surfaces))
+    return matcher.match

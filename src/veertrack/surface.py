@@ -257,7 +257,7 @@ class Surface:
 
     def vertex_classes(self) -> list[frozenset[Corner]]:
         """Corners grouped by the vertex of the glued cell complex."""
-        return self.comb.cached("vertex_classes", lambda c: corner_classes(c.triangles))
+        return self.comb.cached("vertex_classes", lambda c: corner_classes(c.triangles, c.occurrences()))
 
     def vertex_angle_multiples(self) -> list[int]:
         """For each vertex, the integer k with cone angle k*pi (unrounded check
@@ -323,8 +323,9 @@ def find_root(parent, x):
     return x
 
 
-def corner_classes(triangles) -> list[frozenset[Corner]]:
-    """Corners grouped by the vertex of the glued cell complex.
+def corner_classes(triangles, occ) -> list[frozenset[Corner]]:
+    """Corners grouped by the vertex of the glued cell complex; occ is the
+    edge_occurrences index of triangles.
 
     Corner (t, i) sits at vertex i of triangle t, between sides i-1 and i.
     Gluing the two occurrences (t1,i1) and (t2,i2) of an edge identifies
@@ -334,7 +335,7 @@ def corner_classes(triangles) -> list[frozenset[Corner]]:
     for t in range(len(triangles)):
         for i in range(3):
             parent[(t, i)] = (t, i)
-    for e, occs in edge_occurrences(triangles).items():
+    for e, occs in occ.items():
         if len(occs) != 2:
             raise DocumentError(f"edge {e} used {len(occs)} times")
         (t1, i1, _), (t2, i2, _) = occs

@@ -124,7 +124,7 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
 
 def _region_data(track: TrainTrack):
     """(region polygon sizes, corner->region)."""
-    classes = corner_classes(track.triangles)
+    classes = corner_classes(track.triangles, edge_occurrences(track.triangles))
     corner_region: dict[tuple[int, int], int] = {}
     sizes = []
     for ridx, cls in enumerate(classes):

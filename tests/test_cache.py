@@ -19,7 +19,7 @@ import veertrack.lab as lab
 import veertrack.surface as surface
 from veertrack.delaunay import build_quad, delaunay_violations, flip, quad
 from veertrack.errors import DegeneracyError
-from veertrack.fixtures import gold, slope_torus, t2
+from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
 from veertrack.surface import Surface, corner_classes, edge_occurrences, exchange_diagonal, quad_sides
 from veertrack.traintrack import split_roles
@@ -57,7 +57,7 @@ def assert_comb_coherent(s: Surface):
         assert nxt._table is comb._table
     for key, value in comb._derived.items():
         if key == "vertex_classes":
-            assert value == corner_classes(s.triangles)
+            assert value == corner_classes(s.triangles, occ)
             continue
         e, direction = key
         losers, winners = split_roles(quad_sides(s.triangles, occ, e)[2], direction)
@@ -249,6 +249,16 @@ def test_flow_indexes_each_distinct_triangulation_once(monkeypatch, n, verify):
     # a recurring triangulation is one object
     combs = {x.triangles: x.comb for x in traj.states()}
     assert all(x.comb is combs[x.triangles] for x in traj.states())
+
+
+@pytest.mark.parametrize("build", [t2, pillow, octagon])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_validate_indexes_the_triangles_once(monkeypatch, build, mode):
+    # the vertex classes read the index the combinatorial cache holds
+    s = build(mode)
+    counts = _count_builders(monkeypatch)
+    assert surface.validate(s).passed
+    assert counts["edge_occurrences"] == 1
 
 
 def test_contraction_trials_build_no_combinatorics(monkeypatch):

@@ -202,13 +202,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["flow", "analyze", "report", "contract", "close"])
     def test_time_past_the_float_range_flows_as_infinite_time(self, capsys, gold_doc, command):
         # e^{2T} overflows from T of about 355 up; float gold then flows
-        # until its float degeneracy at t of about 19, as --time inf does
-        assert main([command, "--input", gold_doc, "--time", "400"]) == 2
-        err = capsys.readouterr().err
-        assert err == "degeneracy: edge e2: new diagonal is axis-parallel\n"
-        if command in ("flow", "analyze", "report"):
-            assert main([command, "--input", gold_doc, "--time", "inf"]) == 2
-            assert capsys.readouterr().err == err
+        # until its float degeneracy at t of about 19, as --time inf does;
+        # analyze stops at its first return, long before it, and reports it
+        if command == "analyze":
+            assert main(["analyze", "--input", gold_doc, "--time", "12"]) == 0
+            report = capsys.readouterr().out
+            for time in ("19", "400", "inf"):
+                assert main(["analyze", "--input", gold_doc, "--time", time]) == 0
+                assert capsys.readouterr() == (report, "")
+            return
+        for time in ("400", "inf") if command in ("flow", "report") else ("400",):
+            assert main([command, "--input", gold_doc, "--time", time]) == 2
+            assert capsys.readouterr().err == "degeneracy: edge e2: new diagonal is axis-parallel\n"
+
+    @pytest.mark.parametrize(
+        "time, code, out, err",
+        [
+            ("16", 1, "no periodic return found in the time window\n", ""),
+            ("400", 2, "", "degeneracy: edge e1: new diagonal is axis-parallel\n"),
+        ],
+    )
+    def test_analyze_without_a_return_flows_the_whole_window(self, capsys, tmp_path, time, code, out, err):
+        # the slope pi torus never returns: analyze flows the whole window,
+        # and past the float range into its float degeneracy
+        path = tmp_path / "pi.json"
+        path.write_text(serialize_surface(slope_torus(math.pi)))
+        assert main(["analyze", "--input", str(path), "--time", time]) == code
+        assert tuple(capsys.readouterr()) == (out, err)
 
     @pytest.mark.parametrize(
         "argv, message",

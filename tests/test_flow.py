@@ -1,8 +1,10 @@
 """Event-driven flow: split scheduling, trajectories, periodicity."""
 
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from util import (
     count_sigma_reads,
     exact_trajectory_prefix,
+    reference_detect_periodicity,
     reference_large_edges,
     reference_next_split,
     reference_triangle_isomorphisms,
@@ -19,6 +22,7 @@ from util import (
     sheared_surface,
 )
 
+import veertrack.cli as cli
 import veertrack.delaunay as delaunay
 import veertrack.flow as flow
 import veertrack.lab as lab
@@ -35,6 +39,7 @@ from veertrack.fixtures import (
 from veertrack.delaunay import greedy_delaunay, quad
 from veertrack.flow import (
     PeriodicMatch,
+    PeriodicMatcher,
     _may_match,
     _signature,
     _triangle_isomorphisms,
@@ -43,8 +48,10 @@ from veertrack.flow import (
     run_flow,
     thick_fraction,
 )
-from veertrack.surface import Surface, edge_occurrences, validate
+from veertrack.surface import Surface, edge_occurrences, rebase, serialize_surface, validate
 from veertrack.traintrack import TrainTrack, large_slots
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestNextSplit:
@@ -595,7 +602,9 @@ class TestSignatureReads:
         expected = detect_periodicity(traj)
         reads = count_sigma_reads(monkeypatch)
         assert detect_periodicity(traj) == expected
-        assert sorted(reads) == sorted(id(s) for s in traj.states())
+        # the search stops at the match: no state past it is read
+        read = traj.states() if expected is None else traj.states()[: expected.m2 + 1]
+        assert sorted(reads) == sorted(id(s) for s in read)
         assert set(reads.values()) == {1}
 
 
@@ -619,6 +628,96 @@ class TestPeriodicitySearchCount:
             match = detect_periodicity(traj)
             assert (match.m, match.m2) == (1, 1 + 2 * n)
             assert calls == 1
+
+
+def _identity_trajectories():
+    """(name, trajectory): the analyze inputs of scripts/identity.py, each
+    reduced and flowed over its window, or up to its degeneracy when the
+    flow meets one first."""
+    spec = importlib.util.spec_from_file_location("identity", ROOT / "scripts" / "identity.py")
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    for names, window in ((identity.FLOWING, 12.0), (identity.MIRRORED, 16.0)):
+        for name in names:
+            s, _ = greedy_delaunay(identity.DOCUMENTS[name]())
+            try:
+                yield name, run_flow(s, window)
+            except DegeneracyError:
+                events, states = exact_trajectory_prefix(s, max_events=200)
+                yield name, flow.Trajectory(s, events, states[1:], window)
+
+
+def _perturbed_slope_trajectory(n: int, seed: int):
+    """The flow closing_search scans on x_n perturbed as `close --delta 1e-3`
+    perturbs it."""
+    s = lab.perturb_heights(rebase(slope_torus(_slope(n))), random.Random(seed), 1e-3)
+    return run_flow(greedy_delaunay(rebase(s))[0], 5.0, verify="off")
+
+
+class TestMatcherAgainstSpanOrder:
+    """The matcher (each new state against the earlier ones, nearest first)
+    finds the match that the earlier search by span, then m, found."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-5, 1e-4, 0.1])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_TRAJECTORIES))
+    def test_reference_trajectories(self, name, rel_tol):
+        traj = REFERENCE_TRAJECTORIES[name]()
+        assert detect_periodicity(traj, rel_tol) == reference_detect_periodicity(traj, rel_tol)
+
+    def test_identity_analyze_inputs(self):
+        found = 0
+        for name, traj in _identity_trajectories():
+            match = detect_periodicity(traj)
+            assert match == reference_detect_periodicity(traj), name
+            found += match is not None
+        assert found == 8  # gold, goldx, x2, x3 and x5..x8
+
+    @pytest.mark.parametrize("seed", [5, 11, 77])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_perturbed_slope_tori(self, n, seed):
+        traj = _perturbed_slope_trajectory(n, seed)
+        match = detect_periodicity(traj, 0.1)
+        assert match is not None and len(match.word) == 2 * n
+        assert match == reference_detect_periodicity(traj, 0.1)
+
+
+class TestStoppedFlow:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_TRAJECTORIES))
+    def test_the_stopped_flow_is_a_prefix_ending_at_the_match(self, name):
+        whole = REFERENCE_TRAJECTORIES[name]()
+        verify = "off" if name == "gold-perturbed" else "debug"
+        matcher = PeriodicMatcher(whole.start)
+        stopped = run_flow(whole.start, whole.t_end, verify=verify, stop=matcher)
+        match = detect_periodicity(whole)
+        assert matcher.match == match
+        end = len(whole.events) if match is None else match.m2
+        assert stopped.events == whole.events[:end]
+        assert [(x.triangles, x.periods) for x in stopped.surfaces] == [
+            (x.triangles, x.periods) for x in whole.surfaces[:end]
+        ]
+        if match is None:
+            assert stopped.t_end == whole.t_end
+        else:
+            assert stopped.t_end == stopped.times()[-1] < whole.t_end
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_analyze_flows_one_period_past_the_first_state(self, monkeypatch, tmp_path, n):
+        # x_n first returns at (1, 1 + 2n): analyze flows those events alone,
+        # where flowing the whole window takes 17 to 61
+        flowed = []
+
+        def counting(*args, **kwargs):
+            traj = run_flow(*args, **kwargs)
+            flowed.append(len(traj.events))
+            return traj
+
+        monkeypatch.setattr(cli, "run_flow", counting)
+        path = tmp_path / "x.json"
+        path.write_text(serialize_surface(slope_torus(_slope(n))))
+        out = tmp_path / "report.json"
+        for window in (8.0, 10.0, 12.0, 14.0, 15.9):
+            assert cli.main(["analyze", "--input", str(path), "--time", str(window), "--report", str(out)]) == 0
+        assert flowed == [1 + 2 * n] * 5
 
 
 def _noisy_copy(periods, noise, signs, order, rel_tol):

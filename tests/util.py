@@ -2,7 +2,8 @@
 exact trajectory prefixes, and oracles: brute-force ones, exact algebra on
 veertrack._exact's elimination, a combinatorial split path beside the
 flow's, and the split event and checkpoint reads in their earlier,
-several-pass forms."""
+several-pass forms, and the periodicity search in its earlier whole-trajectory
+order."""
 
 from __future__ import annotations
 
@@ -27,7 +28,17 @@ from veertrack.delaunay import (
 )
 from veertrack.errors import DegeneracyError, NotFlippableError, VeertrackError
 from veertrack.fixtures import octagon, t2
-from veertrack.flow import FLOAT_EVENT_TIE, SplitEvent, Trajectory, lam_after, next_split
+from veertrack.flow import (
+    FLOAT_EVENT_TIE,
+    PeriodicMatch,
+    SplitEvent,
+    Trajectory,
+    _may_match,
+    _signature,
+    _triangle_isomorphisms,
+    lam_after,
+    next_split,
+)
 from veertrack.surface import (
     EPS_ANGLE,
     Surface,
@@ -738,3 +749,34 @@ def reference_roundoff_unit(s: Surface) -> float:
     flowed = [f[e] for e in s.edges]
     top = max(abs(h) for _, h in flowed)
     return sys.float_info.epsilon * top / math.sqrt(sum(w * w for w, _ in flowed))
+
+
+def reference_detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch | None:
+    """detect_periodicity in its earlier form: every state's signature built
+    first, then pairs tried by increasing span, then increasing m."""
+    states = traj.states()
+    sigs = [_signature(s.flowed_periods(), float(s.lam), rel_tol) for s in states]
+    for span in range(1, len(sigs)):
+        for m in range(0, len(sigs) - span):
+            m2 = m + span
+            a, b = sigs[m], sigs[m2]
+            if not _may_match(a, b):
+                continue
+            lam_w = math.sqrt(b.lam / a.lam)
+            if not lam_w > 1 + 1e-9:
+                continue
+            for sigma in _triangle_isomorphisms(states[m], states[m2]):
+                glob = None
+                for e, (e2, f) in sigma.items():
+                    w1, h1 = a.eff[e]
+                    w2, h2 = f * b.eff[e2][0], f * b.eff[e2][1]
+                    scale = max(abs(w1), abs(h1), 1e-15)
+                    if glob is None:
+                        glob = 1 if w1 * w2 > 0 else -1
+                    w2, h2 = glob * w2, glob * h2
+                    if abs(w2 - w1) > rel_tol * scale or abs(h2 - h1) > rel_tol * scale:
+                        break
+                else:
+                    relabel = {e: (e2, glob * f) for e, (e2, f) in sigma.items()}
+                    return PeriodicMatch(m, m2, relabel, lam_w, tuple(traj.events[m:m2]))
+    return None
