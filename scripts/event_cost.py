@@ -18,9 +18,16 @@ on a new surface: the flow stopped at the first return (run_flow with a
 PeriodicMatcher as its stop) and analyze_periodic_word, with the events
 that flow takes.
 
-Last, prints the best of --repeat timings, in milliseconds per call, of
+Then prints the best of --repeat timings, in milliseconds per call, of
 contraction_experiment on x_1..x_3 over four periods with 6 trials (the
 `veertrack contract --trials 6` of the benchmark's lab workload).
+
+Last, prints the best of --repeat timings, in microseconds per call, of
+vertex_curves on the tracks of the census shears of t2, pillow and octagon
+(n = 3, 6 and 9 edges; the 64 shears perfbench/inputs.py draws of each),
+in both directions: each track taken, as the census workload takes it, on
+the Delaunay surface, or on the shear itself when the reduction stops on a
+degeneracy.
 
     python3 scripts/event_cost.py
     python3 scripts/event_cost.py --repeat 2 --flows 1   # a quick smoke run
@@ -32,13 +39,19 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+from inputs import CENSUS_UNIVERSE, census_doc
 from veertrack.cones import analyze_periodic_word
+from veertrack.delaunay import greedy_delaunay
+from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, slope_torus
 from veertrack.flow import PeriodicMatcher, run_flow
 from veertrack.lab import contraction_experiment
-from veertrack.surface import Surface
+from veertrack.surface import Surface, parse_surface
+from veertrack.traintrack import dual_track, vertex_curves
 
 FLOW_T = 16.0
 
@@ -95,6 +108,29 @@ def ms_per_fit(n: int, repeat: int) -> float:
     return best * 1e3
 
 
+def census_surfaces(name: str) -> list[Surface]:
+    out = []
+    for index in range(CENSUS_UNIVERSE):
+        s = parse_surface(census_doc(name, index))
+        try:
+            s, _ = greedy_delaunay(s)
+        except DegeneracyError:
+            pass
+        out.append(s)
+    return out
+
+
+def us_per_vertex_curves(surfaces, direction: str, repeat: int) -> float:
+    tracks = [dual_track(s, direction)[0] for s in surfaces]
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for track in tracks:
+            vertex_curves(track)
+        best = min(best, (time.perf_counter() - t0) / len(tracks))
+    return best * 1e6
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=7, help="timings per figure; the best is printed")
@@ -118,6 +154,12 @@ def main() -> int:
     print(f"contraction_experiment, 4 periods, 6 trials, ms per call, best of {args.repeat}")
     for n in (1, 2, 3):
         print(f"x_{n:<6}{ms_per_fit(n, args.repeat):10.3f}")
+    print(f"vertex_curves on the {CENSUS_UNIVERSE} census shears, us per call, best of {args.repeat}")
+    print(f"{'fixture':10}{'n':>3}{'vertical':>10}{'horizontal':>12}")
+    for name in ("t2", "pillow", "octagon"):
+        surfaces = census_surfaces(name)
+        cells = [us_per_vertex_curves(surfaces, d, args.repeat) for d in ("vertical", "horizontal")]
+        print(f"{name:10}{len(surfaces[0].periods):3d}{cells[0]:10.1f}{cells[1]:12.1f}")
     return 0
 
 

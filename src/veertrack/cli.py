@@ -19,7 +19,7 @@ import sys
 from .delaunay import delaunay_violations, greedy_delaunay, is_veering, linf_scaled
 from .errors import DegeneracyError, DocumentError, VeertrackError
 from .flow import PeriodicMatcher, next_split, run_flow, thick_fraction
-from .surface import parse_surface, rebase, serialize_surface, validate
+from .surface import parse_surface, rebase, serialize_surface, surface_doc, validate
 from .traintrack import complementary_regions, dual_track, vertex_curves
 
 
@@ -174,7 +174,7 @@ def cmd_close(args) -> int:
         s = perturb_heights(s, random.Random(args.seed), args.delta)
     res = closing_search(s, search_t=args.time)
     doc = {
-        "periodic_point": json.loads(serialize_surface(res.surface)),
+        "periodic_point": surface_doc(res.surface),
         "T_prime": res.period_t,
         "lam_w": res.lam_w,
         "word": list(res.word),

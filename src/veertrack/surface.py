@@ -438,7 +438,8 @@ def parse_surface(document: str) -> Surface:
     return surf
 
 
-def serialize_surface(s: Surface) -> str:
+def surface_doc(s: Surface) -> dict:
+    """The surface document of s as a dict, which serialize_surface writes."""
     doc = {
         "mode": s.mode,
         "edges": {e: [s.num.emit(p.w), s.num.emit(p.h)] for e, p in sorted(s.periods.items())},
@@ -446,7 +447,11 @@ def serialize_surface(s: Surface) -> str:
     }
     if s.lam != 1:
         doc["flow"] = s.num.emit(s.lam)
-    return json.dumps(doc, indent=2)
+    return doc
+
+
+def serialize_surface(s: Surface) -> str:
+    return json.dumps(surface_doc(s), indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,8 @@ class TrainTrack(NamedTuple):
 
     def switches(self) -> list[tuple[str, str, str]]:
         """(large, small1, small2) per triangle, smalls in cyclic order."""
-        out = []
-        for tri, ls in zip(self.triangles, self.large_slots):
-            out.append((tri[ls][0], tri[(ls + 1) % 3][0], tri[(ls + 2) % 3][0]))
-        return out
+        return [(tri[ls][0], tri[(ls + 1) % 3][0], tri[(ls + 2) % 3][0])
+                for tri, ls in zip(self.triangles, self.large_slots)]
 
     def branch_roles(self) -> dict[str, str]:
         """'large' / 'mixed' / 'small' according to the two switch roles."""
@@ -122,9 +120,9 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
 # complementary regions
 
 
-def _region_data(track: TrainTrack):
-    """(region polygon sizes, corner->region)."""
-    classes = corner_classes(track.triangles, edge_occurrences(track.triangles))
+def _region_data(track: TrainTrack, occ):
+    """(region polygon sizes, corner->region), from the occurrence index occ."""
+    classes = corner_classes(track.triangles, occ)
     corner_region: dict[tuple[int, int], int] = {}
     sizes = []
     for ridx, cls in enumerate(classes):
@@ -141,18 +139,14 @@ def complementary_regions(track: TrainTrack) -> dict[int, int]:
     """Census by ribbon traversal, {n: multiplicity}: one n-gon per cone
     point of angle n*pi."""
     counts: dict[int, int] = {}
-    for n in _region_data(track)[0]:
+    for n in _region_data(track, edge_occurrences(track.triangles))[0]:
         counts[n] = counts.get(n, 0) + 1
     return counts
 
 
-def _branch_region_edges(track: TrainTrack, corner_region):
-    """branch -> (region id, region id) of the two sides of the branch."""
-    out = {}
-    for e, occs in edge_occurrences(track.triangles).items():
-        (t1, i1, _), _ = occs
-        out[e] = (corner_region[(t1, i1)], corner_region[(t1, (i1 + 1) % 3)])
-    return out
+def _branch_region_edges(occ, corner_region):
+    """branch -> (region id, region id) of its two sides, from the index occ."""
+    return {e: (corner_region[t, i], corner_region[t, (i + 1) % 3]) for e, ((t, i, _), _) in occ.items()}
 
 
 def is_filling_subtrack(track: TrainTrack, branches) -> bool:
@@ -171,8 +165,9 @@ def is_filling_subtrack(track: TrainTrack, branches) -> bool:
     unknown = support - set(track.branches)
     if unknown:
         raise VeertrackError(f"support contains unknown branches {sorted(unknown)}")
-    sizes, corner_region = _region_data(track)
-    sides = _branch_region_edges(track, corner_region)
+    occ = edge_occurrences(track.triangles)
+    sizes, corner_region = _region_data(track, occ)
+    sides = _branch_region_edges(occ, corner_region)
     parent = list(range(len(sizes)))
     marked = [n <= 2 for n in sizes]  # per root: its component holds a puncture
     for e in track.branches:
@@ -193,29 +188,34 @@ def is_filling_subtrack(track: TrainTrack, branches) -> bool:
 def extreme_rays_nonneg(rows, n: int) -> list[tuple[int, ...]]:
     """Minimal integral extreme rays of {x >= 0, rows . x = 0}, rows integral.
 
-    Double description on primitive integer rays, each kept with its
-    support: a row keeps the rays it vanishes on, combines every ray it makes
-    positive with every ray it makes negative into one it vanishes on, and
-    drops a ray when another one has a strictly smaller support.
-    """
-    rays = {tuple(int(i == j) for j in range(n)): frozenset((i,)) for i in range(n)}
-    for a in rows:
-        dots = [(r, sum(ai * ri for ai, ri in zip(a, r))) for r in rays]
-        new = [r for r, d in dots if d == 0]
-        pos = [(u, du) for u, du in dots if du > 0]
-        neg = [(v, dv) for v, dv in dots if dv < 0]
-        for (u, du), (v, dv) in itertools.product(pos, neg):
-            comb = [du * vi - dv * ui for ui, vi in zip(u, v)]
-            g = math.gcd(*comb)
-            new.append(tuple(x // g for x in comb))
-        supports = {r: frozenset(i for i, x in enumerate(r) if x) for r in new}
-        kinds = set(supports.values())
-        rays = {r: sup for r, sup in supports.items() if not any(k < sup for k in kinds)}
-    # extremality certificate: the rows restricted to the support must have a
-    # one-dimensional kernel
-    return sorted(
-        r for r, sup in rays.items() if len(sup) - _exact.rank([[row[i] for i in sup] for row in rows]) == 1
-    )
+    Double description on sparse rows and primitive rays with bitmask
+    supports: a row keeps the rays it vanishes on and combines a ray it makes
+    positive with one it makes negative unless another ray's support lies in
+    the union of theirs (the rays kept are the extreme ones, so this is the
+    adjacency test).  _exact.spans_kernel certifies each ray returned."""
+    sparse = [[(i, a) for i, a in enumerate(row) if a] for row in rows]
+    rays = {(0,) * i + (1,) + (0,) * (n - 1 - i): 1 << i for i in range(n)}
+    for row in sparse:
+        kept, signed = {}, ([], [])
+        for r, sup in rays.items():
+            d = 0
+            for i, a in row:
+                d += a * r[i]
+            if d:
+                signed[d < 0].append((r, d, sup))
+            else:
+                kept[r] = sup
+        for (u, du, su), (v, dv, sv) in itertools.product(*signed):
+            sup = su | sv
+            for k in rays.values():
+                if k & sup == k and k != su and k != sv:
+                    break
+            else:
+                comb = [du * vi - dv * ui for ui, vi in zip(u, v)]
+                g = math.gcd(*comb)
+                kept[tuple([x // g for x in comb] if g > 1 else comb)] = sup
+        rays = kept
+    return sorted(r for r in rays if _exact.spans_kernel(sparse, r))
 
 
 def vertex_curves(track: TrainTrack) -> list[tuple[int, ...]]:

@@ -12,15 +12,20 @@ from hypothesis import strategies as st
 
 from util import (
     brute_force_rays,
+    census_tracks,
     count_fraction_work,
+    rank_mod2,
+    reference_extreme_rays_nonneg,
     reference_is_filling,
     reference_measures,
+    rref,
     scramble,
     sheared_surface,
     sorted_large_slots,
     split_with_direction,
 )
 
+from veertrack import _exact, traintrack
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
@@ -317,13 +322,104 @@ class TestVertexCurves:
                 rows.insert(rng.randrange(len(rows) + 1), [0] * n)
             got = extreme_rays_nonneg(rows, n)
             assert got == brute_force_rays(rows, n)
+            assert got == reference_extreme_rays_nonneg(rows, n)
             assert all(type(x) is int for ray in got for x in ray)
+
+    def test_census_tracks_agree_with_the_dense_reference(self):
+        # both tracks of the 64 census shears of t2, pillow and octagon
+        tracks = census_tracks()
+        assert len(tracks) == 384
+        curves = 0
+        for key, track in tracks.items():
+            got = vertex_curves(track)
+            assert got == reference_extreme_rays_nonneg(track.switch_matrix(), len(track.branches)), key
+            curves += len(got)
+        assert curves == 1084
+
+
+def _sparse(rows):
+    return [[(i, a) for i, a in enumerate(row) if a] for row in rows]
+
+
+def _on_support(rows, r):
+    """The columns of rows on the support of r."""
+    return [[row[i] for i, x in enumerate(r) if x] for row in rows]
+
+
+def _count_exact_ranks(monkeypatch) -> list:
+    calls = []
+    original = _exact.rank
+    monkeypatch.setattr(_exact, "rank", lambda a: calls.append(a) or original(a))
+    return calls
+
+
+class TestExtremalityCertificate:
+    """_exact.spans_kernel: A r = 0, then the rank of A on the support S of r
+    mod 2, and the exact rank only when that falls short of |S| - 1."""
+
+    def test_sums_of_two_vertex_curves_are_rejected_by_the_exact_rank(self, monkeypatch):
+        # a sum of two vertex curves is a kernel vector that is not extreme:
+        # its rank mod 2 falls short, so the mod-2 path cannot accept it,
+        # and the exact rank, taken once, rejects it
+        calls = _count_exact_ranks(monkeypatch)
+        sums = 0
+        for build in (t2, gold, pillow, octagon):
+            for direction in ("vertical", "horizontal"):
+                track, _ = dual_track(build(), direction)
+                rows = track.switch_matrix()
+                for u, v in itertools.combinations(vertex_curves(track), 2):
+                    w = tuple(a + b for a, b in zip(u, v))
+                    size = len(w) - w.count(0)
+                    on_support = _on_support(rows, w)
+                    assert rank_mod2(on_support) < size - 1
+                    assert len(rref(on_support)[1]) < size - 1
+                    before = len(calls)
+                    assert not _exact.spans_kernel(_sparse(rows), w)
+                    assert len(calls) == before + 1
+                    sums += 1
+        assert sums >= 18
+
+    def test_vectors_off_the_kernel_are_rejected_before_any_rank(self, monkeypatch):
+        # a vertex curve plus one branch whose column is not zero (a branch
+        # large and small at the same switch has a zero column)
+        systems = []
+        for build in (t2, gold, pillow, octagon):
+            track, _ = dual_track(build())
+            systems.append((track.switch_matrix(), vertex_curves(track)))
+        calls = _count_exact_ranks(monkeypatch)
+        bumps = 0
+        for rows, curves in systems:
+            for r in curves:
+                for i in range(len(r)):
+                    if any(row[i] for row in rows):
+                        bumped = tuple(x + (j == i) for j, x in enumerate(r))
+                        assert not _exact.spans_kernel(_sparse(rows), bumped)
+                        bumps += 1
+        assert calls == [] and bumps
+
+    def test_exact_rank_runs_only_where_the_mod2_rank_falls_short(self, monkeypatch):
+        calls = _count_exact_ranks(monkeypatch)
+        short = 0
+        for track in census_tracks().values():
+            rows = track.switch_matrix()
+            for r in vertex_curves(track):
+                short += rank_mod2(_on_support(rows, r)) < len(r) - r.count(0) - 1
+        # the census has vertex curves on both paths
+        assert len(calls) == short > 0
 
 
 class TestFilling:
     def test_full_support_fills(self):
         track, _ = dual_track(gold())
         assert is_filling_subtrack(track, track.branches)
+
+    def test_builds_one_occurrence_index(self, monkeypatch):
+        calls = []
+        original = traintrack.edge_occurrences
+        monkeypatch.setattr(traintrack, "edge_occurrences", lambda tris: calls.append(tris) or original(tris))
+        track, _ = dual_track(gold())
+        assert is_filling_subtrack(track, track.branches)
+        assert len(calls) == 1
 
     def test_single_branch_does_not_fill(self):
         track, _ = dual_track(octagon())

@@ -2,17 +2,20 @@
 exact trajectory prefixes, and oracles: brute-force ones, exact algebra on
 veertrack._exact's elimination, a combinatorial split path beside the
 flow's, and the split event and checkpoint reads in their earlier,
-several-pass forms, and the periodicity search in its earlier whole-trajectory
-order."""
+several-pass forms, the periodicity search in its earlier whole-trajectory
+order, and the double description in its earlier dense form."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import math
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from veertrack._exact import _eliminate, rank
 from veertrack.cones import TransitionPair, compose_word
@@ -46,6 +49,7 @@ from veertrack.surface import (
     edge_occurrences,
     exchange_diagonal,
     find_root,
+    parse_surface,
     quad_sides,
     rebase,
     validate,
@@ -306,8 +310,9 @@ def reference_is_filling(track: TrainTrack, branches) -> bool:
     deleted branches d and marked regions; it fills iff every component has
     Euler number k - d = 1 and at most one marked region."""
     support = frozenset(branches)
-    sizes, corner_region = _region_data(track)
-    sides = _branch_region_edges(track, corner_region)
+    occ = edge_occurrences(track.triangles)
+    sizes, corner_region = _region_data(track, occ)
+    sides = _branch_region_edges(occ, corner_region)
     parent = list(range(len(sizes)))
     deleted = [e for e in track.branches if e not in support]
     for e in deleted:
@@ -553,6 +558,68 @@ def brute_force_rays(rows, n):
             full[j] = x
         rays.append(tuple(scale_to_integers(full)))
     return sorted(set(rays))
+
+
+@functools.cache
+def census_tracks() -> dict[tuple[str, int, str], TrainTrack]:
+    """(fixture, shear index, direction) -> the dual track that the
+    benchmark's census workload takes of each shear perfbench/inputs.py
+    draws of t2, pillow and octagon: on the Delaunay surface, or on the
+    shear itself when the reduction stops on a degeneracy."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("census_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    out = {}
+    for name in ("t2", "pillow", "octagon"):
+        for index in range(inputs.CENSUS_UNIVERSE):
+            s = parse_surface(inputs.census_doc(name, index))
+            try:
+                s, _ = greedy_delaunay(s)
+            except DegeneracyError:
+                pass
+            for direction in ("vertical", "horizontal"):
+                out[name, index, direction] = dual_track(s, direction)[0]
+    return out
+
+
+def reference_extreme_rays_nonneg(rows, n: int) -> list[tuple[int, ...]]:
+    """traintrack.extreme_rays_nonneg in its earlier form: dense rows,
+    frozenset supports, every positive ray combined with every negative one
+    and then the rays with a strictly smaller support kept, and each final
+    ray certified by the exact rank of the rows on its support."""
+    rays = {tuple(int(i == j) for j in range(n)): frozenset((i,)) for i in range(n)}
+    for a in rows:
+        dots = [(r, sum(ai * ri for ai, ri in zip(a, r))) for r in rays]
+        new = [r for r, d in dots if d == 0]
+        pos = [(u, du) for u, du in dots if du > 0]
+        neg = [(v, dv) for v, dv in dots if dv < 0]
+        for (u, du), (v, dv) in itertools.product(pos, neg):
+            comb = [du * vi - dv * ui for ui, vi in zip(u, v)]
+            g = math.gcd(*comb)
+            new.append(tuple(x // g for x in comb))
+        supports = {r: frozenset(i for i, x in enumerate(r) if x) for r in new}
+        kinds = set(supports.values())
+        rays = {r: sup for r, sup in supports.items() if not any(k < sup for k in kinds)}
+    return sorted(
+        r for r, sup in rays.items() if len(sup) - rank([[row[i] for i in sup] for row in rows]) == 1
+    )
+
+
+def rank_mod2(a) -> int:
+    """Rank over GF(2) of an integer matrix, by elimination on lists of bits."""
+    rows = [[x % 2 for x in row] for row in a]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def mat_det(a) -> int:
