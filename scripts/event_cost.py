@@ -20,7 +20,9 @@ that flow takes.
 
 Then prints the best of --repeat timings, in milliseconds per call, of
 contraction_experiment on x_1..x_3 over four periods with 6 trials (the
-`veertrack contract --trials 6` of the benchmark's lab workload).
+`veertrack contract --trials 6` of the benchmark's lab workload), and
+beside it the microseconds per trial: the best fit with 6 trials less the
+best with 1 trial, over 5.
 
 Last, prints the best of --repeat timings, in microseconds per call, of
 vertex_curves on the tracks of the census shears of t2, pillow and octagon
@@ -98,12 +100,12 @@ def analyze_cost(n: int, flows: int, repeat: int) -> tuple[float, int]:
     return best * 1e3, len(traj.events)
 
 
-def ms_per_fit(n: int, repeat: int) -> float:
+def ms_per_fit(n: int, repeat: int, trials: int = 6) -> float:
     best = math.inf
     for k in range(repeat):
         s = slope_torus(slope(n))
         t0 = time.perf_counter()
-        contraction_experiment(s, 4 * 2 * math.log(slope(n)), trials=6, seed=k)
+        contraction_experiment(s, 4 * 2 * math.log(slope(n)), trials=trials, seed=k)
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
 
@@ -151,9 +153,12 @@ def main() -> int:
     for n in range(1, 9):
         ms, events = analyze_cost(n, args.flows, args.repeat)
         print(f"x_{n:<6}{ms:10.3f}{events:8d}")
-    print(f"contraction_experiment, 4 periods, 6 trials, ms per call, best of {args.repeat}")
+    print(f"contraction_experiment, 4 periods, best of {args.repeat}: ms per call with 6 trials, "
+          f"us per trial (6 trials less 1, over 5)")
+    print(f"{'start':8}{'ms/call':>10}{'us/trial':>10}")
     for n in (1, 2, 3):
-        print(f"x_{n:<6}{ms_per_fit(n, args.repeat):10.3f}")
+        fit6, fit1 = ms_per_fit(n, args.repeat), ms_per_fit(n, args.repeat, trials=1)
+        print(f"x_{n:<6}{fit6:10.3f}{(fit6 - fit1) / 5 * 1e3:10.1f}")
     print(f"vertex_curves on the {CENSUS_UNIVERSE} census shears, us per call, best of {args.repeat}")
     print(f"{'fixture':10}{'n':>3}{'vertical':>10}{'horizontal':>12}")
     for name in ("t2", "pillow", "octagon"):

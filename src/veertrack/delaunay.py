@@ -12,7 +12,7 @@ lcm of their denominators (NumberMode.scaled).
 from typing import NamedTuple
 
 from .errors import DegeneracyError, NotFlippableError, VeertrackError
-from .surface import Period, Surface, Triangulation, cross, edge_occurrences, exchange_diagonal, quad_sides
+from .surface import Period, Surface, Triangulation, edge_occurrences, exchange_diagonal, quad_sides
 
 FLOAT_TIE = 1e-9
 MAX_FLIPS = 10000
@@ -82,21 +82,30 @@ def develop(num, periods, e: str, t1: int, t2: int, sides) -> Quad:
     its vectors read from periods, which map each edge to a (w, h) pair;
     DegeneracyError when e is flippable and the other diagonal is
     axis-parallel."""
-    vectors = []
-    for x, sg in sides:
-        w, h = periods[x]
-        vectors.append((w, h) if sg > 0 else (-w, -h))
-    va, vb, vc, vd = vectors
-    diag = (vb[0] + vc[0], vb[1] + vc[1])
+    # unrolled over the four sides: this runs once per tested edge
+    (a, sa), (b, sb), (c, sc), (d, sd) = sides
+    aw, ah = periods[a]
+    bw, bh = periods[b]
+    cw, ch = periods[c]
+    dw, dh = periods[d]
+    if sa < 0:
+        aw, ah = -aw, -ah
+    if sb < 0:
+        bw, bh = -bw, -bh
+    if sc < 0:
+        cw, ch = -cw, -ch
+    if sd < 0:
+        dw, dh = -dw, -dh
+    diag = (bw + cw, bh + ch)
     slack = num.slack(1e-12)
     # zero cross product: one of the would-be triangles is flat, which
     # happens structurally when the two triangles share a second edge
     # (a flat cylinder); the diagonal exchange is illegal there
-    flippable = cross(vb, vc) > slack and cross(vd, va) > slack
+    flippable = bw * ch - bh * cw > slack and dw * ah - dh * aw > slack
     if flippable and num.axis_parallel(diag):
         raise DegeneracyError(f"edge {e}: new diagonal is axis-parallel")
     # _make skips the keyword binding of Quad(...), once per tested edge
-    return Quad._make((e, t1, t2, sides, tuple(vectors), diag, flippable))
+    return Quad._make((e, t1, t2, sides, ((aw, ah), (bw, bh), (cw, ch), (dw, dh)), diag, flippable))
 
 
 def build_quad(s: Surface, e: str) -> Quad:
@@ -128,16 +137,15 @@ def delaunay_violations(s: Surface) -> list[str]:
     return out
 
 
-def flip(s: Surface, e: str) -> tuple[Surface, FlipRecord]:
-    """Replace e by the other diagonal of its quadrilateral; e keeps its label."""
+def flip(s: Surface, e: str, lam) -> Surface:
+    """Replace e by the other diagonal of its quadrilateral, on the copy of s
+    at lam; e keeps its label."""
     q = quad(s, e)
     if not q.flippable:
         raise NotFlippableError(f"edge {e}: quadrilateral is not convex")
-    old = s.periods[e]
     periods = dict(s.periods)
     periods[e] = Period._make(q.diagonal)
-    rec = FlipRecord(e, (old.w, old.h), q.diagonal)
-    return Surface._normalised(s.comb.flipped(e), periods, s.num, s.lam, {}), rec
+    return Surface._normalised(s.comb.flipped(e), periods, s.num, lam, {})
 
 
 def greedy_delaunay(s: Surface) -> tuple[Surface, list[FlipRecord]]:

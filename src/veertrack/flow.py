@@ -16,6 +16,7 @@ from .surface import Surface
 from .traintrack import dual_track, large_slots, split_roles, vertex_curves
 
 FLOAT_EVENT_TIE = 1e-12
+MAX_EVENTS = 10000
 
 
 class SplitEvent(NamedTuple):
@@ -51,27 +52,42 @@ class ThickStats(NamedTuple):
     theta: float
 
 
-def next_split(s: Surface) -> SplitEvent | None:
-    """Earliest future split of a certified Delaunay surface, or None, in one
-    pass over the vertical track's large slots: an edge met twice is the
-    large side of both its triangles."""
-    cands, seen, periods = [], set(), s.periods
-    for tri, ls in zip(s.triangles, large_slots(s.num, s.triangles, periods, "vertical")):
+def split_candidates(s: Surface) -> list[str]:
+    """The edges of s that are the large side of both their triangles in the
+    vertical track, in the order of their second slot; it reads the
+    triangles and the widths alone, and is computed once for s and its
+    lam-only copies."""
+    return s.cached("split_candidates", _large_in_both)
+
+
+def _large_in_both(s: Surface) -> list[str]:
+    """split_candidates from one pass over the large slots: an edge met
+    twice is large in both its triangles."""
+    out, seen = [], set()
+    for tri, ls in zip(s.triangles, large_slots(s.num, s.triangles, s.periods, "vertical")):
         e = tri[ls][0]
-        if e not in seen:
+        if e in seen:
+            out.append(e)
+        else:
             seen.add(e)
-            continue
-        q = quad(s, e)
-        d, p = q.diagonal, periods[e]
-        w_e, h_d = abs(p.w), abs(d[1])
+    return out
+
+
+def earliest_split(num, lam, quads, periods):
+    """(threshold, Quad, direction) of the earliest split past lam among
+    quads, the Quads of split_candidates developed on periods, or None."""
+    cands = []
+    for q in quads:
+        d, p = q.diagonal, periods[q.edge]
+        w_e, h_d = abs(p[0]), abs(d[1])
         # the other diagonal d is narrower and taller, and squares past lam
-        if q.flippable and abs(d[0]) < w_e and h_d > abs(p.h) and (thr := h_d / w_e) > s.lam:
-            cands.append((thr, e, q))
+        if q.flippable and abs(d[0]) < w_e and h_d > abs(p[1]) and (thr := h_d / w_e) > lam:
+            cands.append((thr, q.edge, q))
     if not cands:
         return None
     if len(cands) > 1:
         cands.sort()  # by threshold, then edge; edges are distinct
-        if s.num.tie(cands[1][0], cands[0][0], FLOAT_EVENT_TIE):
+        if num.tie(cands[1][0], cands[0][0], FLOAT_EVENT_TIE):
             raise DegeneracyError(f"simultaneous split events on {cands[0][1]} and {cands[1][1]}")
     thr, e, q = cands[0]
     # slope_sign's axis test cannot fire here: q is flippable, develop raises
@@ -86,8 +102,18 @@ def next_split(s: Surface) -> SplitEvent | None:
         raise VeertrackError(
             f"edge {e}: slope direction {direction} disagrees with width comparison"
         )
-    losers, winners = s.comb.cached((e, direction), _split_roles, e, direction)
-    return SplitEvent(thr, e, direction, losers, winners)
+    return thr, q, direction
+
+
+def next_split(s: Surface) -> SplitEvent | None:
+    """Earliest future split of a certified Delaunay surface, or None: the
+    earliest_split of its split_candidates."""
+    got = earliest_split(s.num, s.lam, [quad(s, e) for e in split_candidates(s)], s.periods)
+    if got is None:
+        return None
+    thr, q, direction = got
+    losers, winners = s.comb.cached((q.edge, direction), _split_roles, q.edge, direction)
+    return SplitEvent(thr, q.edge, direction, losers, winners)
 
 
 def _split_roles(comb, e: str, direction: str) -> tuple[tuple[str, str], tuple[str, str]]:
@@ -109,7 +135,7 @@ def lam_after(lam: float, t: float) -> float:
 
 
 def run_flow(
-    s: Surface, T: float, max_events: int = 10000, verify: str = "debug", stop=None
+    s: Surface, T: float, max_events: int = MAX_EVENTS, verify: str = "debug", stop=None
 ) -> Trajectory:
     """Iterate next_split and flip until time T (from s) or max_events; an
     infinite T, or one whose end lam is past the float range, flows until
@@ -130,8 +156,7 @@ def run_flow(
     cur = s
     ev = next_split(cur)
     while ev is not None and float(ev.threshold) <= lam_end_f:
-        at_event = cur.replace(lam=ev.threshold)
-        flipped, _ = flip(at_event, ev.edge)
+        flipped = flip(cur, ev.edge, ev.threshold)
         nxt = None
         if verify == "debug":
             # the probe's split is the next iteration's split: it is reused

@@ -18,10 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import compose_word, eigenpairs, image_diameter
-from .delaunay import greedy_delaunay, quad
+from .delaunay import delaunay_violations, develop, greedy_delaunay, quad
 from .errors import DegeneracyError, VeertrackError
-from .flow import Trajectory, detect_periodicity, lam_after, next_split, run_flow
-from .surface import Surface, area, rebase
+from .flow import MAX_EVENTS, Trajectory, detect_periodicity, earliest_split, lam_after, next_split, run_flow
+from .flow import split_candidates
+from .surface import Period, Surface, area, rebase
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +56,10 @@ def _closure_basis(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float]:
     return edges, vt[sum(sv > tol):], tol
 
 
-def _height_directions(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float, np.ndarray]:
+def _height_directions(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float, np.ndarray, float, dict]:
     """(edges, closure basis, its tolerance, gradient of the area along each
-    basis direction) for perturb_heights; pure in the triangles and periods
-    of s.
+    basis direction, the gradient's norm, edge -> index in edges) for
+    perturb_heights; pure in the triangles and periods of s.
 
     Area is bilinear in (w, h): a triangle with first sides (e, s_e) and
     (f, s_f) has twice its area s_e*s_f*(w_e*h_f - h_e*w_f), so the height
@@ -72,19 +73,18 @@ def _height_directions(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float, 
         sg = s_e * s_f / 2
         dh[idx[e]] -= sg * float(s.periods[f].w)
         dh[idx[f]] += sg * float(s.periods[e].w)
-    return edges, closure_null, tol, closure_null @ dh
+    grad = closure_null @ dh
+    return edges, closure_null, tol, grad, np.linalg.norm(grad), idx
 
 
 def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
     """s with its imaginary parts moved by delta along a random unit
     direction that keeps every triangle closed and preserves the total area
     to first order."""
-    edges, closure_null, tol, grad = s.cached("height_directions", _height_directions)
+    edges, closure_null, tol, grad, gn, idx = s.cached("height_directions", _height_directions)
     if closure_null.shape[0] == 0:
         raise DegeneracyError("no admissible height perturbation: closure fills the space")
-    idx = {e: i for i, e in enumerate(edges)}
     coeffs = np.array([rng.gauss(0, 1) for _ in range(closure_null.shape[0])])
-    gn = np.linalg.norm(grad)
     if gn > tol:
         coeffs = coeffs - (coeffs @ grad) / gn**2 * grad
     if np.linalg.norm(coeffs) < 1e-12:
@@ -92,7 +92,7 @@ def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
     u = coeffs @ closure_null
     u = u / np.linalg.norm(u)
     return s.replace(
-        periods={e: (s.periods[e].w, s.periods[e].h + delta * float(u[idx[e]])) for e in s.edges}
+        periods={e: (s.periods[e].w, s.periods[e].h + delta * float(u[idx[e]])) for e in edges}
     )
 
 
@@ -141,6 +141,16 @@ def contraction_experiment(
     height separation at evenly spaced checkpoint times.  Trials whose two
     trajectories disagree combinatorially are dropped; a checkpoint distance
     under ROUNDOFF_FLOOR roundoff units is an error.
+
+    A trial moves the heights alone, so it starts on the strong stable leaf
+    of s: the same vertical foliation, the same widths.  The flow scales
+    the widths of both by one factor, and a split's new width is a sum of
+    widths, so as long as the trial splits where s does its widths stay
+    those of s, bit for bit, and the two flows converge along the leaf.
+    Each trial therefore replays the base trajectory (_replay) instead of
+    flowing from scratch: the candidates of each split, which read the
+    triangles and widths alone, are the base's, and only their heights are
+    tested again.
     """
     for name, value in (("time", total_t), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
@@ -150,30 +160,39 @@ def contraction_experiment(
             raise VeertrackError(f"{name} must be at least 1, not {value}")
     s, _ = greedy_delaunay(rebase(s))
     times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
-    base_traj = run_flow(s, total_t, verify="off")
-    sig_a = [(ev.edge, ev.direction) for ev in base_traj.events]
-    base_states = _states_at(base_traj, times)
+    base = run_flow(s, total_t, verify="off")
+    states = base.states()
+    # each state's split candidates, which the base flow found, with their
+    # quad_sides, read once for all trials
+    cands = [[(e, *x.comb.sides(e)) for e in split_candidates(x)] for x in states]
+    lam0 = float(s.lam)
+    lam_end = lam_after(lam0, total_t)
+    lams = [lam_after(lam0, t) for t in times]
+    at = _state_indices([float(ev.threshold) for ev in base.events], lams)
     # each flowed once: every kept trial compares its own flow with these
     start_flowed = s.flowed_periods()
-    base_flowed = [b.flowed_periods() for b in base_states]
+    base_flowed = [states[k].replace(lam=lam).flowed_periods() for k, lam in zip(at, lams)]
     units = [_roundoff_unit(f) for f in base_flowed]
 
     def one_trial(i: int):
         sp = perturb_heights(s, random.Random(f"{seed}:{i}"), delta)
-        try:
-            pert_traj = run_flow(sp, total_t, verify="off")
-        except (DegeneracyError, VeertrackError):
+        got = _replay(sp, base.events, cands, lam_end)
+        if got is None:
             return None
-        sig_b = [(ev.edge, ev.direction) for ev in pert_traj.events]
+        periods, thresholds = got
         # the same word can still put an event on the other side of a
         # checkpoint, which then sits in another chart
-        pert_states = _states_at(pert_traj, times)
-        if sig_a != sig_b or any(b.triangles != p.triangles for b, p in zip(base_states, pert_states)):
+        at_p = _state_indices(thresholds, lams)
+        if any(states[k].triangles != states[j].triangles for k, j in zip(at, at_p)):
             return None
         d0 = _stable_distance(start_flowed, sp.flowed_periods())
         if d0 == 0:
             raise VeertrackError(f"delta {delta} does not move the heights at float precision")
-        dists = [_stable_distance(f, p.flowed_periods()) for f, p in zip(base_flowed, pert_states)]
+        pert_flowed = (
+            Surface._normalised(states[j].comb, periods[j], sp.num, lam, {}).flowed_periods()
+            for j, lam in zip(at_p, lams)
+        )
+        dists = [_stable_distance(f, p) for f, p in zip(base_flowed, pert_flowed)]
         k = min(range(checkpoints), key=lambda k: dists[k] / units[k])
         if dists[k] == 0:
             raise VeertrackError(f"delta {delta} is too small: the distance at time {times[k]} rounds to 0")
@@ -203,18 +222,52 @@ def contraction_experiment(
     return ContractionFit(times, tuple(kept), -float(slope), math.exp(float(intercept)), r2, dropped)
 
 
-def _states_at(traj: Trajectory, times) -> list[Surface]:
-    """The surfaces of traj at the nondecreasing times past its start, each
-    in the chart current there, from one walk over the events."""
-    lam0 = float(traj.start.lam)
-    out, state, k = [], traj.start, 0
-    events, surfaces = traj.events, traj.surfaces
-    for t in times:
-        lam = lam_after(lam0, t)
-        while k < len(events) and float(events[k].threshold) <= lam:
-            state = surfaces[k]
+def _replay(sp: Surface, events: list, cands: list, lam_end: float):
+    """(periods, thresholds): the periods of sp at each state of
+    run_flow(sp, T, verify="off") and its event thresholds, when that flow,
+    whose end lam is lam_end, makes the given events; None when it makes
+    others or raises.  The events are those of the base flow from the
+    triangles and widths of sp over the same T, and cands holds, per state
+    of the base flow, its split_candidates as (edge, t1, t2, sides).
+
+    While sp makes the base's events its widths are the base's bit for bit
+    (a flip's new width is a sum of widths), so its split candidates at each
+    state are the base's.  The rest of what its flow runs is run here: the
+    start certificate, develop's axis-parallel test on each candidate,
+    earliest_split, the split past lam_end that ends the flow, and the
+    MAX_EVENTS stop."""
+    try:
+        if delaunay_violations(sp):
+            return None
+        num, lam, periods = sp.num, sp.lam, sp.periods
+        out, thresholds = [periods], []
+        # the last state has no event of the base: a split there must end the flow
+        for here, ev in zip(cands, events + [None]):
+            got = earliest_split(num, lam, [develop(num, periods, *c) for c in here], periods)
+            if got is None or not got[0] <= lam_end:
+                return (out, thresholds) if ev is None else None
+            lam, q, direction = got
+            if ev is None or (q.edge, direction) != (ev.edge, ev.direction):
+                return None
+            periods = dict(periods)
+            periods[q.edge] = Period._make(q.diagonal)
+            out.append(periods)
+            thresholds.append(lam)
+            if len(thresholds) >= MAX_EVENTS:
+                return out, thresholds
+    except (DegeneracyError, VeertrackError):
+        return None
+
+
+def _state_indices(thresholds, lams) -> list[int]:
+    """The index of the state current at each of the nondecreasing lams,
+    the count of the nondecreasing event thresholds at or below it, from
+    one walk."""
+    out, k = [], 0
+    for lam in lams:
+        while k < len(thresholds) and thresholds[k] <= lam:
             k += 1
-        out.append(state.replace(lam=lam))
+        out.append(k)
     return out
 
 

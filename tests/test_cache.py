@@ -74,10 +74,12 @@ def assert_coherent(s: Surface):
     assert s.vertex_classes() == fresh.vertex_classes()
     for e in s.edges:
         assert _outcome(quad, s, e) == _outcome(build_quad, fresh, e)
+    if "split_candidates" in s._derived:
+        assert s._derived["split_candidates"] == flow._large_in_both(fresh)
     if "height_directions" in s._derived:
-        edges, basis, tol, grad = s._derived["height_directions"]
-        edges2, basis2, tol2, grad2 = lab._height_directions(fresh)
-        assert (edges, tol) == (edges2, tol2)
+        edges, basis, tol, grad, norm, idx = s._derived["height_directions"]
+        edges2, basis2, tol2, grad2, norm2, idx2 = lab._height_directions(fresh)
+        assert (edges, tol, norm, idx) == (edges2, tol2, norm2, idx2)
         assert np.array_equal(basis, basis2) and np.array_equal(grad, grad2)
 
 
@@ -93,10 +95,10 @@ def test_flow_states_are_coherent(name, verify):
 def test_flow_word_states_are_coherent(monkeypatch):
     seen = []
 
-    def recording(s, e):
-        flipped, rec = flip(s, e)
+    def recording(s, e, lam):
+        flipped = flip(s, e, lam)
         seen.extend((s, flipped))
-        return flipped, rec
+        return flipped
 
     replay = lab._flow_word
 
@@ -134,7 +136,7 @@ def test_lam_only_copies_share_the_cache():
 
 def test_flip_leaves_its_parent_as_it_was():
     s = _warm(gold())
-    flipped, _ = flip(s, "e1")
+    flipped = flip(s, "e1", s.lam)
     assert_coherent(s)
     assert_coherent(flipped)
 
@@ -262,28 +264,39 @@ def test_validate_indexes_the_triangles_once(monkeypatch, build, mode):
 
 
 def test_contraction_trials_build_no_combinatorics(monkeypatch):
-    flows, counts = [], []
-    real = lab.run_flow
+    flows, counts, replays = [], [], []
+    real_flow, real_replay = lab.run_flow, lab._replay
 
     def recording(s, T, **kwargs):
         with monkeypatch.context() as m:
             counted = _count_builders(m)
-            flows.append(real(s, T, **kwargs))
+            flows.append(real_flow(s, T, **kwargs))
         counts.append(counted)
         return flows[-1]
 
+    def recording_replay(sp, events, cands, lam_end):
+        with monkeypatch.context() as m:
+            counted = _count_builders(m)
+            replays.append(real_replay(sp, events, cands, lam_end))
+        counts.append(counted)
+        return replays[-1]
+
     monkeypatch.setattr(lab, "run_flow", recording)
+    monkeypatch.setattr(lab, "_replay", recording_replay)
     x = (2 + math.sqrt(8)) / 2
     # four periods of x_2, whose period is 2 log x
     fit = lab.contraction_experiment(_slope(2), 8 * math.log(x), checkpoints=4, trials=6, seed=1)
     assert len(fit.log_ratios) == 6
-    # the base flow builds what its triangulations need, and the trials,
+    # the base flow alone: the trials replay it
+    assert len(flows) == 1 and len(replays) == 6
+    # the base flow builds what its triangulations need, and the replays,
     # which follow its word, find all of it kept
     assert counts[0]["edge_occurrences"] > 0
     assert counts[1:] == [Counter()] * 6
-    for traj in flows:
-        for s in traj.states():
-            assert_coherent(s)
+    for s in flows[0].states():
+        assert_coherent(s)
+    for periods, thresholds in replays:
+        assert len(periods) == len(thresholds) + 1 == len(flows[0].states())
 
 
 def test_tables_are_freed_with_their_surfaces():

@@ -192,6 +192,13 @@ class TestExitCodes:
         assert out.err.startswith(f"error: delta {delta} is too small: the distance at time ")
         assert out.err.endswith(" roundoff units of the heights, below 4\n")
 
+    def test_contract_exits_1_when_every_trial_is_dropped(self, capsys, gold_doc):
+        # heights moved by 5 fail the start certificate or leave the word
+        assert main(["contract", "--input", gold_doc, "--time", "4", "--delta", "5"]) == 1
+        assert tuple(capsys.readouterr()) == (
+            "", "error: every trial was dropped: no combinatorially shadowing pair\n"
+        )
+
     @pytest.mark.parametrize("time", ["1e-300", "1e-200"])
     def test_contract_rejects_a_time_too_short_to_fit(self, capsys, gold_doc, time):
         assert main(["contract", "--input", gold_doc, "--time", time]) == 1
@@ -247,6 +254,12 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: {message}")
+
+    def test_close_exits_1_without_a_recurrence_in_the_window(self, capsys, gold_doc):
+        # gold's return spans GOLD_PERIOD_T, about 0.96, and a window of 0.5
+        # holds one event, at t = 0.1
+        assert main(["close", "--input", gold_doc, "--time", "0.5"]) == 1
+        assert tuple(capsys.readouterr()) == ("", "error: no approximate recurrence within the search window\n")
 
     def test_close_with_zero_delta_does_not_perturb(self, capsys, gold_doc):
         assert main(["close", "--input", gold_doc]) == 0

@@ -78,15 +78,24 @@ class TestSlopes:
 class TestFlip:
     def test_flip_preserves_surface_invariants(self):
         s = t2()
-        flipped, rec = flip(s, "e1")
+        flipped = flip(s, "e1", s.lam)
         assert validate(flipped).passed
         assert area(flipped) == area(s)
-        assert rec.old_edge == "e1"
-        assert rec.old_period == (Fraction(1), Fraction(3, 10))
+        assert s.periods["e1"] == (Fraction(1), Fraction(3, 10))
+        assert flipped.periods["e1"] == quad(s, "e1").diagonal
+        assert all(flipped.periods[e] == s.periods[e] for e in ("e2", "e3"))
+
+    def test_flip_puts_the_surface_at_the_given_lam(self):
+        s = t2()
+        lam = Fraction(7, 5)
+        at, here = flip(s, "e1", lam), flip(s, "e1", s.lam)
+        assert (at.lam, here.lam) == (lam, s.lam)
+        assert (at.triangles, at.periods) == (here.triangles, here.periods)
+        assert at.comb is here.comb
 
     def test_flip_twice_restores_geometry(self):
         s = t2()
-        back, _ = flip(flip(s, "e1")[0], "e1")
+        back = flip(flip(s, "e1", s.lam), "e1", s.lam)
         for e in s.edges:
             p, q = s.periods[e], back.periods[e]
             assert (abs(p.w), abs(p.h)) == (abs(q.w), abs(q.h))
@@ -95,7 +104,7 @@ class TestFlip:
         s = pillow()
         assert not quad(s, "b").flippable
         with pytest.raises(NotFlippableError):
-            flip(s, "b")
+            flip(s, "b", s.lam)
 
     def test_random_flip_chains_stay_valid(self):
         rng = random.Random(5)
@@ -163,7 +172,7 @@ class TestGreedy:
         cur = s
         while not is_delaunay(cur):
             bad = delaunay_violations(cur)
-            cur, _ = flip(cur, bad[0])
+            cur = flip(cur, bad[0], cur.lam)
             lengths.append(total_linf(cur))
         assert all(b <= a + 1e-9 for a, b in zip(lengths, lengths[1:]))
 

@@ -199,6 +199,55 @@ class TestNextSplitAgainstReference:
         assert _split_outcome(next_split, s) == (DegeneracyError, message)
 
 
+def _composed_split(s: Surface):
+    """(threshold, edge, direction) of earliest_split over split_candidates,
+    on quadrilaterals built afresh, or None."""
+    quads = [delaunay.build_quad(s, e) for e in flow.split_candidates(s)]
+    got = flow.earliest_split(s.num, s.lam, quads, s.periods)
+    return None if got is None else (got[0], got[1].edge, got[2])
+
+
+def _event_key(s: Surface):
+    """next_split(s) as (threshold, edge, direction), or what it raises."""
+    ev = _split_outcome(next_split, s)
+    return (ev.threshold, ev.edge, ev.direction) if isinstance(ev, flow.SplitEvent) else ev
+
+
+class TestSplitHalves:
+    """next_split against its two halves called apart: split_candidates,
+    which reads the triangles and widths, and earliest_split, which the
+    contraction trials run on quadrilaterals of their own."""
+
+    @pytest.mark.parametrize("name", list(SPLIT_STATES))
+    def test_halves_compose_to_next_split(self, name):
+        outcomes = []
+        for state in SPLIT_STATES[name]():
+            for s in (state, _other_mode(state)):
+                cands = _split_outcome(flow.split_candidates, s)
+                if isinstance(cands, list):
+                    assert sorted(cands) == reference_large_edges(s)
+                for probe in _split_probes(s):
+                    expected = _event_key(probe)
+                    assert _split_outcome(_composed_split, probe) == expected
+                    outcomes.append(expected)
+        assert any(x is not None for x in outcomes)
+
+    def test_the_pillow_tie_raises_in_earliest_split(self):
+        s = SPLIT_STATES["pillow"]()[-1]
+        # in the order of their second slots; the tie is reported by threshold, then edge
+        assert flow.split_candidates(s) == ["t", "b"]
+        message = "simultaneous split events on b and t"
+        assert _split_outcome(_composed_split, s) == (DegeneracyError, message)
+        assert _split_outcome(next_split, s) == (DegeneracyError, message)
+
+    def test_candidates_read_the_widths_alone(self):
+        # the heights moved as a contraction trial moves them: the same list
+        for n in (1, 2, 3):
+            for s in _perturbed_flow(n):
+                moved = s.replace(periods={e: (p.w, 1.5 * p.h) for e, p in s.periods.items()})
+                assert flow.split_candidates(moved) == flow.split_candidates(s)
+
+
 class TestRunFlow:
     def test_event_times_are_increasing(self):
         traj = run_flow(gold(), 3.0)
@@ -494,7 +543,7 @@ class TestTriangleIsomorphisms:
     @pytest.mark.parametrize("build, edge", [(pillow, "dF"), (pillow, "dB"), (octagon, "g3")])
     def test_a_flipped_copy_yields_none(self, build, edge):
         s = build()
-        flipped, _ = delaunay.flip(s, edge)
+        flipped = delaunay.flip(s, edge, s.lam)
         copy, _ = _relabelled(flipped, random.Random(1))
         assert next(_triangle_isomorphisms(s, flipped), None) is None
         assert next(_triangle_isomorphisms(s, copy), None) is None
@@ -521,7 +570,7 @@ class TestIsomorphismWalkCost:
         reads, found = [0], 0
         for build in (pillow, octagon):
             s = build()
-            states = [s] + [delaunay.flip(s, e)[0] for e in s.edges if quad(s, e).flippable]
+            states = [s] + [delaunay.flip(s, e, s.lam) for e in s.edges if quad(s, e).flippable]
             for x in states:
                 x.comb._occ = _CountingIndex(edge_occurrences(x.triangles), reads)
             found += sum(1 for a in states for b in states for _ in _triangle_isomorphisms(a, b))
@@ -543,7 +592,7 @@ def _isomorphism_pairs():
                 yield f"{name}[{m}, {m2}]", a, b
     for build, edge in ((pillow, "dF"), (pillow, "dB"), (octagon, "g3")):
         s = build()
-        flipped, _ = delaunay.flip(s, edge)
+        flipped = delaunay.flip(s, edge, s.lam)
         copies = [s, flipped, *(_relabelled(x, random.Random(seed))[0] for x in (s, flipped) for seed in range(3))]
         for i, a in enumerate(copies):
             for j, b in enumerate(copies):

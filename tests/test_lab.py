@@ -6,12 +6,19 @@ import random
 import numpy as np
 import pytest
 
-from util import count_sigma_reads, reference_roundoff_unit, reference_stable_distance, reference_state_at
+from util import (
+    count_sigma_reads,
+    reference_contraction_experiment,
+    reference_roundoff_unit,
+    reference_stable_distance,
+    reference_state_at,
+)
 
 import veertrack.delaunay as delaunay
 import veertrack.flow as flow
 import veertrack.lab as lab
 from veertrack.cones import compose_word, eigenpairs, image_diameter
+from veertrack.delaunay import greedy_delaunay
 from veertrack.errors import VeertrackError
 from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
@@ -20,7 +27,7 @@ from veertrack.lab import (
     contraction_experiment,
     hilbert_contraction_experiment,
 )
-from veertrack.surface import Surface, area
+from veertrack.surface import Surface, area, rebase
 
 
 def _slope(n: int) -> float:
@@ -66,6 +73,79 @@ class TestStableContraction:
             contraction_experiment(gold(), 2.0, checkpoints=checkpoints)
 
 
+REPLAY_STARTS = {"gold": gold, **{f"x_{n}": (lambda n=n: slope_torus(_slope(n))) for n in (1, 2, 3)}}
+
+
+def _replay_windows(build) -> list[float]:
+    """Flow times 2, 4 and 8, and four windows that end 1e-9 and 1e-4 on
+    either side of the fourth event of the fit's base flow."""
+    s, _ = greedy_delaunay(rebase(build()))
+    t = run_flow(s, 8.0, verify="off").times()[3]
+    return [2.0, 4.0, 8.0] + [t + d for d in (-1e-4, -1e-9, 1e-9, 1e-4)]
+
+
+class TestTrialReplay:
+    """contraction_experiment, whose trials replay the base trajectory,
+    against reference_contraction_experiment, whose trials each flow with
+    run_flow and compare their word with the base's."""
+
+    @pytest.mark.parametrize("name", list(REPLAY_STARTS))
+    def test_replay_equals_flowing_each_trial(self, name):
+        build = REPLAY_STARTS[name]
+        seen = set()
+        for total_t in _replay_windows(build):
+            for delta in (1e-4, 1e-2, 0.3, 5.0):
+                for seed in range(3):
+                    reasons = []
+                    want = reference_contraction_experiment(build(), total_t, delta=delta, seed=seed, reasons=reasons)
+                    try:
+                        got = contraction_experiment(build(), total_t, delta=delta, seed=seed)
+                    except VeertrackError as exc:
+                        got = str(exc)
+                    assert got == want, (total_t, delta, seed)
+                    seen.update(reasons)
+        # the grid drops trials on the start certificate, on a checkpoint
+        # chart and at the window end, and keeps some
+        assert {None, "start", "chart", "window-end"} <= seen
+
+    @staticmethod
+    def _base(total_t, max_events=flow.MAX_EVENTS):
+        s, _ = greedy_delaunay(rebase(slope_torus(_slope(2))))
+        base = run_flow(s, total_t, max_events=max_events, verify="off")
+        cands = [[(e, *x.comb.sides(e)) for e in flow.split_candidates(x)] for x in base.states()]
+        return s, base, cands, flow.lam_after(1.0, total_t)
+
+    def test_replay_is_the_trials_own_flow(self):
+        s, base, cands, lam_end = self._base(4.0)
+        sp = _perturbed(s, 3, 1e-6)
+        periods, thresholds = lab._replay(sp, base.events, cands, lam_end)
+        traj = run_flow(sp, 4.0, verify="off")
+        assert thresholds == [ev.threshold for ev in traj.events]
+        assert periods == [x.periods for x in traj.states()]
+
+    def test_replay_leaves_at_another_word_or_window(self):
+        # on a one-vertex torus a trial cannot make another word without
+        # raising (one candidate, and the width cross-check fixes its
+        # direction), so the base's word is changed instead
+        s, base, cands, lam_end = self._base(4.0)
+        sp = _perturbed(s, 3, 1e-6)
+        thresholds = lab._replay(sp, base.events, cands, lam_end)[1]
+        ev = base.events[2]
+        events = [*base.events[:2], ev._replace(direction="R" if ev.direction == "L" else "L"), *base.events[3:]]
+        assert lab._replay(sp, events, cands, lam_end) is None
+        # a window that ends before the trial's last event, and one that
+        # takes in its next
+        assert lab._replay(sp, base.events, cands, (thresholds[-2] + thresholds[-1]) / 2) is None
+        assert lab._replay(sp, base.events, cands, flow.lam_after(1.0, 8.0)) is None
+
+    def test_replay_stops_at_max_events(self, monkeypatch):
+        monkeypatch.setattr(lab, "MAX_EVENTS", 3)
+        s, base, cands, lam_end = self._base(4.0, max_events=3)
+        sp = _perturbed(s, 3, 1e-6)
+        thresholds = lab._replay(sp, base.events, cands, lam_end)[1]
+        assert thresholds == [ev.threshold for ev in run_flow(sp, 4.0, max_events=3, verify="off").events]
+
+
 CHECKPOINT_FLOWS = {
     "gold": lambda: run_flow(gold(), 4 * GOLD_PERIOD_T, verify="off"),
     **{
@@ -106,10 +186,12 @@ class TestCheckpointReads:
         on_events = _threshold_times(traj)
         assert on_events  # a checkpoint sits exactly on an event threshold
         times = sorted([0.0, *(traj.t_end * (k + 1) / 8 for k in range(8)), *on_events, 2 * traj.t_end])
-        got = lab._states_at(traj, times)
-        assert len(got) == len(times)
-        for s, t in zip(got, times):
-            assert _same_chart(s, reference_state_at(traj, t))
+        lams = [flow.lam_after(float(traj.start.lam), t) for t in times]
+        at = lab._state_indices([float(ev.threshold) for ev in traj.events], lams)
+        assert len(at) == len(times)
+        states = traj.states()
+        for k, lam, t in zip(at, lams, times):
+            assert _same_chart(states[k].replace(lam=lam), reference_state_at(traj, t))
 
     @pytest.mark.parametrize(
         "build", [gold, lambda: octagon("float").replace(lam=2.5)], ids=["gold", "octagon"]
@@ -153,14 +235,14 @@ class TestAreaGradient:
         # area is linear in the heights, and the heights of a surface are a
         # closed direction, so the gradient applied to them gives the area
         s = AREA_SURFACES[name]()
-        edges, basis, _, grad = lab._height_directions(s)
+        edges, basis, _, grad = lab._height_directions(s)[:4]
         a = float(area(s))
         assert abs(grad @ (basis @ self._heights(s, edges)) - a) <= 1e-12 * a
 
     @pytest.mark.parametrize("name", list(AREA_SURFACES))
     def test_central_difference_along_each_basis_row(self, name):
         s = AREA_SURFACES[name]()
-        edges, basis, _, grad = lab._height_directions(s)
+        edges, basis, _, grad = lab._height_directions(s)[:4]
         h0 = self._heights(s, edges)
         step = 1e-6
 
@@ -329,6 +411,15 @@ class TestReplayCheck:
         assert len(probes) == len(result.word) + 1 == 7
         assert 1 < probes[0] and all(a < b for a, b in zip(probes, probes[1:]))
         assert probes[-2] < result.lam_w**2 < probes[-1]
+
+    def test_a_word_the_point_does_not_follow_is_refused(self):
+        result = closing_search(gold())
+        word = list(result.word)
+        assert lab._flow_word(result.surface, word).lam > result.surface.lam  # the point follows its own word
+        (edge, letter), rest = word[0], word[1:]
+        other = [(edge, "R" if letter == "L" else "L"), *rest]
+        with pytest.raises(VeertrackError, match="trajectory left the combinatorial neighborhood of the word"):
+            lab._flow_word(result.surface, other)
 
     @pytest.mark.parametrize(
         "matrix", [[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]], ids=["complex", "double"]

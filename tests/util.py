@@ -3,7 +3,8 @@ exact trajectory prefixes, and oracles: brute-force ones, exact algebra on
 veertrack._exact's elimination, a combinatorial split path beside the
 flow's, and the split event and checkpoint reads in their earlier,
 several-pass forms, the periodicity search in its earlier whole-trajectory
-order, and the double description in its earlier dense form."""
+order, the double description in its earlier dense form, and the
+contraction fit whose trials each flow from scratch."""
 
 from __future__ import annotations
 
@@ -17,10 +18,13 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from veertrack._exact import _eliminate, rank
 from veertrack.cones import TransitionPair, compose_word
 from veertrack.delaunay import (
     MAX_FLIPS,
+    FlipRecord,
     build_quad,
     delaunay_violations,
     flip,
@@ -41,6 +45,14 @@ from veertrack.flow import (
     _triangle_isomorphisms,
     lam_after,
     next_split,
+    run_flow,
+)
+from veertrack.lab import (
+    ROUNDOFF_FLOOR,
+    ContractionFit,
+    _roundoff_unit,
+    _stable_distance,
+    perturb_heights,
 )
 from veertrack.surface import (
     EPS_ANGLE,
@@ -90,8 +102,9 @@ def full_pass_greedy(s: Surface):
         if not bad:
             return cur, records
         bad.sort(key=lambda e: (-linf_scaled(cur, cur.periods[e]), e))
-        cur, rec = flip(cur, bad[0])
-        records.append(rec)
+        old = cur.periods[bad[0]]
+        records.append(FlipRecord(bad[0], (old.w, old.h), quad(cur, bad[0]).diagonal))
+        cur = flip(cur, bad[0], cur.lam)
     raise VeertrackError(f"greedy did not terminate within {MAX_FLIPS} flips")
 
 
@@ -424,9 +437,8 @@ def exact_trajectory_prefix(s: Surface, max_events: int = 20):
             break
         if ev is None:
             break
-        at = cur.replace(lam=ev.threshold)
         try:
-            cur, _ = flip(at, ev.edge)
+            cur = flip(cur, ev.edge, ev.threshold)
         except (DegeneracyError, NotFlippableError):
             break
         events.append(ev)
@@ -450,7 +462,7 @@ def scramble(s: Surface, rng: random.Random, flips: int = 8) -> Surface:
             break
         e = rng.choice(sorted(candidates))
         try:
-            cur, _ = flip(cur, e)
+            cur = flip(cur, e, cur.lam)
         except (DegeneracyError, NotFlippableError):
             continue
     return cur
@@ -847,3 +859,116 @@ def reference_detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> Per
                     relabel = {e: (e2, glob * f) for e, (e2, f) in sigma.items()}
                     return PeriodicMatch(m, m2, relabel, lam_w, tuple(traj.events[m:m2]))
     return None
+
+
+# ---------------------------------------------------------------------------
+# the contraction fit whose trials each flow from scratch: run_flow on every
+# perturbed start, the word comparison, and one walk over the events for the
+# checkpoint states
+
+
+def reference_states_at(traj: Trajectory, times) -> list[Surface]:
+    """The surfaces of traj at the nondecreasing times past its start, each
+    in the chart current there, from one walk over the events."""
+    lam0 = float(traj.start.lam)
+    out, state, k = [], traj.start, 0
+    events, surfaces = traj.events, traj.surfaces
+    for t in times:
+        lam = lam_after(lam0, t)
+        while k < len(events) and float(events[k].threshold) <= lam:
+            state = surfaces[k]
+            k += 1
+        out.append(state.replace(lam=lam))
+    return out
+
+
+def _drop_reason(sp: Surface, sig_a, sig_b) -> str:
+    """Why a trial whose flow raised (sig_b None) or made the word sig_b
+    was dropped: its start certificate, a word that stops early or runs on
+    past the base's (the window end), another word, or another exception."""
+    if sig_b is None:
+        try:
+            return "start" if delaunay_violations(sp) else "raise"
+        except (DegeneracyError, VeertrackError):
+            return "start"
+    n = min(len(sig_a), len(sig_b))
+    return "window-end" if sig_a[:n] == sig_b[:n] else "word"
+
+
+def reference_contraction_experiment(
+    s: Surface, total_t, checkpoints=8, trials=6, delta=1e-4, seed=0, reasons=None
+):
+    """lab.contraction_experiment in its earlier form, which flowed each
+    trial with run_flow and compared its word with the base's.  The
+    ContractionFit, or the message of the VeertrackError it raises; reasons,
+    when given, receives per trial None when kept, else why it was dropped
+    ("start", "raise", "window-end", "word" or "chart")."""
+    try:
+        fit = _reference_contraction(s, total_t, checkpoints, trials, delta, seed, reasons)
+    except VeertrackError as exc:
+        return str(exc)
+    return fit
+
+
+def _reference_contraction(s, total_t, checkpoints, trials, delta, seed, reasons):
+    reasons = [] if reasons is None else reasons
+    for name, value in (("time", total_t), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise VeertrackError(f"{name} must be finite and positive, not {value}")
+    for name, value in (("checkpoints", checkpoints), ("trials", trials)):
+        if not value >= 1:
+            raise VeertrackError(f"{name} must be at least 1, not {value}")
+    s, _ = greedy_delaunay(rebase(s))
+    times = tuple(total_t * (k + 1) / checkpoints for k in range(checkpoints))
+    base_traj = run_flow(s, total_t, verify="off")
+    sig_a = [(ev.edge, ev.direction) for ev in base_traj.events]
+    base_states = reference_states_at(base_traj, times)
+    start_flowed = s.flowed_periods()
+    base_flowed = [b.flowed_periods() for b in base_states]
+    units = [_roundoff_unit(f) for f in base_flowed]
+
+    def one_trial(i: int):
+        sp = perturb_heights(s, random.Random(f"{seed}:{i}"), delta)
+        try:
+            pert_traj = run_flow(sp, total_t, verify="off")
+        except (DegeneracyError, VeertrackError):
+            reasons.append(_drop_reason(sp, sig_a, None))
+            return None
+        sig_b = [(ev.edge, ev.direction) for ev in pert_traj.events]
+        pert_states = reference_states_at(pert_traj, times)
+        if sig_a != sig_b:
+            reasons.append(_drop_reason(sp, sig_a, sig_b))
+            return None
+        if any(b.triangles != p.triangles for b, p in zip(base_states, pert_states)):
+            reasons.append("chart")
+            return None
+        reasons.append(None)
+        d0 = _stable_distance(start_flowed, sp.flowed_periods())
+        if d0 == 0:
+            raise VeertrackError(f"delta {delta} does not move the heights at float precision")
+        dists = [_stable_distance(f, p.flowed_periods()) for f, p in zip(base_flowed, pert_states)]
+        k = min(range(checkpoints), key=lambda k: dists[k] / units[k])
+        if dists[k] == 0:
+            raise VeertrackError(f"delta {delta} is too small: the distance at time {times[k]} rounds to 0")
+        if dists[k] < ROUNDOFF_FLOOR * units[k]:
+            raise VeertrackError(
+                f"delta {delta} is too small: the distance at time {times[k]} is "
+                f"{dists[k] / units[k]:.3g} roundoff units of the heights, below {ROUNDOFF_FLOOR:g}"
+            )
+        return tuple(math.log(d / d0) for d in dists)
+
+    results = [one_trial(i) for i in range(trials)]
+    kept = [row for row in results if row is not None]
+    dropped = sum(1 for row in results if row is None)
+    if not kept:
+        raise VeertrackError("every trial was dropped: no combinatorially shadowing pair")
+    xs = np.array([t for row in kept for t in times])
+    ys = np.array([v for row in kept for v in row])
+    if not np.sum(xs * xs) > 0:
+        raise VeertrackError(f"time {total_t} is too short to fit a decay rate")
+    slope, intercept = np.polyfit(xs, ys, 1)
+    pred = slope * xs + intercept
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return ContractionFit(times, tuple(kept), -float(slope), math.exp(float(intercept)), r2, dropped)
