@@ -14,9 +14,9 @@ for both verify modes and for a cold and a warm combinatorial cache:
 
 Then prints, for x_1..x_8 and T = 16, the best of --repeat timings of
 --flows calls, in milliseconds per call, of `veertrack analyze`'s pipeline
-on a new surface: the flow stopped at the first return (run_flow with a
-PeriodicMatcher as its stop) and analyze_periodic_word, with the events
-that flow takes.
+on a new surface: detect_periodicity, the certified flow stopped at the
+first return, and analyze_periodic_word, with the events that flow
+takes.
 
 Then prints the best of --repeat timings, in milliseconds per call, of
 contraction_experiment on x_1..x_3 over four periods with 6 trials (the
@@ -50,7 +50,7 @@ from veertrack.cones import analyze_periodic_word
 from veertrack.delaunay import greedy_delaunay
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, slope_torus
-from veertrack.flow import PeriodicMatcher, run_flow
+from veertrack.flow import detect_periodicity, run_flow
 from veertrack.lab import contraction_experiment
 from veertrack.surface import Surface, parse_surface
 from veertrack.traintrack import dual_track, vertex_curves
@@ -93,9 +93,8 @@ def analyze_cost(n: int, flows: int, repeat: int) -> tuple[float, int]:
         starts = [fresh(base) for _ in range(flows)]
         t0 = time.perf_counter()
         for s in starts:
-            matcher = PeriodicMatcher(s)
-            traj = run_flow(s, FLOW_T, stop=matcher)
-            analyze_periodic_word(traj, matcher.match)
+            traj, match = detect_periodicity(s, FLOW_T)
+            analyze_periodic_word(traj, match)
         best = min(best, (time.perf_counter() - t0) / flows)
     return best * 1e3, len(traj.events)
 

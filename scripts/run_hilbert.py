@@ -27,7 +27,7 @@ def main() -> int:
     for t, d in zip(trace.event_times, trace.diameters):
         print(f"t {t:8.4f}  diameter {d if math.isinf(d) else round(d, 6)}")
 
-    match = detect_periodicity(traj)
+    _, match = detect_periodicity(traj.start, traj.t_end)
     branches = tuple(sorted(traj.start.edges))
     span = len(match.word)
     for k in range(1, args.periods):

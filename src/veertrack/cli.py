@@ -18,7 +18,7 @@ import sys
 
 from .delaunay import delaunay_violations, greedy_delaunay, is_veering, linf_scaled
 from .errors import DegeneracyError, DocumentError, VeertrackError
-from .flow import PeriodicMatcher, next_split, run_flow, thick_fraction
+from .flow import detect_periodicity, next_split, run_flow, thick_fraction
 from .surface import parse_surface, rebase, serialize_surface, surface_doc, validate
 from .traintrack import complementary_regions, dual_track, vertex_curves
 
@@ -115,10 +115,7 @@ def cmd_analyze(args) -> int:
     from .cones import analyze_periodic_word
 
     s, _ = greedy_delaunay(_load_valid(args.input))
-    # the flow stops at the first return: later events cannot change it
-    matcher = PeriodicMatcher(s)
-    traj = run_flow(s, args.time, max_events=args.max_events, stop=matcher)
-    match = matcher.match
+    traj, match = detect_periodicity(s, args.time, max_events=args.max_events)
     if match is None:
         print("no periodic return found in the time window")
         return 1

@@ -94,7 +94,14 @@ def earliest_split(num, lam, quads, periods):
     # when a flippable q's diagonal is axis-parallel, and quad keeps no such q
     d = q.diagonal
     direction = "L" if (d[0] > 0) == (d[1] > 0) else "R"
-    # cross-check with the width comparison that defines the track split
+    # cross-check with the width comparison that defines the track split.
+    # On closed triangles the two agree: e = a + b is widest in both, so
+    # wb - wa = 2 sign(e.w) (b + c).w, and the positive triangles, with b + c
+    # narrower and taller than e, give sign((b + c).h) = sign(e.w).  In float
+    # mode wb - wa also takes the closure defects of both triangles, which a
+    # flip adds up in its new triangle (d, a, b + c).  On a one-vertex torus
+    # they cancel (c = -a, d = -b); elsewhere they can pass 2 |(b + c).w|,
+    # which the axis test keeps only above 2e-9, and the check fires
     wb = abs(q.vectors[1][0]) + abs(q.vectors[3][0])
     wa = abs(q.vectors[0][0]) + abs(q.vectors[2][0])
     width_dir = "L" if wb > wa else "R"
@@ -157,7 +164,6 @@ def run_flow(
     ev = next_split(cur)
     while ev is not None and float(ev.threshold) <= lam_end_f:
         flipped = flip(cur, ev.edge, ev.threshold)
-        nxt = None
         if verify == "debug":
             # the probe's split is the next iteration's split: it is reused
             nxt = next_split(flipped)
@@ -349,9 +355,9 @@ def _may_match(a: _Signature, b: _Signature) -> bool:
 
 
 class PeriodicMatcher:
-    """detect_periodicity fed one state at a time: called with each event
-    and the surface after it (run_flow's stop), it returns True once the new
-    state recurs, and match then holds the return."""
+    """detect_periodicity's return test, fed one state at a time: called
+    with each event and the surface after it (run_flow's stop), it returns
+    True once the new state recurs, and match then holds the return."""
 
     def __init__(self, start: Surface, rel_tol: float = 1e-9):
         self.rel_tol = rel_tol
@@ -394,30 +400,29 @@ class PeriodicMatcher:
         return False
 
 
-def detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch | None:
-    """Find state indices m < m' whose surfaces recur as marked surfaces.
+def detect_periodicity(s: Surface, T: float, rel_tol: float = 1e-9, max_events: int = MAX_EVENTS):
+    """(trajectory, match): run_flow of s for time T, with its debug
+    certificate check, stopped at the first periodic return, and the
+    PeriodicMatch of that return, or None when the window holds none.
 
     A periodic orbit returns to the same point of moduli space, so the
     geometric (flow-applied) period vectors of the two states agree up to a
     relabeling and a global sign.  The width expansion across the period is
     then read off the flow parameters: lam_w = sqrt(lam_{m'} / lam_m).
 
-    The states are fed to a PeriodicMatcher in order, and each new state m'
-    is tried against the earlier states nearest first, m = m' - 1 down to 0:
-    the match returned is the first state that recurs, paired with its
-    nearest earlier match.  So the match found in any prefix of a trajectory
-    is the match of the whole trajectory, and a flow may stop at it (run_flow's
-    stop, as analyze does).  Two periods match when they differ by at most
-    rel_tol times the larger of |w| and |h| of the edge of state m.  Each
-    state's signature (its sorted |w|, sorted |h| and sorted signed w * h)
-    is built once; the backtracking isomorphism search runs only on pairs
-    whose signatures agree entrywise within the tolerance that a match
+    A PeriodicMatcher, the flow's stop, tries each new state m' against the
+    earlier states nearest first, m = m' - 1 down to 0: the match is the
+    first state that recurs, paired with its nearest earlier match, which
+    later events cannot change.  Two periods match when they differ by at
+    most rel_tol times the larger of |w| and |h| of the edge of state m.
+    Each state's signature (its sorted |w|, sorted |h| and sorted signed
+    w * h) is built once; the backtracking isomorphism search runs only on
+    pairs whose signatures agree entrywise within the tolerance that a match
     implies (see _may_match), a test that never rejects a pair that matches.
     On the slope torus x_n, whose word is LⁿRⁿ, the state n events on is
     the mirror image of the current one, with the same sorted |w| and |h|;
     its signed products differ, and the search runs on the matching pair
     alone.
     """
-    matcher = PeriodicMatcher(traj.start, rel_tol)
-    any(map(matcher, traj.events, traj.surfaces))
-    return matcher.match
+    matcher = PeriodicMatcher(s, rel_tol)
+    return run_flow(s, T, max_events=max_events, stop=matcher), matcher.match

@@ -80,10 +80,11 @@ def _height_directions(s: Surface) -> tuple[tuple[str, ...], np.ndarray, float, 
 def perturb_heights(s: Surface, rng: random.Random, delta: float) -> Surface:
     """s with its imaginary parts moved by delta along a random unit
     direction that keeps every triangle closed and preserves the total area
-    to first order."""
+    to first order.
+
+    The closure space is never 0: every edge has two sides, so 2E = 3F, and
+    the F closure rows leave at least E - F = F/2 >= 1 kernel rows."""
     edges, closure_null, tol, grad, gn, idx = s.cached("height_directions", _height_directions)
-    if closure_null.shape[0] == 0:
-        raise DegeneracyError("no admissible height perturbation: closure fills the space")
     coeffs = np.array([rng.gauss(0, 1) for _ in range(closure_null.shape[0])])
     if gn > tol:
         coeffs = coeffs - (coeffs @ grad) / gn**2 * grad
@@ -224,11 +225,12 @@ def contraction_experiment(
 
 def _replay(sp: Surface, events: list, cands: list, lam_end: float):
     """(periods, thresholds): the periods of sp at each state of
-    run_flow(sp, T, verify="off") and its event thresholds, when that flow,
-    whose end lam is lam_end, makes the given events; None when it makes
-    others or raises.  The events are those of the base flow from the
-    triangles and widths of sp over the same T, and cands holds, per state
-    of the base flow, its split_candidates as (edge, t1, t2, sides).
+    run_flow(sp, T) without its probes between events, and its event
+    thresholds, when that flow, whose end lam is lam_end, makes the given
+    events; None when it makes others or raises.  The events are those of
+    the base flow from the triangles and widths of sp over the same T, and
+    cands holds, per state of the base flow, its split_candidates as
+    (edge, t1, t2, sides).
 
     While sp makes the base's events its widths are the base's bit for bit
     (a flip's new width is a sum of widths), so its split candidates at each
@@ -361,10 +363,10 @@ def _flow_word(s: Surface, word_sig: list[tuple[str, str]]) -> Surface:
 def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:
     """Find the periodic orbit shadowed by the flow trajectory of s.
 
-    The trajectory of s is scanned for an approximate combinatorial
-    recurrence.  Along its word every flip is linear in the periods, so the
-    return acts on widths and on heights by one integer matrix R
-    (period_matrix) and then the flow scales them: the periodic orbit's
+    The certified flow of s stops at its first approximate combinatorial
+    recurrence (detect_periodicity).  Along its word every flip is linear in
+    the periods, so the return acts on widths and on heights by one integer
+    matrix R (period_matrix) and then the flow scales them: the periodic orbit's
     widths are the eigenvector of R for 1/lambda and its heights the one for
     lambda.  The heights are scaled so that the word's last split happens at
     the point, which anchors it at that event moment, and the point is
@@ -374,8 +376,7 @@ def closing_search(s: Surface, search_t: float = 5.0) -> ClosingResult:
     if not (math.isfinite(search_t) and search_t > 0):
         raise VeertrackError(f"time must be finite and positive, not {search_t}")
     s, _ = greedy_delaunay(rebase(s))
-    traj = run_flow(s, search_t, verify="off")
-    match = detect_periodicity(traj, rel_tol=0.1)
+    traj, match = detect_periodicity(s, search_t, rel_tol=0.1)
     if match is None:
         raise VeertrackError("no approximate recurrence within the search window")
     word_sig = [(ev.edge, ev.direction) for ev in match.word]

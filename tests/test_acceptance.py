@@ -23,6 +23,7 @@ from util import (
     random_suited_surface,
     random_veering_triangle,
     reconstruct_from_words,
+    scan_periodicity,
     scramble,
     tangential_equivalent,
     trapezoid_area,
@@ -48,7 +49,6 @@ from veertrack.fixtures import (
 )
 from veertrack.flow import (
     _triangle_isomorphisms,
-    detect_periodicity,
     next_split,
     run_flow,
     thick_fraction,
@@ -153,7 +153,7 @@ class TestCriterion04GreedyReduction:
 class TestCriterion05GoldenAnalysis:
     def test_dilatation_and_duality(self):
         traj = run_flow(gold(), 5 * GOLD_PERIOD_T)
-        match = detect_periodicity(traj)
+        match = scan_periodicity(traj)
         report = analyze_periodic_word(traj, match)
         oracle = (3 + math.sqrt(5)) / 2  # larger root of x^2 - 3x + 1
         assert report.lam_w == pytest.approx(oracle, abs=1e-9)
@@ -265,7 +265,7 @@ class TestCriterion11HilbertDecay:
         assert len(finite) >= 6
         assert all(b <= a + 1e-9 for a, b in zip(finite, finite[1:]))
 
-        match = detect_periodicity(traj)
+        match = scan_periodicity(traj)
         branches = tuple(sorted(traj.start.edges))
         span = len(match.word)
         for k in range(1, 9):
@@ -351,7 +351,7 @@ class TestCriterion14ThickImpliesFilling:
 
     def test_periodic_golden_word_fills(self):
         traj = run_flow(gold(), 5 * GOLD_PERIOD_T)
-        match = detect_periodicity(traj)
+        match = scan_periodicity(traj)
         report = analyze_periodic_word(traj, match)
         track, _ = dual_track(traj.states()[match.m])
         assert is_filling_subtrack(track, report.support)

@@ -210,12 +210,13 @@ class TestExitCodes:
     def test_time_past_the_float_range_flows_as_infinite_time(self, capsys, gold_doc, command):
         # e^{2T} overflows from T of about 355 up; float gold then flows
         # until its float degeneracy at t of about 19, as --time inf does;
-        # analyze stops at its first return, long before it, and reports it
-        if command == "analyze":
-            assert main(["analyze", "--input", gold_doc, "--time", "12"]) == 0
+        # analyze and close stop at their first return, long before it, and
+        # report it (close refuses an infinite time)
+        if command in ("analyze", "close"):
+            assert main([command, "--input", gold_doc, "--time", "12"]) == 0
             report = capsys.readouterr().out
-            for time in ("19", "400", "inf"):
-                assert main(["analyze", "--input", gold_doc, "--time", time]) == 0
+            for time in ("19", "400", "inf") if command == "analyze" else ("19", "400"):
+                assert main([command, "--input", gold_doc, "--time", time]) == 0
                 assert capsys.readouterr() == (report, "")
             return
         for time in ("400", "inf") if command in ("flow", "report") else ("400",):

@@ -9,7 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from util import exact_trajectory_prefix, mat_det, nonneg_shift, reconstruct_from_words, tangential_equivalent
+from util import (
+    exact_trajectory_prefix,
+    mat_det,
+    nonneg_shift,
+    reconstruct_from_words,
+    scan_periodicity,
+    tangential_equivalent,
+)
 
 from veertrack.cones import (
     analyze_periodic_word,
@@ -21,7 +28,7 @@ from veertrack.cones import (
     image_diameter,
 )
 from veertrack.delaunay import greedy_delaunay
-from veertrack.errors import VeertrackError
+from veertrack.errors import DegeneracyError, VeertrackError
 from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, slope_torus, t2
 from veertrack.flow import detect_periodicity, run_flow
 from veertrack.traintrack import dual_track
@@ -150,7 +157,7 @@ class TestPerron:
 
     def test_golden_analysis(self):
         traj = run_flow(gold(), 5 * GOLD_PERIOD_T)
-        match = detect_periodicity(traj)
+        match = scan_periodicity(traj)
         report = analyze_periodic_word(traj, match)
         assert report.is_pseudo_anosov
         assert report.filling
@@ -168,7 +175,7 @@ class TestPerron:
         # is (n^2 + 2 + n sqrt(n^2 + 4)) / 2; flowed as `analyze` flows it
         s, _ = greedy_delaunay(slope_torus((n + math.sqrt(n * n + 4)) / 2))
         traj = run_flow(s, 12 if n <= 3 else 16)
-        report = analyze_periodic_word(traj, detect_periodicity(traj))
+        report = analyze_periodic_word(traj, scan_periodicity(traj))
         with localcontext() as ctx:
             ctx.prec = 40
             exact = (n * n + 2 + n * Decimal(n * n + 4).sqrt()) / 2
@@ -200,3 +207,42 @@ class TestFirstPositivePower:
     )
     def test_small_patterns(self, matrix, k):
         assert first_positive_power(matrix) == k
+
+
+def _moved_gold(k: int):
+    """gold with coordinate k of every period (0 the width, 1 the height)
+    moved by up to 1e-3 of itself, off the periodic orbit."""
+    rng = random.Random(3)
+    g = gold()
+    return g.replace(
+        periods={e: tuple(x * (1 + rng.uniform(-1e-3, 1e-3)) if i == k else x for i, x in enumerate(p))
+                 for e, p in g.periods.items()}
+    )
+
+
+class TestReturnChecks:
+    """analyze_periodic_word refuses a return that its two states do not
+    bear out: an approximate return (rel_tol 0.1) of a surface moved off
+    the orbit, or states whose tangential measures are below its floor."""
+
+    def test_widths_off_the_orbit(self):
+        traj, match = detect_periodicity(greedy_delaunay(_moved_gold(0))[0], 12.0, rel_tol=0.1)
+        with pytest.raises(VeertrackError, match="width vector is not an eigenvector"):
+            analyze_periodic_word(traj, match)
+
+    def test_heights_off_the_orbit(self):
+        # the widths are gold's, so the eigenvector check passes
+        traj, match = detect_periodicity(greedy_delaunay(_moved_gold(1))[0], 12.0, rel_tol=0.1)
+        with pytest.raises(VeertrackError, match="tangential ratios disagree across branches"):
+            analyze_periodic_word(traj, match)
+
+    def test_tangential_measures_below_the_floor(self):
+        traj, match = detect_periodicity(gold(), 12.0)
+        analyze_periodic_word(traj, match)
+
+        def low(x):  # every height times 1e-13: each tangential measure under 1e-12
+            return x.replace(periods={e: (p.w, p.h * 1e-13) for e, p in x.periods.items()})
+
+        low_traj = traj._replace(start=low(traj.start), surfaces=[low(x) for x in traj.surfaces])
+        with pytest.raises(DegeneracyError, match="tangential measures vanish on every branch"):
+            analyze_periodic_word(low_traj, match)

@@ -18,6 +18,7 @@ from util import (
     reference_next_split,
     reference_triangle_isomorphisms,
     sampled_thick_fraction,
+    scan_periodicity,
     scramble,
     sheared_surface,
 )
@@ -36,10 +37,9 @@ from veertrack.fixtures import (
     slope_torus,
     t2,
 )
-from veertrack.delaunay import greedy_delaunay, quad
+from veertrack.delaunay import develop, greedy_delaunay, quad
 from veertrack.flow import (
     PeriodicMatch,
-    PeriodicMatcher,
     _may_match,
     _signature,
     _triangle_isomorphisms,
@@ -48,7 +48,7 @@ from veertrack.flow import (
     run_flow,
     thick_fraction,
 )
-from veertrack.surface import Surface, edge_occurrences, rebase, serialize_surface, validate
+from veertrack.surface import NUMBER_MODES, Surface, edge_occurrences, rebase, serialize_surface, validate
 from veertrack.traintrack import TrainTrack, large_slots
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -247,6 +247,32 @@ class TestSplitHalves:
                 moved = s.replace(periods={e: (p.w, 1.5 * p.h) for e, p in s.periods.items()})
                 assert flow.split_candidates(moved) == flow.split_candidates(s)
 
+    @pytest.mark.parametrize("defects, direction", [((0.0, 0.0), "L"), ((1.5e-9, 1e-9), None)])
+    def test_width_cross_check_fires_on_closure_defects(self, defects, direction):
+        # e = (1, 0.5) splits in the convex quadrilateral a, b, c, d, whose
+        # other diagonal d' = b + c = (1.2e-9, 2) has positive slope: L.  The
+        # widths of t1 = (a, b, -e) miss closure by defects[0], and those of
+        # t2 = (c, d, e) by defects[1]: a flip's new triangle (d, a, d')
+        # carries the defects of both old ones, so 1.5e-9 follows from two
+        # triangles within validate's 1e-9.  Then wb - wa = 2 d'.w - 2.5e-9
+        # reads R.
+        d1, d2 = defects
+        periods = {
+            "e": (1.0, 0.5),
+            "a": (0.4, -0.8),
+            "b": (0.6 + d1, 1.3),
+            "c": (-0.6 + 1.2e-9 - d1, 0.7),
+            "d": (-0.4 + d1 + d2 - 1.2e-9, -1.2),
+        }
+        num = NUMBER_MODES["float"]
+        q = develop(num, periods, "e", 0, 1, (("a", 1), ("b", 1), ("c", 1), ("d", 1)))
+        assert q.flippable and q.diagonal == pytest.approx((1.2e-9, 2.0), rel=1e-6)
+        if direction is None:
+            with pytest.raises(VeertrackError, match="edge e: slope direction L disagrees with width comparison"):
+                flow.earliest_split(num, 1.0, [q], periods)
+        else:
+            assert flow.earliest_split(num, 1.0, [q], periods) == (2.0, q, direction)
+
 
 class TestRunFlow:
     def test_event_times_are_increasing(self):
@@ -388,6 +414,11 @@ class TestRunFlow:
 
 
 class TestThickness:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(VeertrackError, match="eps must be finite and positive"):
+            thick_fraction(run_flow(gold(), 1.0), eps)
+
     def test_fraction_in_unit_interval(self):
         traj = run_flow(gold(), 3.0)
         stats = thick_fraction(traj, eps=0.05)
@@ -421,7 +452,7 @@ class TestThickness:
 class TestPeriodicity:
     def test_golden_torus_period(self):
         traj = run_flow(gold(), 4 * GOLD_PERIOD_T)
-        match = detect_periodicity(traj)
+        match = scan_periodicity(traj)
         assert match is not None
         assert match.lam_w == pytest.approx(GOLD_DILATATION, abs=1e-9)
         assert match.period_t == pytest.approx(GOLD_PERIOD_T, abs=1e-9)
@@ -430,14 +461,14 @@ class TestPeriodicity:
 
     def test_relabel_is_a_signed_bijection(self):
         traj = run_flow(gold(), 4 * GOLD_PERIOD_T)
-        match = detect_periodicity(traj)
+        match = scan_periodicity(traj)
         images = [e2 for e2, _ in match.relabel.values()]
         assert sorted(images) == sorted(match.relabel.keys())
         assert all(sg in (1, -1) for _, sg in match.relabel.values())
 
     def test_aperiodic_prefix_reports_nothing(self):
         traj = run_flow(gold(), 0.8 * GOLD_PERIOD_T)
-        assert detect_periodicity(traj) is None
+        assert scan_periodicity(traj) is None
 
 
 def _reference_detect_periodicity(traj, rel_tol):
@@ -491,7 +522,7 @@ REFERENCE_TRAJECTORIES = {
     # longer words, so more mirror-image pairs precede the match
     **{f"x{n}": (lambda n=n: run_flow(slope_torus(_slope(n)), 16.0)) for n in range(5, 9)},
     "gold": lambda: run_flow(gold(), 4 * GOLD_PERIOD_T),
-    "gold-perturbed": lambda: run_flow(_perturbed_gold(), 5.0, verify="off"),
+    "gold-perturbed": lambda: run_flow(_perturbed_gold(), 5.0),
     "gold-no-return": lambda: run_flow(gold(), 0.8 * GOLD_PERIOD_T),
 }
 
@@ -619,7 +650,7 @@ class TestPeriodicityAgainstReference:
     @pytest.mark.parametrize("name", sorted(REFERENCE_TRAJECTORIES))
     def test_same_match_as_unfiltered_search(self, name, rel_tol):
         traj = REFERENCE_TRAJECTORIES[name]()
-        got = detect_periodicity(traj, rel_tol=rel_tol)
+        got = scan_periodicity(traj, rel_tol=rel_tol)
         assert got == _reference_detect_periodicity(traj, rel_tol)
         if rel_tol in (1e-9, 0.1):
             # the perturbed orbit recurs only approximately
@@ -641,16 +672,16 @@ class TestPeriodicityAgainstReference:
             tightest = max(tightest, dev)
         rel_tol = tightest * (1 + 1e-9)
         assert _reference_detect_periodicity(traj, rel_tol) == match
-        assert detect_periodicity(traj, rel_tol=rel_tol) == match
+        assert scan_periodicity(traj, rel_tol=rel_tol) == match
 
 
 class TestSignatureReads:
     @pytest.mark.parametrize("name", ["gold", "x4", "gold-perturbed"])
     def test_sigma_is_read_once_per_state(self, monkeypatch, name):
         traj = REFERENCE_TRAJECTORIES[name]()
-        expected = detect_periodicity(traj)
+        expected = scan_periodicity(traj)
         reads = count_sigma_reads(monkeypatch)
-        assert detect_periodicity(traj) == expected
+        assert scan_periodicity(traj) == expected
         # the search stops at the match: no state past it is read
         read = traj.states() if expected is None else traj.states()[: expected.m2 + 1]
         assert sorted(reads) == sorted(id(s) for s in read)
@@ -674,7 +705,7 @@ class TestPeriodicitySearchCount:
         for window in (8.0, 10.0, 12.0, 14.0, 15.9):
             traj = run_flow(slope_torus(_slope(n)), window)
             calls = 0
-            match = detect_periodicity(traj)
+            match = scan_periodicity(traj)
             assert (match.m, match.m2) == (1, 1 + 2 * n)
             assert calls == 1
 
@@ -697,10 +728,10 @@ def _identity_trajectories():
 
 
 def _perturbed_slope_trajectory(n: int, seed: int):
-    """The flow closing_search scans on x_n perturbed as `close --delta 1e-3`
-    perturbs it."""
+    """closing_search's whole search window on x_n perturbed as `close
+    --delta 1e-3` perturbs it."""
     s = lab.perturb_heights(rebase(slope_torus(_slope(n))), random.Random(seed), 1e-3)
-    return run_flow(greedy_delaunay(rebase(s))[0], 5.0, verify="off")
+    return run_flow(greedy_delaunay(rebase(s))[0], 5.0)
 
 
 class TestMatcherAgainstSpanOrder:
@@ -711,12 +742,12 @@ class TestMatcherAgainstSpanOrder:
     @pytest.mark.parametrize("name", sorted(REFERENCE_TRAJECTORIES))
     def test_reference_trajectories(self, name, rel_tol):
         traj = REFERENCE_TRAJECTORIES[name]()
-        assert detect_periodicity(traj, rel_tol) == reference_detect_periodicity(traj, rel_tol)
+        assert scan_periodicity(traj, rel_tol) == reference_detect_periodicity(traj, rel_tol)
 
     def test_identity_analyze_inputs(self):
         found = 0
         for name, traj in _identity_trajectories():
-            match = detect_periodicity(traj)
+            match = scan_periodicity(traj)
             assert match == reference_detect_periodicity(traj), name
             found += match is not None
         assert found == 8  # gold, goldx, x2, x3 and x5..x8
@@ -725,7 +756,7 @@ class TestMatcherAgainstSpanOrder:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_perturbed_slope_tori(self, n, seed):
         traj = _perturbed_slope_trajectory(n, seed)
-        match = detect_periodicity(traj, 0.1)
+        match = scan_periodicity(traj, 0.1)
         assert match is not None and len(match.word) == 2 * n
         assert match == reference_detect_periodicity(traj, 0.1)
 
@@ -734,11 +765,9 @@ class TestStoppedFlow:
     @pytest.mark.parametrize("name", sorted(REFERENCE_TRAJECTORIES))
     def test_the_stopped_flow_is_a_prefix_ending_at_the_match(self, name):
         whole = REFERENCE_TRAJECTORIES[name]()
-        verify = "off" if name == "gold-perturbed" else "debug"
-        matcher = PeriodicMatcher(whole.start)
-        stopped = run_flow(whole.start, whole.t_end, verify=verify, stop=matcher)
-        match = detect_periodicity(whole)
-        assert matcher.match == match
+        stopped, got = detect_periodicity(whole.start, whole.t_end)
+        match = scan_periodicity(whole)
+        assert got == match
         end = len(whole.events) if match is None else match.m2
         assert stopped.events == whole.events[:end]
         assert [(x.triangles, x.periods) for x in stopped.surfaces] == [
@@ -760,7 +789,7 @@ class TestStoppedFlow:
             flowed.append(len(traj.events))
             return traj
 
-        monkeypatch.setattr(cli, "run_flow", counting)
+        monkeypatch.setattr(flow, "run_flow", counting)
         path = tmp_path / "x.json"
         path.write_text(serialize_surface(slope_torus(_slope(n))))
         out = tmp_path / "report.json"

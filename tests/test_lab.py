@@ -12,14 +12,16 @@ from util import (
     reference_roundoff_unit,
     reference_stable_distance,
     reference_state_at,
+    scan_periodicity,
 )
 
+import veertrack.cli as cli
 import veertrack.delaunay as delaunay
 import veertrack.flow as flow
 import veertrack.lab as lab
 from veertrack.cones import compose_word, eigenpairs, image_diameter
 from veertrack.delaunay import greedy_delaunay
-from veertrack.errors import VeertrackError
+from veertrack.errors import DegeneracyError, VeertrackError
 from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
 from veertrack.lab import (
@@ -27,7 +29,7 @@ from veertrack.lab import (
     contraction_experiment,
     hilbert_contraction_experiment,
 )
-from veertrack.surface import Surface, area, rebase
+from veertrack.surface import Surface, area, rebase, serialize_surface
 
 
 def _slope(n: int) -> float:
@@ -253,6 +255,22 @@ class TestAreaGradient:
         for d, g in zip(basis, grad):
             assert abs((area_at(h0 + step * d) - area_at(h0 - step * d)) / (2 * step) - g) <= 1e-7
 
+    @pytest.mark.parametrize("name", list(AREA_SURFACES))
+    def test_draws_along_the_gradient_leave_no_direction(self, name):
+        class Along:
+            """An rng whose gauss draws are the area gradient's coefficients."""
+
+            def __init__(self, coeffs):
+                self.coeffs = iter(coeffs)
+
+            def gauss(self, mu, sigma):
+                return next(self.coeffs)
+
+        s = AREA_SURFACES[name]()
+        grad = lab._height_directions(s)[3]
+        with pytest.raises(DegeneracyError, match="area constraint is everything"):
+            lab.perturb_heights(s, Along(grad), 1e-3)
+
 
 class TestHilbertDecay:
     def test_diameters_monotone_once_finite(self):
@@ -320,6 +338,49 @@ class TestClosing:
             closing_search(gold(), search_t=search_t)
 
 
+class TestSearchFlow:
+    """close's search flow is certified and stops at its first return."""
+
+    @staticmethod
+    def _close_flows(monkeypatch, tmp_path, n: int) -> list:
+        """(trajectory, certificate checks) of each flow that `close --delta
+        1e-3 --seed n` runs on x_n, the search flow first."""
+        flows, checks = [], []
+        real_flow, real_check = flow.run_flow, flow.delaunay_violations
+
+        def counting_check(s):
+            checks.append(s)
+            return real_check(s)
+
+        def recording(*args, **kwargs):
+            checks.clear()
+            traj = real_flow(*args, **kwargs)
+            flows.append((traj, len(checks)))
+            return traj
+
+        monkeypatch.setattr(flow, "delaunay_violations", counting_check)
+        for module in (flow, lab):
+            monkeypatch.setattr(module, "run_flow", recording)
+        path = tmp_path / "x.json"
+        path.write_text(serialize_surface(slope_torus(_slope(n))))
+        argv = ["close", "--input", str(path), "--delta", "1e-3", "--seed", str(n), "--output", str(tmp_path / "o.json")]
+        assert cli.main(argv) == 0
+        return flows
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_search_flow_ends_at_the_first_return(self, monkeypatch, tmp_path, n):
+        # flowing the whole default window takes 11, 12 and 13 events
+        (search, _), *_ = self._close_flows(monkeypatch, tmp_path, n)
+        match = scan_periodicity(search, 0.1)
+        assert len(search.events) == match.m2 == 1 + 2 * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_search_flow_checks_the_certificate_at_every_event(self, monkeypatch, tmp_path, n):
+        # one check of the start surface, then one probe past each event
+        (search, checks), *_ = self._close_flows(monkeypatch, tmp_path, n)
+        assert checks == 1 + len(search.events)
+
+
 class TestPeriodMatrix:
     def test_gold_matrix_and_characteristic_polynomial(self):
         r = closing_search(gold()).matrix
@@ -346,8 +407,7 @@ class TestPeriodMatrix:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_word_quads_carry_the_periods_across_the_return(self, monkeypatch, n):
-        traj = run_flow(slope_torus(_slope(n)), 16.0, verify="off")
-        match = flow.detect_periodicity(traj, rel_tol=0.1)
+        traj, match = flow.detect_periodicity(slope_torus(_slope(n)), 16.0, rel_tol=0.1)
         states = traj.states()
         built = []
         monkeypatch.setattr(delaunay, "build_quad", lambda s, e: built.append(e))
@@ -411,6 +471,11 @@ class TestReplayCheck:
         assert len(probes) == len(result.word) + 1 == 7
         assert 1 < probes[0] and all(a < b for a, b in zip(probes, probes[1:]))
         assert probes[-2] < result.lam_w**2 < probes[-1]
+
+    def test_a_point_past_every_split_is_refused(self):
+        # lam far past every threshold of the chart: no split starts the word
+        with pytest.raises(VeertrackError, match="trajectory left the combinatorial neighborhood of the word"):
+            lab._flow_word(rebase(gold()).replace(lam=1e300), [("e1", "L")])
 
     def test_a_word_the_point_does_not_follow_is_refused(self):
         result = closing_search(gold())

@@ -19,7 +19,7 @@ from util import (
     trapezoid_area,
 )
 
-from veertrack.errors import DocumentError
+from veertrack.errors import DocumentError, VeertrackError
 from veertrack.fixtures import gold, octagon, pillow, t2
 from veertrack.surface import (
     Surface,
@@ -106,6 +106,11 @@ class TestMalformedDocuments:
     def test_rejected_as_document_error(self, change):
         with pytest.raises(DocumentError):
             parse_surface(_mutated(change))
+
+    def test_triangles_must_be_a_list(self):
+        # an empty object would otherwise read as no triangles
+        with pytest.raises(DocumentError, match="triangles must be a list"):
+            parse_surface(_mutated(lambda d: d.update(triangles={})))
 
     # Fraction would expand these exponents into ten-million-digit integers
     @pytest.mark.parametrize("number", ["1e10000000", "1e-10000000"])
@@ -352,6 +357,15 @@ class TestVertices:
         assert s.vertex_angle_multiples() == [6]
         assert s.marked_vertex_flags() == [False]
 
+    def test_an_edge_used_once_has_no_vertex_or_quadrilateral(self):
+        # parse_surface refuses such a document; a Surface built in code is
+        # refused where its gluing is read
+        s = one_triangle(((1.0, 0.5), (-0.3, 1.0), (-0.7, -1.5)), "float")
+        with pytest.raises(DocumentError, match="edge a used 1 times"):
+            s.vertex_classes()
+        with pytest.raises(VeertrackError, match="edge a is not interior to two triangles"):
+            s.comb.sides("a")
+
 
 class TestArea:
     def test_torus_area_exact(self):
@@ -360,6 +374,13 @@ class TestArea:
     def test_area_positive_on_fixtures(self):
         for build in (t2, gold, pillow, octagon):
             assert float(area(build())) > 0
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_a_clockwise_triangle_is_refused(self, mode):
+        # one slope sign throughout, so the trapezoid formula is not tried
+        s = one_triangle(((1, 2), (1, 1), (-2, -3)), mode)
+        with pytest.raises(ArithmeticError, match="triangle 0 has non-positive area"):
+            area(s)
 
     def test_trapezoid_matches_shoelace_exact(self):
         rng = random.Random(2026)

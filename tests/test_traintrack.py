@@ -26,7 +26,7 @@ from util import (
 )
 
 from veertrack import _exact, traintrack
-from veertrack.errors import DegeneracyError
+from veertrack.errors import DegeneracyError, VeertrackError
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
 from veertrack.surface import NUMBER_MODES, Surface, area, validate
@@ -171,6 +171,11 @@ _EXACT_SIZE = st.builds(
 
 class TestLargeSlots:
     ORDERS = list(itertools.permutations(range(3)))
+
+    def test_a_direction_other_than_the_two_tracks_is_refused(self):
+        s = gold()
+        with pytest.raises(ValueError, match="bad direction 'diagonal'"):
+            large_slots(s.num, s.triangles, s.periods, "diagonal")
 
     @pytest.mark.parametrize("direction", ["vertical", "horizontal"])
     @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -420,6 +425,14 @@ class TestFilling:
         track, _ = dual_track(gold())
         assert is_filling_subtrack(track, track.branches)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "support, message", [((), "empty support"), (("e1", "zz"), r"unknown branches \['zz'\]")]
+    )
+    def test_a_support_off_the_track_is_refused(self, support, message):
+        track, _ = dual_track(gold())
+        with pytest.raises(VeertrackError, match=message):
+            is_filling_subtrack(track, support)
 
     def test_single_branch_does_not_fill(self):
         track, _ = dual_track(octagon())

@@ -38,6 +38,7 @@ from veertrack.fixtures import octagon, t2
 from veertrack.flow import (
     FLOAT_EVENT_TIE,
     PeriodicMatch,
+    PeriodicMatcher,
     SplitEvent,
     Trajectory,
     _may_match,
@@ -828,6 +829,14 @@ def reference_roundoff_unit(s: Surface) -> float:
     flowed = [f[e] for e in s.edges]
     top = max(abs(h) for _, h in flowed)
     return sys.float_info.epsilon * top / math.sqrt(sum(w * w for w, _ in flowed))
+
+
+def scan_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch | None:
+    """The first periodic return of a finished trajectory: its states fed
+    to a PeriodicMatcher in order, as detect_periodicity's flow feeds them."""
+    matcher = PeriodicMatcher(traj.start, rel_tol)
+    any(map(matcher, traj.events, traj.surfaces))
+    return matcher.match
 
 
 def reference_detect_periodicity(traj: Trajectory, rel_tol: float = 1e-9) -> PeriodicMatch | None:
