@@ -2,18 +2,20 @@
 """Mutation sweep of the package's raise guards: can each one fail?
 
 Every `if` or `elif` in src/veertrack whose body starts with `raise` is a
-guard.  For each guard in turn, its condition is replaced by `False` in a
-copy of the checkout, and tier-1 runs there with `-x`.  A guard whose
-mutant fails the suite is killed: some test makes it fire.  One whose
-mutant passes survived: no test can tell the guard from its absence.  Prints
-one line per guard, then the count that survived.  The checkout itself is
-never written.
+guard.  The sweep copies the checkout and first runs tier-1 there
+unmutated; if that run does not pass, it prints the run's output and stops,
+since no mutant could then be told from a broken copy.  Then, for each
+guard in turn, its condition is replaced by `False` and tier-1 runs with
+`-x`.  A guard whose mutant fails a test is killed: some test makes it fire.
+One whose mutant passes survived: no test can tell the guard from its
+absence.  A run that ends otherwise (a collection or usage error, or no
+result within TIMEOUT seconds) proves nothing and is printed as such.
+Prints one line per guard, then the counts; exits 1 unless every run gave
+a result.  The checkout itself is never written.
 
-    python3 scripts/mutants.py                 # the whole sweep
-    python3 scripts/mutants.py --only flow.py  # the guards of one module
+    python3 scripts/mutants.py
 """
 
-import argparse
 import ast
 import os
 import pathlib
@@ -25,7 +27,9 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path("src") / "veertrack"
 NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work")
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+TIMEOUT = 600  # seconds per tier-1 run; stops a mutant that makes the suite loop
+PASSED, FAILED = 0, 1  # pytest's exit codes; any other code is an error
 
 
 def guards(source: bytes) -> list[ast.If]:
@@ -47,40 +51,41 @@ def mutate(source: bytes, node: ast.If) -> bytes:
     return b"".join(lines[: test.lineno - 1] + [head + b"False" + tail] + lines[test.end_lineno :])
 
 
-def killed(copy: pathlib.Path, timeout: float) -> bool:
+def tier1(copy: pathlib.Path) -> tuple[str, bytes]:
+    """("passed" | "failed" | "error" | "timeout", output) of tier-1 in copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return True
-    return done.returncode != 0
+        done = subprocess.run(TIER1, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired as exc:
+        return "timeout", exc.stdout or b""
+    outcome = {PASSED: "passed", FAILED: "failed"}.get(done.returncode, "error")
+    return outcome, done.stdout
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--only", nargs="*", default=None, help="module file names to sweep (default: all)")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per tier-1 run; a timeout kills")
-    args = ap.parse_args()
-    survived = total = 0
+    counts = {"killed": 0, "survived": 0, "error": 0, "timeout": 0}
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=NOT_COPIED)
+        outcome, output = tier1(copy)
+        if outcome != "passed":
+            sys.stdout.write(output.decode("utf-8", "replace"))
+            print(f"tier-1 does not pass unmutated ({outcome}); no guard swept")
+            return 1
         for path in sorted((copy / PACKAGE).glob("*.py")):
-            if args.only is not None and path.name not in args.only:
-                continue
             source = path.read_bytes()
             for node in guards(source):
                 path.write_bytes(mutate(source, node))
                 try:
-                    alive = not killed(copy, args.timeout)
+                    outcome, _ = tier1(copy)
                 finally:
                     path.write_bytes(source)
-                total += 1
-                survived += alive
+                verdict = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
+                counts[verdict] += 1
                 cond = " ".join(ast.get_source_segment(source.decode("utf-8"), node.test).split())
-                print(f"{'survived' if alive else 'killed  '} {path.name}:{node.lineno}  {cond}", flush=True)
-    print(f"{survived} of {total} guards survive")
-    return 0
+                print(f"{verdict:8} {path.name}:{node.lineno}  {cond}", flush=True)
+    print(", ".join(f"{n} {verdict}" for verdict, n in counts.items()), f"of {sum(counts.values())} guards")
+    return 0 if counts["error"] == counts["timeout"] == 0 else 1
 
 
 if __name__ == "__main__":

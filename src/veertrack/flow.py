@@ -164,6 +164,7 @@ def run_flow(
     ev = next_split(cur)
     while ev is not None and float(ev.threshold) <= lam_end_f:
         flipped = flip(cur, ev.edge, ev.threshold)
+        nxt = None
         if verify == "debug":
             # the probe's split is the next iteration's split: it is reused
             nxt = next_split(flipped)

@@ -80,7 +80,11 @@ class TestMalformedDocuments:
         "change",
         [
             lambda d: d.update(edges=[["1", "3/10"]]),
+            lambda d: d.update(mode="rational"),
+            lambda d: d.update(mode=["exact"]),
             lambda d: d["edges"]["e1"].__setitem__(0, "one"),
+            lambda d: d["edges"]["e1"].__setitem__(0, 0.5),
+            lambda d: d["edges"]["e1"].__setitem__(0, True),
             lambda d: d.update(mode="float") or d["edges"]["e1"].__setitem__(0, "one"),
             lambda d: d["edges"]["e1"].__setitem__(0, "1/0"),
             lambda d: d["edges"]["e1"].__setitem__(0, 10**400),
@@ -97,7 +101,7 @@ class TestMalformedDocuments:
             lambda d: d["triangles"][0][0].__setitem__("sign", 1.0),
         ],
         ids=[
-            "edges-list", "exact-word-period", "float-word-period", "zero-denominator",
+            "edges-list", "unknown-mode", "mode-list", "exact-word-period", "exact-float-period", "exact-bool-period", "float-word-period", "zero-denominator",
             "exact-overflow", "float-list-period", "float-infinity", "triangle-int", "slot-string",
             "slot-without-sign", "edge-list", "triangles-object", "negative-flow",
             "marked-int", "sign-bool", "sign-float",
