@@ -13,10 +13,10 @@ for both verify modes and for a cold and a warm combinatorial cache:
   earlier flows reached, as the trial flows of a contraction fit do.
 
 Then prints, for x_1..x_8 and T = 16, the best of --repeat timings of
---flows calls, in milliseconds per call, of `veertrack analyze`'s pipeline
-on a new surface: detect_periodicity, the certified flow stopped at the
-first return, and analyze_periodic_word, with the events that flow
-takes.
+--flows calls of the two stages of `veertrack analyze`'s pipeline on a new
+surface: detect_periodicity, the certified flow stopped at the first
+return, in milliseconds per call, and analyze_periodic_word on its return,
+in microseconds per call, with the events that flow takes.
 
 Then prints the best of --repeat timings, in milliseconds per call, of
 contraction_experiment on x_1..x_3 over four periods with 6 trials (the
@@ -85,18 +85,22 @@ def us_per_event(build, verify: str, warm: bool, flows: int, repeat: int) -> flo
     return best * 1e6
 
 
-def analyze_cost(n: int, flows: int, repeat: int) -> tuple[float, int]:
-    """(ms per call, events flowed) of the analyze pipeline on x_n."""
+def analyze_cost(n: int, flows: int, repeat: int) -> tuple[float, float, int]:
+    """(ms per stopped flow, us per analyze_periodic_word, events flowed)
+    of the analyze pipeline on x_n."""
     base = slope_torus(slope(n))
-    best = math.inf
+    best_flow = best_word = math.inf
     for _ in range(repeat):
         starts = [fresh(base) for _ in range(flows)]
         t0 = time.perf_counter()
-        for s in starts:
-            traj, match = detect_periodicity(s, FLOW_T)
+        found = [detect_periodicity(s, FLOW_T) for s in starts]
+        t1 = time.perf_counter()
+        for traj, match in found:
             analyze_periodic_word(traj, match)
-        best = min(best, (time.perf_counter() - t0) / flows)
-    return best * 1e3, len(traj.events)
+        t2 = time.perf_counter()
+        best_flow = min(best_flow, (t1 - t0) / flows)
+        best_word = min(best_word, (t2 - t1) / flows)
+    return best_flow * 1e3, best_word * 1e6, len(found[0][0].events)
 
 
 def ms_per_fit(n: int, repeat: int, trials: int = 6) -> float:
@@ -146,12 +150,12 @@ def main() -> int:
             for warm in (False, True)
         ]
         print(f"{name:8}{cells[0]:10.2f}{cells[1]:10.2f}{cells[2]:12.2f}{cells[3]:12.2f}")
-    print(f"analyze to T = {FLOW_T:g}: stopped flow and analyze_periodic_word, "
+    print(f"analyze to T = {FLOW_T:g}: ms per stopped flow, us per analyze_periodic_word, "
           f"best of {args.repeat} x {args.flows} calls")
-    print(f"{'start':8}{'ms/call':>10}{'events':>8}")
+    print(f"{'start':8}{'flow ms':>10}{'word us':>10}{'events':>8}")
     for n in range(1, 9):
-        ms, events = analyze_cost(n, args.flows, args.repeat)
-        print(f"x_{n:<6}{ms:10.3f}{events:8d}")
+        ms, us, events = analyze_cost(n, args.flows, args.repeat)
+        print(f"x_{n:<6}{ms:10.3f}{us:10.1f}{events:8d}")
     print(f"contraction_experiment, 4 periods, best of {args.repeat}: ms per call with 6 trials, "
           f"us per trial (6 trials less 1, over 5)")
     print(f"{'start':8}{'ms/call':>10}{'us/trial':>10}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from typing import NamedTuple
 
 import numpy as np
@@ -116,17 +117,22 @@ class PAReport(NamedTuple):
 
 
 def eigenpairs(matrix, *targets: float) -> list[tuple[float, np.ndarray]]:
-    """For each target, the eigenvalue of matrix nearest it and a real
-    eigenvector for it, from one eigensolve; VeertrackError unless each of
-    those eigenvalues is real and simple."""
+    """For each target, the eigenvalue of matrix nearest it (the first of
+    equally near ones) and a real eigenvector for it, from one eigensolve;
+    VeertrackError unless each of those eigenvalues is real and simple.
+    Only the eigensolve runs in numpy: the choice and the test read the
+    eigenvalues as Python numbers."""
     vals, vecs = np.linalg.eig(np.asarray(matrix, dtype=float))
+    values = vals.tolist()
     pairs = []
     for target in targets:
-        k = int(np.argmin(np.abs(vals - target)))
-        tol = 1e-6 * max(1.0, abs(vals[k]))
-        if abs(vals[k].imag) > tol or np.any(np.abs(np.delete(vals, k) - vals[k]) <= tol):
-            raise VeertrackError(f"eigenvalue {vals[k]:.6g} of the matrix is not real and simple")
-        pairs.append((float(vals[k].real), vecs[:, k].real))
+        dist = [abs(v - target) for v in values]
+        k = dist.index(min(dist))
+        v = values[k]
+        tol = 1e-6 * max(1.0, abs(v))
+        if abs(v.imag) > tol or any(abs(u - v) <= tol for i, u in enumerate(values) if i != k):
+            raise VeertrackError(f"eigenvalue {v:.6g} of the matrix is not real and simple")
+        pairs.append((v.real, vecs[:, k].real))
     return pairs
 
 
@@ -134,13 +140,28 @@ def first_positive_power(matrix) -> int | None:
     """The least k with matrix**k entrywise positive, for a nonnegative
     matrix, or None when no k up to Wielandt's bound (n - 1)^2 + 1 gives
     one, which no larger k then does.  Only the 0/1 pattern of the powers
-    is kept, so the test is exact."""
-    pattern = np.asarray(matrix) > 0
-    power = pattern
-    for k in range(1, (len(pattern) - 1) ** 2 + 2):
-        if power.all():
+    is kept, one bitmask per row, so the test is exact."""
+    rows = []
+    for row in matrix:
+        mask = 0
+        for j, x in enumerate(row):
+            if x > 0:
+                mask |= 1 << j
+        rows.append(mask)
+    full = (1 << len(rows)) - 1
+    power = rows
+    for k in range(1, (len(rows) - 1) ** 2 + 2):
+        if min(power, default=full) == full:  # no mask exceeds full
             return k
-        power = power @ pattern
+        # row i of power @ pattern joins the pattern rows that row i reaches
+        product = []
+        for mask in power:
+            joined = 0
+            for j, row in enumerate(rows):
+                if mask >> j & 1:
+                    joined |= row
+            product.append(joined)
+        power = product
     return None
 
 
@@ -183,9 +204,9 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
     [(lam_w, _)] = eigenpairs(a_int, match.lam_w)
 
     # eigenvector check against the actual widths
-    widths = np.array([abs(float(s1.periods[b].w)) for b in branches])
-    widths = widths / np.linalg.norm(widths)
-    if np.linalg.norm(np.asarray(a_int, dtype=float) @ widths - lam_w * widths) > 1e-6 * lam_w:
+    widths = [abs(float(s1.periods[b].w)) for b in branches]
+    residual = [sum(a * x for a, x in zip(row, widths)) - lam_w * w for row, w in zip(a_int, widths)]
+    if math.hypot(*residual) > 1e-6 * lam_w * math.hypot(*widths):
         raise VeertrackError("width vector is not an eigenvector of the folded return matrix")
 
     # height dilatation from the geometric tangential measures of the two
@@ -199,7 +220,8 @@ def analyze_periodic_word(traj: Trajectory, match: PeriodicMatch) -> PAReport:
             ratios.append(r1 / r2)
     if not ratios:
         raise DegeneracyError("tangential measures vanish on every branch")
-    lam_h = float(np.median(ratios))
+    # the middle ratio, or (a + b) / 2 of the two middle ones: np.median's value
+    lam_h = statistics.median(ratios)
     if max(ratios) - min(ratios) > 1e-6 * max(ratios):
         raise VeertrackError("tangential ratios disagree across branches")
 

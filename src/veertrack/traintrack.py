@@ -21,14 +21,7 @@ class TrainTrack(NamedTuple):
     direction: str  # "vertical" | "horizontal"
     triangles: tuple  # same combinatorics as the source surface
     large_slots: tuple[int, ...]  # per triangle, the slot of the large branch
-
-    @property
-    def branches(self) -> tuple[str, ...]:
-        out = set()
-        for tri in self.triangles:
-            for e, _ in tri:
-                out.add(e)
-        return tuple(sorted(out))
+    branches: tuple[str, ...]  # the sorted edge labels, as track_branches gives them
 
     def switches(self) -> list[tuple[str, str, str]]:
         """(large, small1, small2) per triangle, smalls in cyclic order."""
@@ -54,6 +47,11 @@ class TrainTrack(NamedTuple):
             row[idx[s2]] -= 1
             rows.append(row)
         return rows
+
+
+def track_branches(triangles) -> tuple[str, ...]:
+    """The sorted edge labels of triangles, the branches of a track on them."""
+    return tuple(sorted({e for tri in triangles for e, _ in tri}))
 
 
 class MeasurePair(NamedTuple):
@@ -100,7 +98,8 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
     """
     num = s.num
     scale, view = num.scaled(s.periods)
-    track = TrainTrack(direction, s.triangles, large_slots(num, s.triangles, view, direction))
+    slots = large_slots(num, s.triangles, view, direction)
+    track = TrainTrack(direction, s.triangles, slots, track_branches(s.triangles))
     k = 0 if direction == "vertical" else 1
 
     transverse = {e: abs(p[k]) for e, p in s.periods.items()}

@@ -3,6 +3,8 @@ analysis."""
 
 import math
 import random
+import statistics
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -14,10 +16,13 @@ from util import (
     mat_det,
     nonneg_shift,
     reconstruct_from_words,
+    reference_eigenpairs,
+    reference_first_positive_power,
     scan_periodicity,
     tangential_equivalent,
 )
 
+from veertrack import cones
 from veertrack.cones import (
     analyze_periodic_word,
     birkhoff_coefficient,
@@ -193,10 +198,10 @@ def wielandt(n: int) -> list[list[int]]:
 
 
 class TestFirstPositivePower:
-    @pytest.mark.parametrize("n, k", [(2, 2), (3, 5), (4, 10), (5, 17)])
+    @pytest.mark.parametrize("n, k", [(2, 2), (3, 5), (4, 10), (5, 17), (6, 26)])
     def test_wielandt_matrix_needs_the_bound(self, n, k):
         m = wielandt(n)
-        assert first_positive_power(m) == k
+        assert first_positive_power(m) == reference_first_positive_power(m) == k
         assert not (np.linalg.matrix_power(np.array(m), k - 1) > 0).all()
         assert (np.linalg.matrix_power(np.array(m), k) > 0).all()
 
@@ -207,6 +212,111 @@ class TestFirstPositivePower:
     )
     def test_small_patterns(self, matrix, k):
         assert first_positive_power(matrix) == k
+
+
+def _outcome(solve, matrix, *targets):
+    """What solve gives: each eigenvalue, its type and its eigenvector as
+    lists, or the message it raises."""
+    try:
+        return [(lam, type(lam), vec.tolist()) for lam, vec in solve(matrix, *targets)]
+    except VeertrackError as exc:
+        return str(exc)
+
+
+def _ratios(traj, match) -> list[float]:
+    """The tangential ratios analyze_periodic_word takes its median of, on
+    the measures of cones.dual_track."""
+    states = traj.states()
+    _, mp1 = cones.dual_track(states[match.m], "vertical")
+    _, mp2 = cones.dual_track(states[match.m2], "vertical")
+    pairs = [(float(mp1.tangential[e]), float(mp2.tangential[match.relabel[e][0]])) for e in sorted(mp1.tangential)]
+    return [r1 / r2 for r1, r2 in pairs if r1 > 1e-12 and r2 > 1e-12]
+
+
+class TestAgainstNumpy:
+    """eigenpairs, first_positive_power and the median of lam_h run on
+    Python numbers; each gives what its numpy form gives, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "matrix, target",
+        [
+            ([[0, -1], [1, 0]], 0.0),  # a complex pair, equally near: the first is named
+            ([[0, -1], [1, 0]], 1.0),
+            ([[1, 0], [0, 1]], 1.0),  # a repeated eigenvalue
+            ([[2, 1], [0, 2]], 2.0),  # a defective one
+            ([[1, 0], [0, 3]], 2.0),  # two real ones equally near: the first is taken
+            ([[3, 0], [0, 1]], 2.0),
+            ([[2, 1], [1, 1]], 3.0),
+            ([[2, 1, 0], [0, 2, 1], [1, 0, 0]], 2.5),
+        ],
+    )
+    def test_named_eigenvalues(self, matrix, target):
+        assert _outcome(eigenpairs, matrix, target) == _outcome(reference_eigenpairs, matrix, target)
+
+    def test_named_messages(self):
+        assert _outcome(eigenpairs, [[0, -1], [1, 0]], 0.0) == "eigenvalue 0+1j of the matrix is not real and simple"
+        assert _outcome(eigenpairs, [[1, 0], [0, 1]], 1.0) == "eigenvalue 1 of the matrix is not real and simple"
+        assert _outcome(eigenpairs, [[1, 0], [0, 3]], 2.0)[0][0] == 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_integer_matrices(self, seed):
+        rng = random.Random(seed)
+        kinds = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            matrix = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            targets = [rng.uniform(-6.0, 6.0) for _ in range(rng.randint(1, 2))]
+            got = _outcome(eigenpairs, matrix, *targets)
+            assert got == _outcome(reference_eigenpairs, matrix, *targets)
+            kinds["refused" if isinstance(got, str) else "chosen"] += 1
+        assert kinds["refused"] and kinds["chosen"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_patterns(self, seed):
+        rng = random.Random(seed)
+        powers = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            density = rng.uniform(0.2, 0.9)
+            matrix = [[rng.randint(1, 3) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+            got = first_positive_power(matrix)
+            assert got == reference_first_positive_power(matrix)
+            powers[got] += 1
+        assert powers[None] and powers[1] and len(powers) >= 4
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_median_of_random_ratios(self, count):
+        rng = random.Random(count)
+        for _ in range(200):
+            ratios = [rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-3, 3) for _ in range(count)]
+            assert statistics.median(ratios) == float(np.median(ratios))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lam_h_on_an_even_count(self, n):
+        traj, match = detect_periodicity(slope_torus((n + math.sqrt(n * n + 4)) / 2), 16.0)
+        ratios = _ratios(traj, match)
+        assert len(ratios) == 2
+        assert analyze_periodic_word(traj, match).lam_h == float(np.median(ratios))
+
+    def test_lam_h_on_an_odd_count(self, monkeypatch):
+        # the first state's measure drops its first positive branch, so one
+        # ratio is left
+        traj, match = detect_periodicity(gold(), 12.0)
+        first = traj.states()[match.m]
+        real = cones.dual_track
+
+        def dropped(s, direction):
+            track, mp = real(s, direction)
+            if s is first:
+                e = next(e for e in track.branches if mp.tangential[e] > 0)
+                mp = mp._replace(tangential={**mp.tangential, e: 0})
+            return track, mp
+
+        monkeypatch.setattr(cones, "dual_track", dropped)
+        report = analyze_periodic_word(traj, match)
+        ratios = _ratios(traj, match)
+        assert len(ratios) == 1
+        assert report.lam_h == float(np.median(ratios))
 
 
 def _moved_gold(k: int):

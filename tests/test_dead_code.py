@@ -4,7 +4,8 @@ other than the dunder ones is read as an attribute or imported somewhere; every 
 read there or exported; every import names the standard library, numpy or
 the package itself; only surface.py (with the fixtures that build
 surfaces) decides by the number mode's name; only cones.eigenpairs runs a
-float eigensolve; only cones and lab import numpy, and nothing that
+float eigensolve, and the rest of analyze's path reads no numpy name
+besides it; only cones and lab import numpy, and nothing that
 importing cli loads imports cones, lab or numpy at top level, so the CLI
 starts without numpy, or postpones its annotations; and every function
 the benchmark's span tracer names still exists and is called by its name
@@ -246,6 +247,69 @@ def test_eigensolve_guard_sees_every_call(tmp_path):
     assert eigensolves(tmp_path) == [
         "cones", "cones.eigenpairs", "cones.other", "cones.Box", "cones"
     ]
+
+
+ANALYZE_PATH = ("eigenpairs", "first_positive_power", "analyze_periodic_word")
+
+
+def _chain(node: ast.AST) -> tuple[str, ...]:
+    """("a", "b", "c") for the attribute chain a.b.c, () for any other node."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        base = _chain(node.value)
+        return base and (*base, node.attr)
+    return ()
+
+
+def numpy_reads(root: Path = ROOT) -> dict[str, list[str]]:
+    """cones.name -> the numpy names that each ANALYZE_PATH function of
+    cones reads, by their full dotted names: each longest attribute chain
+    on a name that an import anywhere in the module binds to numpy or to a
+    name in it."""
+    tree = ast.parse((root / "src" / "veertrack" / "cones.py").read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    bound[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    found = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in ANALYZE_PATH:
+            chains = {c for c in map(_chain, ast.walk(top)) if c and c[0] in bound}
+            longest = [c for c in chains if not any(d[: len(c)] == c and d != c for d in chains)]
+            found[f"cones.{top.name}"] = sorted(".".join((bound[c[0]], *c[1:])) for c in longest)
+    return found
+
+
+def test_analyze_reads_numpy_only_for_the_eigensolve():
+    assert numpy_reads() == {
+        # the eigensolve, and the type of the eigenvectors it returns
+        "cones.eigenpairs": ["numpy.asarray", "numpy.linalg.eig", "numpy.ndarray"],
+        "cones.first_positive_power": [],
+        "cones.analyze_periodic_word": [],
+    }
+
+
+def test_numpy_read_guard_sees_a_planted_call(tmp_path):
+    (tmp_path / "src" / "veertrack").mkdir(parents=True)
+    (tmp_path / "src" / "veertrack" / "cones.py").write_text(
+        "import numpy as np\nfrom numpy import median as med\n\n\n"
+        "def eigenpairs(m):\n    return np.linalg.eig(np.asarray(m))\n\n\n"
+        "def first_positive_power(m):\n    import numpy.linalg as la\n    import numpy\n"
+        "    return numpy.all(la.matrix_power(m, 2))\n\n\n"
+        "def analyze_periodic_word(r):\n    return med(r), np.linalg.norm(r)\n\n\n"
+        "def hilbert_distance(x):\n    return np.log(x)\n"
+    )
+    assert numpy_reads(tmp_path) == {
+        "cones.eigenpairs": ["numpy.asarray", "numpy.linalg.eig"],
+        "cones.first_positive_power": ["numpy.all", "numpy.linalg.matrix_power"],
+        "cones.analyze_periodic_word": ["numpy.linalg.norm", "numpy.median"],
+    }
 
 
 NUMPY_MODULES = ("cones", "lab")

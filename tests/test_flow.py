@@ -49,7 +49,7 @@ from veertrack.flow import (
     thick_fraction,
 )
 from veertrack.surface import NUMBER_MODES, Surface, edge_occurrences, rebase, serialize_surface, validate
-from veertrack.traintrack import TrainTrack, large_slots
+from veertrack.traintrack import TrainTrack, large_slots, track_branches
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,7 +84,8 @@ class TestNextSplit:
 
 
 def _track_large_edges(s):
-    track = TrainTrack("vertical", s.triangles, large_slots(s.num, s.triangles, s.periods, "vertical"))
+    slots = large_slots(s.num, s.triangles, s.periods, "vertical")
+    track = TrainTrack("vertical", s.triangles, slots, track_branches(s.triangles))
     return sorted(e for e, role in track.branch_roles().items() if role == "large")
 
 

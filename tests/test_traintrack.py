@@ -37,6 +37,7 @@ from veertrack.traintrack import (
     extreme_rays_nonneg,
     is_filling_subtrack,
     large_slots,
+    track_branches,
     vertex_curves,
 )
 
@@ -470,7 +471,7 @@ class TestFilling:
         triangles = pillow().triangles
         outcomes = Counter()
         for slots in itertools.product(range(3), repeat=len(triangles)):
-            self._check_every_support(TrainTrack("vertical", triangles, slots), outcomes)
+            self._check_every_support(TrainTrack("vertical", triangles, slots, track_branches(triangles)), outcomes)
         assert outcomes[True, False] and outcomes[False, False]
 
 

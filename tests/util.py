@@ -2,7 +2,8 @@
 exact trajectory prefixes, and oracles: brute-force ones, exact algebra on
 veertrack._exact's elimination, a combinatorial split path beside the
 flow's, and the split event and checkpoint reads in their earlier,
-several-pass forms, the periodicity search in its earlier whole-trajectory
+several-pass forms, the eigenvalue choice and the primitivity test on
+numpy arrays, the periodicity search in its earlier whole-trajectory
 order, the double description in its earlier dense form, and the
 contraction fit whose trials each flow from scratch."""
 
@@ -75,6 +76,7 @@ from veertrack.traintrack import (
     dual_track,
     large_slots,
     split_roles,
+    track_branches,
     vertex_curves,
 )
 
@@ -305,7 +307,7 @@ def reference_measures(s: Surface, direction: str) -> MeasurePair:
     """The reference for dual_track's measures: the tangential sums added
     up switch by switch on the surface's own numbers, halving each term."""
     k = 0 if direction == "vertical" else 1
-    track = TrainTrack(direction, s.triangles, sorted_large_slots(s, direction))
+    track = TrainTrack(direction, s.triangles, sorted_large_slots(s, direction), track_branches(s.triangles))
     transverse = {e: abs(p[k]) for e, p in s.periods.items()}
     zero = s.num.coerce(0)
     tangential = {e: zero for e in s.periods}
@@ -653,6 +655,32 @@ def in_span(vectors, target) -> bool:
     return rank(vectors) == rank([*vectors, scaled])
 
 
+def reference_eigenpairs(matrix, *targets: float) -> list[tuple[float, np.ndarray]]:
+    """cones.eigenpairs with its choice and test on numpy arrays: np.argmin
+    of the distances to each target, and the other eigenvalues, by
+    np.delete, compared with the chosen one."""
+    vals, vecs = np.linalg.eig(np.asarray(matrix, dtype=float))
+    pairs = []
+    for target in targets:
+        k = int(np.argmin(np.abs(vals - target)))
+        tol = 1e-6 * max(1.0, abs(vals[k]))
+        if abs(vals[k].imag) > tol or np.any(np.abs(np.delete(vals, k) - vals[k]) <= tol):
+            raise VeertrackError(f"eigenvalue {vals[k]:.6g} of the matrix is not real and simple")
+        pairs.append((float(vals[k].real), vecs[:, k].real))
+    return pairs
+
+
+def reference_first_positive_power(matrix) -> int | None:
+    """cones.first_positive_power on boolean numpy matrices."""
+    pattern = np.asarray(matrix) > 0
+    power = pattern
+    for k in range(1, (len(pattern) - 1) ** 2 + 2):
+        if power.all():
+            return k
+        power = power @ pattern
+    return None
+
+
 def nonneg_shift(m) -> bool:
     """Whether M - I is entrywise nonnegative."""
     return all(x - (i == j) >= 0 for i, row in enumerate(m) for j, x in enumerate(row))
@@ -684,7 +712,7 @@ def split_with_direction(track: TrainTrack, e: str, direction: str):
         large[t1], large[t2] = 0, 0  # winners b and d head their triangles
     else:
         large[t1], large[t2] = 1, 1  # winners c and a sit second
-    return TrainTrack(track.direction, triangles, tuple(large)), losers, winners
+    return TrainTrack(track.direction, triangles, tuple(large), track.branches), losers, winners
 
 
 def reconstruct_from_words(
