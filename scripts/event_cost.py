@@ -24,12 +24,18 @@ contraction_experiment on x_1..x_3 over four periods with 6 trials (the
 beside it the microseconds per trial: the best fit with 6 trials less the
 best with 1 trial, over 5.
 
-Last, prints the best of --repeat timings, in microseconds per call, of
+Then prints the best of --repeat timings, in microseconds per call, of
 vertex_curves on the tracks of the census shears of t2, pillow and octagon
 (n = 3, 6 and 9 edges; the 64 shears perfbench/inputs.py draws of each),
 in both directions: each track taken, as the census workload takes it, on
 the Delaunay surface, or on the shear itself when the reduction stops on a
 degeneracy.
+
+Last, the I/O costs, best of --repeat, in microseconds per call: main's
+argv parse (cli.parse_args) of a census track line, and on each fixture's
+64 census shears parse_surface of the shear's document and
+serialize_surface of its Delaunay surface (of the shear, where the
+reduction stops on a degeneracy), the document `delaunay --output` writes.
 
     python3 scripts/event_cost.py
     python3 scripts/event_cost.py --repeat 2 --flows 1   # a quick smoke run
@@ -46,13 +52,14 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from inputs import CENSUS_UNIVERSE, census_doc
+from veertrack.cli import parse_args
 from veertrack.cones import analyze_periodic_word
 from veertrack.delaunay import greedy_delaunay
 from veertrack.errors import DegeneracyError
 from veertrack.fixtures import gold, slope_torus
 from veertrack.flow import detect_periodicity, run_flow
 from veertrack.lab import contraction_experiment
-from veertrack.surface import Surface, parse_surface
+from veertrack.surface import Surface, parse_surface, serialize_surface
 from veertrack.traintrack import dual_track, vertex_curves
 
 FLOW_T = 16.0
@@ -125,14 +132,14 @@ def census_surfaces(name: str) -> list[Surface]:
     return out
 
 
-def us_per_vertex_curves(surfaces, direction: str, repeat: int) -> float:
-    tracks = [dual_track(s, direction)[0] for s in surfaces]
+def us_per_call(fn, inputs, repeat: int) -> float:
+    """Best of repeat timings of fn on each of inputs, in us per call."""
     best = math.inf
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for track in tracks:
-            vertex_curves(track)
-        best = min(best, (time.perf_counter() - t0) / len(tracks))
+        for x in inputs:
+            fn(x)
+        best = min(best, (time.perf_counter() - t0) / len(inputs))
     return best * 1e6
 
 
@@ -166,8 +173,21 @@ def main() -> int:
     print(f"{'fixture':10}{'n':>3}{'vertical':>10}{'horizontal':>12}")
     for name in ("t2", "pillow", "octagon"):
         surfaces = census_surfaces(name)
-        cells = [us_per_vertex_curves(surfaces, d, args.repeat) for d in ("vertical", "horizontal")]
+        cells = [
+            us_per_call(vertex_curves, [dual_track(s, d)[0] for s in surfaces], args.repeat)
+            for d in ("vertical", "horizontal")
+        ]
         print(f"{name:10}{len(surfaces[0].periods):3d}{cells[0]:10.1f}{cells[1]:12.1f}")
+    track_line = ["track", "--input", "census.json", "--direction", "vertical", "--vertex-curves"]
+    print(f"I/O, us per call, best of {args.repeat}: argv parse of `{' '.join(track_line)}` "
+          f"{us_per_call(parse_args, [track_line] * CENSUS_UNIVERSE, args.repeat):.1f}")
+    print(f"{'fixture':10}{'n':>3}{'parse':>10}{'serialize':>11}")
+    for name in ("t2", "pillow", "octagon"):
+        docs = [census_doc(name, index) for index in range(CENSUS_UNIVERSE)]
+        surfaces = census_surfaces(name)
+        parse_us = us_per_call(parse_surface, docs, args.repeat)
+        write_us = us_per_call(serialize_surface, surfaces, args.repeat)
+        print(f"{name:10}{len(surfaces[0].periods):3d}{parse_us:10.1f}{write_us:11.1f}")
     return 0
 
 

@@ -11,7 +11,6 @@ start without loading numpy.
 import argparse
 import csv
 import functools
-import json
 import math
 import random
 import sys
@@ -19,7 +18,7 @@ import sys
 from .delaunay import delaunay_violations, greedy_delaunay, is_veering, linf_scaled
 from .errors import DegeneracyError, DocumentError, VeertrackError
 from .flow import detect_periodicity, next_split, run_flow, thick_fraction
-from .surface import parse_surface, rebase, serialize_surface, surface_doc, validate
+from .surface import json_text, parse_surface, rebase, serialize_surface, surface_doc, validate
 from .traintrack import complementary_regions, dual_track, vertex_curves
 
 
@@ -132,7 +131,7 @@ def cmd_analyze(args) -> int:
         "return_matrix": [list(r) for r in rep.return_matrix] if rep.return_matrix else None,
         "positive_power": rep.positive_power,
     }
-    text = json.dumps(doc, indent=2)
+    text = json_text(doc)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -178,7 +177,7 @@ def cmd_close(args) -> int:
         "residual": res.residual,
         "converged": res.converged,
     }
-    text = json.dumps(doc, indent=2)
+    text = json_text(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -216,15 +215,16 @@ def cmd_report(args) -> int:
         if traj is not None:
             doc["events"] = len(traj.events)
             doc["thick_fraction"] = thick_fraction(traj, args.eps).theta
-    print(json.dumps(doc, indent=2))
+    print(json_text(doc))
     return 0 if rep.passed else 1
 
 
-# built on the first call of main and kept: parse_args leaves it as it was
+# built on the first call of main and kept: parsing leaves it as it was
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The veertrack parser; its subcommands action is kept as p.subcommands."""
     p = argparse.ArgumentParser(prog="veertrack")
-    sub = p.add_subparsers(dest="command", required=True)
+    p.subcommands = sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check a surface document")
     sp.add_argument("--input", required=True)
@@ -283,8 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with the same result, messages and
+    exits; a known subcommand's own parser reads the rest of argv."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except DegeneracyError as exc:

@@ -48,6 +48,9 @@ class ValidationReport(NamedTuple):
 # beyond 400 in magnitude is outside the float range in both directions.
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
+# the plain 'p' and 'p/q' strings, in ASCII digits, that surface_doc writes
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 class NumberMode(NamedTuple):
     """How a surface stores, reads, writes and compares its numbers; the two
@@ -106,14 +109,21 @@ class NumberMode(NamedTuple):
                 raise DocumentError(f"exact mode needs integers or 'p/q' strings, got {x!r}")
         elif isinstance(x, bool) or not isinstance(x, (int, float, str)):
             raise DocumentError(f"float mode needs numbers or numeric strings, got {x!r}")
-        exponent = _EXPONENT.search(x) if isinstance(x, str) else None
+        rational = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
+        exponent = _EXPONENT.search(x) if isinstance(x, str) and not rational else None
         if exponent:
             digits = exponent[1].replace("_", "").lstrip("0")
             if len(digits) > 3 or int(digits or "0") > 400:
                 raise DocumentError(f"not a number within the float range: {x!r}")
         try:
-            f = Fraction(x) if self.exact or isinstance(x, str) else x
-            as_float = float(f)
+            if rational:
+                # int true division rounds correctly: p / q is float(Fraction(p, q))
+                p, q = int(rational[1]), int(rational[2] or 1)
+                as_float = p / q
+                f = Fraction(p, q) if self.exact else as_float
+            else:
+                f = Fraction(x) if self.exact or isinstance(x, str) else x
+                as_float = float(f)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DocumentError(f"not a number within the float range: {x!r}") from exc
         if not math.isfinite(as_float):
@@ -177,6 +187,10 @@ class Triangulation:
         if key not in self._derived:
             self._derived[key] = compute(self, *args)
         return self._derived[key]
+
+    def vertex_classes(self) -> list[frozenset[Corner]]:
+        """corner_classes of the triangles."""
+        return self.cached("vertex_classes", lambda c: corner_classes(c.triangles, c.occurrences()))
 
 
 def _periods(num: NumberMode, periods) -> dict[str, Period]:
@@ -257,7 +271,7 @@ class Surface:
 
     def vertex_classes(self) -> list[frozenset[Corner]]:
         """Corners grouped by the vertex of the glued cell complex."""
-        return self.comb.cached("vertex_classes", lambda c: corner_classes(c.triangles, c.occurrences()))
+        return self.comb.vertex_classes()
 
     def vertex_angle_multiples(self) -> list[int]:
         """For each vertex, the integer k with cone angle k*pi (unrounded check
@@ -451,7 +465,32 @@ def surface_doc(s: Surface) -> dict:
 
 
 def serialize_surface(s: Surface) -> str:
-    return json.dumps(surface_doc(s), indent=2)
+    return json_text(surface_doc(s))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dict keys that are str.
+
+    json.dumps falls back to its Python encoder whenever it indents, so the
+    containers are joined here, strings, ints and finite floats written as
+    that encoder writes them, and every other value left to json.dumps;
+    newline starts each line at the current depth."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    kind = type(obj)
+    if kind is int or (kind is float and math.isfinite(obj)):
+        return repr(obj)
+    if isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        items = [_encode_str(k) + ": " + json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([json_text(v, inner) for v in obj]) + newline + "]"
+    return json.dumps(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,18 @@ from typing import NamedTuple
 
 from . import _exact
 from .errors import DegeneracyError, VeertrackError
-from .surface import Surface, corner_classes, edge_occurrences, find_root
+from .surface import Surface, Triangulation, find_root
 
 
 class TrainTrack(NamedTuple):
     direction: str  # "vertical" | "horizontal"
-    triangles: tuple  # same combinatorics as the source surface
+    comb: Triangulation  # the source surface's, whose occurrence index and vertex classes the regions read
     large_slots: tuple[int, ...]  # per triangle, the slot of the large branch
     branches: tuple[str, ...]  # the sorted edge labels, as track_branches gives them
+
+    @property
+    def triangles(self) -> tuple:
+        return self.comb.triangles
 
     def switches(self) -> list[tuple[str, str, str]]:
         """(large, small1, small2) per triangle, smalls in cyclic order."""
@@ -99,7 +103,7 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
     num = s.num
     scale, view = num.scaled(s.periods)
     slots = large_slots(num, s.triangles, view, direction)
-    track = TrainTrack(direction, s.triangles, slots, track_branches(s.triangles))
+    track = TrainTrack(direction, s.comb, slots, track_branches(s.triangles))
     k = 0 if direction == "vertical" else 1
 
     transverse = {e: abs(p[k]) for e, p in s.periods.items()}
@@ -119,9 +123,9 @@ def dual_track(s: Surface, direction: str = "vertical") -> tuple[TrainTrack, Mea
 # complementary regions
 
 
-def _region_data(track: TrainTrack, occ):
-    """(region polygon sizes, corner->region), from the occurrence index occ."""
-    classes = corner_classes(track.triangles, occ)
+def _region_data(track: TrainTrack):
+    """(region polygon sizes, corner->region), from the vertex classes."""
+    classes = track.comb.vertex_classes()
     corner_region: dict[tuple[int, int], int] = {}
     sizes = []
     for ridx, cls in enumerate(classes):
@@ -138,7 +142,7 @@ def complementary_regions(track: TrainTrack) -> dict[int, int]:
     """Census by ribbon traversal, {n: multiplicity}: one n-gon per cone
     point of angle n*pi."""
     counts: dict[int, int] = {}
-    for n in _region_data(track, edge_occurrences(track.triangles))[0]:
+    for n in _region_data(track)[0]:
         counts[n] = counts.get(n, 0) + 1
     return counts
 
@@ -164,9 +168,8 @@ def is_filling_subtrack(track: TrainTrack, branches) -> bool:
     unknown = support - set(track.branches)
     if unknown:
         raise VeertrackError(f"support contains unknown branches {sorted(unknown)}")
-    occ = edge_occurrences(track.triangles)
-    sizes, corner_region = _region_data(track, occ)
-    sides = _branch_region_edges(occ, corner_region)
+    sizes, corner_region = _region_data(track)
+    sides = _branch_region_edges(track.comb.occurrences(), corner_region)
     parent = list(range(len(sizes)))
     marked = [n <= 2 for n in sizes]  # per root: its component holds a puncture
     for e in track.branches:

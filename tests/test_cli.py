@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -532,3 +533,122 @@ class TestDocumentFuzz:
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--input", str(path)]) in (0, 1, 2)
+
+
+WRITER_VALUES = st.recursive(
+    JSON_VALUES | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 10**400, (), [], {}, "é∞ \x00\"\\"]),
+    lambda kids: st.lists(kids, max_size=4).map(tuple) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestWriter:
+    """surface.json_text against json.dumps(indent=2), byte for byte."""
+
+    @given(obj=st.one_of(JSON_VALUES, WRITER_VALUES))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, obj):
+        assert surface.json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("build", [t2, gold, pillow, octagon])
+    def test_surface_documents_match_json_dumps(self, build):
+        for s in (build(), surface.rebase(build()), build().replace(lam=build().num.coerce(9) / 4)):
+            assert serialize_surface(s) == json.dumps(surface.surface_doc(s), indent=2)
+
+    def test_unserializable_values_raise_as_json_dumps_does(self):
+        for obj in ({"a": [Fraction(1, 2)]}, [object()]):
+            with pytest.raises(TypeError) as ours:
+                surface.json_text(obj)
+            with pytest.raises(TypeError) as theirs:
+                json.dumps(obj, indent=2)
+            assert str(ours.value) == str(theirs.value)
+
+
+SUBCOMMAND_ARGV = [
+    ["validate", "--input", "a.json"],
+    ["delaunay", "--input", "a.json"],
+    ["delaunay", "--input=a.json", "--emit-flips", "f.csv", "--output", "o.json"],
+    ["track", "--input", "a.json"],
+    ["track", "--vertex-curves", "--direction", "horizontal", "--input", "a.json"],
+    ["flow", "--input", "a.json", "--time", "3"],
+    ["flow", "--input", "a.json", "--time", "-1", "--max-events", "5", "--csv", "e.csv"],
+    ["analyze", "--input", "a.json", "--time", "inf", "--report", "r.json"],
+    ["analyze", "--input", "a.json", "--time", "5", "--max-events", "7"],
+    ["contract", "--input", "a.json", "--time", "4", "--trials", "2", "--delta", "1e-3", "--seed", "3"],
+    ["close", "--input", "a.json"],
+    ["close", "--input", "a.json", "--time", "2", "--delta", "0.5", "--seed", "9", "--output", "c.json"],
+    ["report", "--input", "a.json"],
+    ["report", "--input", "a.json", "--time", "0.5", "--eps", "0.1"],
+]
+
+USAGE_ERROR_ARGV = [
+    [],
+    ["nosuch", "--input", "a.json"],
+    ["--input", "a.json", "validate"],
+    ["validate"],
+    ["flow", "--input", "a.json"],
+    ["flow", "--input", "a.json", "--time", "x"],
+    ["flow", "--input", "a.json", "--time", "-1e3"],
+    ["analyze", "--input", "a.json", "--time", "1", "--max-events", "1.5"],
+    ["track", "--input", "a.json", "--direction", "diagonal"],
+    ["validate", "--input", "a.json", "extra"],
+    ["validate", "--input", "a.json", "--time", "3", "-x"],
+    ["report", "--input", "a.json", "--", "--time", "1"],
+    ["validate", "--input"],
+    ["validate", "--inp", "a.json", "--inp", "b.json", "--bogus"],
+]
+
+
+class TestDispatch:
+    """cli.parse_args against build_parser().parse_args: the same Namespace,
+    and the same stderr, stdout and exit on a usage error or a help request."""
+
+    @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda argv: " ".join(argv))
+    def test_same_namespace(self, argv):
+        args = cli.parse_args(argv)
+        assert args == cli.build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+    def test_every_subcommand_is_dispatched(self):
+        assert set(cli.build_parser().subcommands.choices) == {argv[0] for argv in SUBCOMMAND_ARGV}
+
+    def test_reads_sys_argv_without_an_argument(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["veertrack", *SUBCOMMAND_ARGV[1]])
+        assert cli.parse_args() == cli.build_parser().parse_args()
+
+    @pytest.mark.parametrize(
+        "argv", USAGE_ERROR_ARGV + [["-h"], ["validate", "-h"], ["close", "--help"]],
+        ids=lambda argv: " ".join(argv) or "empty",
+    )
+    def test_same_usage_errors(self, capsys, argv):
+        outcomes = []
+        for parse in (cli.parse_args, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outcomes.append((exc.value.code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if {"-h", "--help"} & set(argv) else 2)
+
+    def test_main_exits_2_on_unrecognized_arguments(self, capsys, torus_doc):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", torus_doc, "extra", "--more"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("veertrack: error: unrecognized arguments: extra --more\n")
+
+
+class TestPositivePower:
+    """analyze's positive_power: the first positive power of the return
+    matrix, or null when none is positive, as on the even slope tori,
+    whose matrices keep branch e3's column at (0, 0, 1)."""
+
+    @pytest.mark.parametrize("n, power", [(1, 3), (2, None)])
+    def test_report(self, tmp_path, n, power):
+        path = tmp_path / f"x{n}.json"
+        path.write_text(serialize_surface(slope_torus((n + math.sqrt(n * n + 4)) / 2)))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(path), "--time", "16", "--report", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["is_pseudo_anosov"] and report["filling"]
+        assert report["positive_power"] == power
+        column = [row[report["branches"].index("e3")] for row in report["return_matrix"]]
+        assert (column == [0, 0, 1]) == (power is None)

@@ -22,7 +22,7 @@ from util import (
     tangential_equivalent,
 )
 
-from veertrack import cones
+from veertrack import cones, surface
 from veertrack.cones import (
     analyze_periodic_word,
     birkhoff_coefficient,
@@ -36,7 +36,8 @@ from veertrack.delaunay import greedy_delaunay
 from veertrack.errors import DegeneracyError, VeertrackError
 from veertrack.fixtures import GOLD_DILATATION, GOLD_PERIOD_T, gold, slope_torus, t2
 from veertrack.flow import detect_periodicity, run_flow
-from veertrack.traintrack import dual_track
+from veertrack.surface import parse_surface, serialize_surface, validate
+from veertrack.traintrack import complementary_regions, dual_track
 
 
 def cross_ratio_distance(x, y):
@@ -186,6 +187,31 @@ class TestPerron:
             exact = (n * n + 2 + n * Decimal(n * n + 4).sqrt()) / 2
             ulps = abs(Decimal(report.lam_w) - exact) / Decimal(math.ulp(float(exact)))
         assert ulps <= 8
+
+
+class TestRegionCache:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_corner_classes_build_per_triangulation(self, monkeypatch, n):
+        # analyze's steps (parse, validate, reduce, the stopped flow, the
+        # word's analysis), then the analysis again and the regions of the
+        # return's track: each triangulation's vertex classes are built once
+        builds, seen = Counter(), []
+        original = surface.corner_classes
+
+        def counting(triangles, occ):
+            builds[id(triangles)] += 1
+            seen.append(triangles)  # keeps each id taken
+            return original(triangles, occ)
+
+        monkeypatch.setattr(surface, "corner_classes", counting)
+        start = parse_surface(serialize_surface(slope_torus((n + math.sqrt(n * n + 4)) / 2)))
+        assert validate(start).passed
+        s, _ = greedy_delaunay(start)
+        traj, match = detect_periodicity(s, 16.0)
+        reports = [analyze_periodic_word(traj, match) for _ in range(2)]
+        assert reports[0].filling and reports[0] == reports[1]
+        assert complementary_regions(dual_track(traj.states()[match.m])[0]) == {2: 1}
+        assert len(builds) >= 2 and set(builds.values()) == {1}
 
 
 def wielandt(n: int) -> list[list[int]]:

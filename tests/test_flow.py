@@ -85,7 +85,7 @@ class TestNextSplit:
 
 def _track_large_edges(s):
     slots = large_slots(s.num, s.triangles, s.periods, "vertical")
-    track = TrainTrack("vertical", s.triangles, slots, track_branches(s.triangles))
+    track = TrainTrack("vertical", s.comb, slots, track_branches(s.triangles))
     return sorted(e for e, role in track.branch_roles().items() if role == "large")
 
 

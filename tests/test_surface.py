@@ -14,6 +14,7 @@ from util import (
     disjoint_copies,
     one_triangle,
     random_veering_triangle,
+    reference_parse,
     reference_validate,
     sheared_surface,
     trapezoid_area,
@@ -22,6 +23,7 @@ from util import (
 from veertrack.errors import DocumentError, VeertrackError
 from veertrack.fixtures import gold, octagon, pillow, t2
 from veertrack.surface import (
+    NUMBER_MODES,
     Surface,
     area,
     parse_surface,
@@ -158,6 +160,57 @@ class TestMalformedDocuments:
         assert ("cone-angle", "vertex 0") in [v[:2] for v in report.violations]
         with pytest.raises(DocumentError):
             s.replace(periods=periods).vertex_angle_multiples()
+
+
+def parse_outcome(parse, x):
+    """(type, repr) of what parse gives for x, or the DocumentError's message."""
+    try:
+        value = parse(x)
+    except DocumentError as exc:
+        return "DocumentError", str(exc)
+    return type(value), repr(value)
+
+
+NUMBER_CASES = [
+    # the plain 'p' and 'p/q' strings: signs, leading zeros, 0 and /0
+    "3", "-3", "+3", "0", "-0", "+0", "007", "-007/010", "3/4", "-3/4", "+3/4", "6/8", "0/5", "-0/5",
+    "1/0", "0/0", "-3/0", "3/00", "1" + "0" * 400, "1/1" + "0" * 400, "9" * 400 + "/3",
+    # int's 4300-digit limit, in the numerator and the denominator
+    "1" * 4300, "1" * 4301, "1/" + "1" * 4301, "-" + "7" * 5000, "1" * 5000 + "/3",
+    # everything else reads through Fraction(str)
+    " 3", "3 ", "3\n", "\t3/4", "3 /4", "3/ 4", "1_000", "1_0/3", "1__0", "_1", "0.5", ".5", "5.", "-2.5e3",
+    "1e400", "1e-400", "1E5", "10e-1", "1e10000000", "1/2/3", "1//2", "1/-2", "-1/-2", "++1", "+-1",
+    "", " ", "+", "-", "/", "1/", "/2", "nan", "inf", "-inf", "Infinity", "0x10", "one",
+    "\u0661\u0662", "\uff11/\uff12", "3/\u0664", "\u00b2", "\u0663.5",
+    # values that are not strings
+    0, 7, -7, 10**400, 2**1023, True, False, None, 0.5, -0.0, math.inf, math.nan, [1], {"p": 1},
+]
+
+
+class TestNumberGrammar:
+    """NumberMode.parse reads plain 'p' and 'p/q' strings on a path of its
+    own; the reference reads every string through Fraction(str)."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_matches_the_reference_on_named_cases(self, mode):
+        num = NUMBER_MODES[mode]
+        for x in NUMBER_CASES:
+            assert parse_outcome(num.parse, x) == parse_outcome(lambda y: reference_parse(num, y), x), x
+
+    @given(x=st.one_of(
+        st.from_regex(r"\A[+-]?[0-9]{1,30}(/[0-9]{1,30})?\Z"),
+        st.text(alphabet="0123456789+-/ ._eE\u0661\uff12", max_size=12),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_on_random_strings(self, x):
+        for num in NUMBER_MODES.values():
+            assert parse_outcome(num.parse, x) == parse_outcome(lambda y: reference_parse(num, y), x)
+
+    def test_a_5000_digit_string_is_a_document_error(self):
+        doc = json.loads(serialize_surface(t2()))
+        doc["edges"]["e1"][0] = "1" * 5000
+        with pytest.raises(DocumentError, match="not a number within the float range"):
+            parse_surface(json.dumps(doc))
 
 
 class TestValidation:

@@ -25,7 +25,7 @@ from util import (
     split_with_direction,
 )
 
-from veertrack import _exact, traintrack
+from veertrack import _exact, surface
 from veertrack.errors import DegeneracyError, VeertrackError
 from veertrack.fixtures import gold, octagon, pillow, slope_torus, t2
 from veertrack.flow import run_flow
@@ -420,12 +420,19 @@ class TestFilling:
         assert is_filling_subtrack(track, track.branches)
 
     def test_builds_one_occurrence_index(self, monkeypatch):
-        calls = []
-        original = traintrack.edge_occurrences
-        monkeypatch.setattr(traintrack, "edge_occurrences", lambda tris: calls.append(tris) or original(tris))
-        track, _ = dual_track(gold())
-        assert is_filling_subtrack(track, track.branches)
-        assert len(calls) == 1
+        # the index and the vertex classes are the triangulation's, built
+        # once for every call on the track and for the surface itself
+        calls = Counter()
+        for name in ("edge_occurrences", "corner_classes"):
+            original = getattr(surface, name)
+            monkeypatch.setattr(surface, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a))
+        s = gold()
+        track, _ = dual_track(s)
+        for _ in range(2):
+            assert is_filling_subtrack(track, track.branches)
+            assert complementary_regions(track) == {2: 1}
+        s.vertex_classes()
+        assert calls == {"edge_occurrences": 1, "corner_classes": 1}
 
     @pytest.mark.parametrize(
         "support, message", [((), "empty support"), (("e1", "zz"), r"unknown branches \['zz'\]")]
@@ -468,10 +475,10 @@ class TestFilling:
         # a geometric track above fills only on its full support; the
         # pillow's four regions under every choice of large slots also hold
         # unmarked ones, so proper supports fill as well
-        triangles = pillow().triangles
+        comb = pillow().comb
         outcomes = Counter()
-        for slots in itertools.product(range(3), repeat=len(triangles)):
-            self._check_every_support(TrainTrack("vertical", triangles, slots, track_branches(triangles)), outcomes)
+        for slots in itertools.product(range(3), repeat=len(comb.triangles)):
+            self._check_every_support(TrainTrack("vertical", comb, slots, track_branches(comb.triangles)), outcomes)
         assert outcomes[True, False] and outcomes[False, False]
 
 

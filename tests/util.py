@@ -4,8 +4,9 @@ veertrack._exact's elimination, a combinatorial split path beside the
 flow's, and the split event and checkpoint reads in their earlier,
 several-pass forms, the eigenvalue choice and the primitivity test on
 numpy arrays, the periodicity search in its earlier whole-trajectory
-order, the double description in its earlier dense form, and the
-contraction fit whose trials each flow from scratch."""
+order, the double description in its earlier dense form, the contraction
+fit whose trials each flow from scratch, and the number rule of a surface
+document that reads every string through Fraction(str)."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -34,7 +36,7 @@ from veertrack.delaunay import (
     quad,
     slope_sign,
 )
-from veertrack.errors import DegeneracyError, NotFlippableError, VeertrackError
+from veertrack.errors import DegeneracyError, DocumentError, NotFlippableError, VeertrackError
 from veertrack.fixtures import octagon, t2
 from veertrack.flow import (
     FLOAT_EVENT_TIE,
@@ -58,7 +60,9 @@ from veertrack.lab import (
 )
 from veertrack.surface import (
     EPS_ANGLE,
+    NumberMode,
     Surface,
+    Triangulation,
     ValidationReport,
     edge_occurrences,
     exchange_diagonal,
@@ -79,6 +83,33 @@ from veertrack.traintrack import (
     track_branches,
     vertex_curves,
 )
+
+
+_REFERENCE_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def reference_parse(num: NumberMode, x):
+    """The reference for NumberMode.parse: every string, 'p/q' ones too,
+    read by Fraction(str) after the exponent bound, and checked as
+    float(Fraction)."""
+    if num.exact:
+        if isinstance(x, bool) or not isinstance(x, (int, str)):
+            raise DocumentError(f"exact mode needs integers or 'p/q' strings, got {x!r}")
+    elif isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise DocumentError(f"float mode needs numbers or numeric strings, got {x!r}")
+    exponent = _REFERENCE_EXPONENT.search(x) if isinstance(x, str) else None
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > 3 or int(digits or "0") > 400:
+            raise DocumentError(f"not a number within the float range: {x!r}")
+    try:
+        f = Fraction(x) if num.exact or isinstance(x, str) else x
+        as_float = float(f)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DocumentError(f"not a number within the float range: {x!r}") from exc
+    if not math.isfinite(as_float):
+        raise DocumentError(f"not a number within the float range: {x!r}")
+    return f if num.exact else as_float
 
 
 def linf_length(p) -> object:
@@ -307,7 +338,7 @@ def reference_measures(s: Surface, direction: str) -> MeasurePair:
     """The reference for dual_track's measures: the tangential sums added
     up switch by switch on the surface's own numbers, halving each term."""
     k = 0 if direction == "vertical" else 1
-    track = TrainTrack(direction, s.triangles, sorted_large_slots(s, direction), track_branches(s.triangles))
+    track = TrainTrack(direction, s.comb, sorted_large_slots(s, direction), track_branches(s.triangles))
     transverse = {e: abs(p[k]) for e, p in s.periods.items()}
     zero = s.num.coerce(0)
     tangential = {e: zero for e in s.periods}
@@ -326,9 +357,8 @@ def reference_is_filling(track: TrainTrack, branches) -> bool:
     deleted branches d and marked regions; it fills iff every component has
     Euler number k - d = 1 and at most one marked region."""
     support = frozenset(branches)
-    occ = edge_occurrences(track.triangles)
-    sizes, corner_region = _region_data(track, occ)
-    sides = _branch_region_edges(occ, corner_region)
+    sizes, corner_region = _region_data(track)
+    sides = _branch_region_edges(edge_occurrences(track.triangles), corner_region)
     parent = list(range(len(sizes)))
     deleted = [e for e in track.branches if e not in support]
     for e in deleted:
@@ -712,7 +742,7 @@ def split_with_direction(track: TrainTrack, e: str, direction: str):
         large[t1], large[t2] = 0, 0  # winners b and d head their triangles
     else:
         large[t1], large[t2] = 1, 1  # winners c and a sit second
-    return TrainTrack(track.direction, triangles, tuple(large), track.branches), losers, winners
+    return TrainTrack(track.direction, Triangulation(triangles), tuple(large), track.branches), losers, winners
 
 
 def reconstruct_from_words(
